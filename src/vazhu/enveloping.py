@@ -31,13 +31,11 @@ def gbinom(n: int, k: int) -> int:
     """Binomial coefficient for any integer n and k >= 0."""
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    num = 1
-    for t in range(k):
-        num *= n - t
-    return num // math.factorial(k)
+    return _falling(n, k) // math.factorial(k)
 
 
-def _falling(n: int, k: int) -> int:
+def _falling(n, k: int):
+    """Falling factorial n (n - 1) ... (n - k + 1), for int or Fraction n."""
     out = 1
     for t in range(k):
         out *= n - t

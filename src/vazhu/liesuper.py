@@ -2,15 +2,29 @@
 
 Covers the specific algebras appearing in the Zhu-algebra comparisons:
 matrix-realized orthosymplectic / special linear families, the exceptional
-one-parameter family built from its root system, the two central extensions
-that present the Zhu algebras, and the contact-field centralizer algebras.
+one-parameter family built from its root system, the contact-field
+centralizer algebras, and the zero-mode algebras R_N1, R_N2, R_N3,
+R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4 and big N=4
+superconformal vertex algebras.
+
+The zero-mode algebras are derived from the lambda brackets of the
+presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
+algebra): [a, b] = sum_j binom(wt a - 1, j) [a_(j) b], with
+[d^k X] = (-1)^k wt X (wt X + 1) ... (wt X + k - 1) [X], central terms
+written as multiples of an even central Z, and the conformal vector
+shifted to L - (c/24) Z, which absorbs the central part of every bracket
+that has L in it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
+from .enveloping import _falling
+from .presentation import _BUILTINS as _PRESENTATIONS, _add_into
 from .scalar import Scalar, ZERO, ONE, _coerce
 from .linalg import (
     SuperMatrix,
@@ -43,11 +57,26 @@ class JacobiError(ValueError):
 class LieSuperalgebra:
     """Basis, parities and structure constants [x_i, x_j] = sum c^k_ij x_k."""
 
-    def __init__(self, names, parities, table, matrices=None, validate=True):
+    def __init__(
+        self,
+        names,
+        parities,
+        table,
+        matrices=None,
+        modulo_matrices=(),
+        embedding=None,
+        fields=None,
+    ):
         self.names = list(names)
         self.parity = dict(parities)
         self.index = {n: i for i, n in enumerate(self.names)}
+        # a matrix realization, exact modulo the span of modulo_matrices
         self.matrices = matrices
+        self.modulo_matrices = list(modulo_matrices)
+        # coordinates of each basis vector in the parent algebra
+        self.embedding = embedding
+        # contact vector field realizing each basis vector
+        self.fields = fields
         # complete the table over both orientations
         full = {}
         for (x, y), val in table.items():
@@ -66,8 +95,7 @@ class LieSuperalgebra:
             for y in self.names:
                 full.setdefault((x, y), {})
         self.table = full
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- core operations ---------------------------------------------------
 
@@ -140,17 +168,16 @@ class LieSuperalgebra:
 
     def _validate_matrices(self):
         mats = self.matrices
+        spans = [m.entries_dict() for m in self.modulo_matrices]
         for x in self.names:
             for y in self.names:
                 got = mats[x].supercommutator(mats[y])
                 want = SuperMatrix.zero(got.m, got.n)
                 for n, c in self.table[(x, y)].items():
                     want = want + c * mats[n]
-                extra = self.modulo_matrices if hasattr(self, "modulo_matrices") else []
                 diff = got - want
-                if extra:
+                if spans:
                     flat = diff.entries_dict()
-                    spans = [m.entries_dict() for m in extra]
                     if flat and solve_membership(flat, spans) is None:
                         raise JacobiError(f"matrix bracket mismatch at ({x}, {y})")
                 elif diff.entries_dict():
@@ -202,13 +229,8 @@ class LieSuperalgebra:
                 if cert is None:
                     raise JacobiError(f"not closed: [{x}, {y}] leaves the span")
                 table[(x, y)] = {names[t]: c for t, c in cert.items()}
-        sub = LieSuperalgebra(names, parities, table, validate=True)
-        sub.embedding = {n: dict(v) for n, v in elements.items()}
-        return sub
-
-    def contains(self, x: dict) -> bool:
-        basis = [self.element(n) for n in self.names]
-        return solve_membership(x, basis) is not None
+        embedding = {n: dict(v) for n, v in elements.items()}
+        return LieSuperalgebra(names, parities, table, embedding=embedding)
 
 
 class LieMorphism:
@@ -292,20 +314,21 @@ def _from_matrices(names, parities, mats: dict, modulo=()):
             table[(x, y)] = {
                 names[t]: c for t, c in cert.items() if t < len(names)
             }
-    alg = LieSuperalgebra(names, parities, table, matrices=None, validate=False)
-    alg.matrices = mats
-    alg.modulo_matrices = list(modulo)
-    alg.validate()
-    return alg
+    return LieSuperalgebra(
+        names, parities, table, matrices=mats, modulo_matrices=modulo
+    )
+
+
+def _int_matrix(m: int, n: int, entries: dict) -> SuperMatrix:
+    """The (m|n) super matrix with the given integer entries, zero elsewhere."""
+    out = SuperMatrix.zero(m, n)
+    for (i, j), v in entries.items():
+        out.rows[i][j] = Scalar.from_int(v)
+    return out
 
 
 def _osp12() -> LieSuperalgebra:
-    def m(entries):
-        out = SuperMatrix.zero(1, 2)
-        for (i, j), v in entries.items():
-            out.rows[i][j] = Scalar.from_int(v)
-        return out
-
+    m = partial(_int_matrix, 1, 2)
     mats = {
         "h": m({(1, 1): 1, (2, 2): -1}),
         "e": m({(1, 2): 1}),
@@ -318,12 +341,7 @@ def _osp12() -> LieSuperalgebra:
 
 
 def _sl12() -> LieSuperalgebra:
-    def m(entries):
-        out = SuperMatrix.zero(1, 2)
-        for (i, j), v in entries.items():
-            out.rows[i][j] = Scalar.from_int(v)
-        return out
-
+    m = partial(_int_matrix, 1, 2)
     mats = {
         "t1": m({(0, 0): 1, (1, 1): 1}),
         "t2": m({(0, 0): 1, (2, 2): 1}),
@@ -340,12 +358,7 @@ def _sl12() -> LieSuperalgebra:
 
 
 def _psl22() -> LieSuperalgebra:
-    def m(entries):
-        out = SuperMatrix.zero(2, 2)
-        for (i, j), v in entries.items():
-            out.rows[i][j] = Scalar.from_int(v)
-        return out
-
+    m = partial(_int_matrix, 2, 2)
     mats = {
         "ha": m({(0, 0): 1, (1, 1): -1}),
         "ea": m({(0, 1): 1}),
@@ -366,12 +379,7 @@ def _psl22() -> LieSuperalgebra:
 
 
 def _osp32() -> LieSuperalgebra:
-    def m(entries):
-        out = SuperMatrix.zero(3, 2)
-        for (i, j), v in entries.items():
-            out.rows[i][j] = Scalar.from_int(v)
-        return out
-
+    m = partial(_int_matrix, 3, 2)
     mats = {
         "a1": m({(1, 2): -1, (2, 1): 1}),
         "a2": m({(0, 2): 1, (2, 0): -1}),
@@ -580,104 +588,6 @@ def _d21a() -> LieSuperalgebra:
 
 
 # ---------------------------------------------------------------------------
-# the two central extensions presenting the Zhu algebras
-
-
-def _eps_terms(coeffs):
-    return {n: c for n, c in coeffs.items() if not _coerce(c).is_zero()}
-
-
-def _r_n3() -> LieSuperalgebra:
-    c = Scalar.param("c")
-    names = ["L", "A1", "A2", "A3", "Z", "G1", "G2", "G3", "Phi"]
-    parities = {n: 0 for n in ("L", "A1", "A2", "A3", "Z")}
-    parities.update({n: 1 for n in ("G1", "G2", "G3", "Phi")})
-    eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-    table = {}
-    for (i, j), k in eps.items():
-        table[(f"A{i}", f"A{j}")] = {f"A{k}": ONE}
-        table[(f"A{i}", f"G{j}")] = {f"G{k}": ONE}
-        table[(f"A{j}", f"G{i}")] = {f"G{k}": -ONE}
-    for i in (1, 2, 3):
-        table[(f"G{i}", f"G{i}")] = {"L": Scalar.from_int(2)}
-        table[("Phi", f"G{i}")] = {f"A{i}": ONE}
-    table[("Phi", "Phi")] = {"Z": -c / 3}
-    return LieSuperalgebra(names, parities, table)
-
-
-def _r_n4() -> LieSuperalgebra:
-    c = Scalar.param("c")
-    a = Scalar.param("a")
-    s = Scalar.param("s")
-    gp = ONE / (a + 1)
-    gm = a / (a + 1)
-    half = Scalar.from_fraction(Fraction(1, 2))
-    two = Scalar.from_int(2)
-    even = ["L", "J0", "Jp", "Jm", "K0", "Kp", "Km", "Xi", "Z"]
-    odd = ["Gpp", "Gpm", "Gmp", "Gmm", "Spp", "Spm", "Smp", "Smm"]
-    parities = {n: 0 for n in even}
-    parities.update({n: 1 for n in odd})
-    t = {}
-    # two commuting sl(2)-triples
-    for x in ("J", "K"):
-        t[(f"{x}0", f"{x}p")] = {f"{x}p": two}
-        t[(f"{x}0", f"{x}m")] = {f"{x}m": -two}
-        t[(f"{x}p", f"{x}m")] = {f"{x}0": ONE}
-    # action on the odd weight-3/2 family
-    t[("J0", "Gpp")] = {"Gpp": ONE}
-    t[("J0", "Gpm")] = {"Gpm": ONE}
-    t[("J0", "Gmp")] = {"Gmp": -ONE}
-    t[("J0", "Gmm")] = {"Gmm": -ONE}
-    t[("Jp", "Gmp")] = {"Gpp": -ONE}
-    t[("Jp", "Gmm")] = {"Gpm": ONE}
-    t[("Jm", "Gpp")] = {"Gmp": -ONE}
-    t[("Jm", "Gpm")] = {"Gmm": ONE}
-    t[("K0", "Gpp")] = {"Gpp": ONE}
-    t[("K0", "Gmp")] = {"Gmp": ONE}
-    t[("K0", "Gpm")] = {"Gpm": -ONE}
-    t[("K0", "Gmm")] = {"Gmm": -ONE}
-    t[("Kp", "Gpm")] = {"Gpp": -ONE}
-    t[("Kp", "Gmm")] = {"Gmp": ONE}
-    t[("Km", "Gpp")] = {"Gpm": -ONE}
-    t[("Km", "Gmp")] = {"Gmm": ONE}
-    t[("Gpp", "Gmm")] = {"L": ONE}
-    t[("Gmp", "Gpm")] = {"L": ONE}
-    # action on the odd weight-1/2 family
-    t[("J0", "Spp")] = {"Spp": ONE}
-    t[("J0", "Spm")] = {"Spm": ONE}
-    t[("J0", "Smp")] = {"Smp": -ONE}
-    t[("J0", "Smm")] = {"Smm": -ONE}
-    t[("Jp", "Smp")] = {"Spp": -a}
-    t[("Jp", "Smm")] = {"Spm": a}
-    t[("Jm", "Spp")] = {"Smp": -ONE / a}
-    t[("Jm", "Spm")] = {"Smm": ONE / a}
-    t[("K0", "Spp")] = {"Spp": ONE}
-    t[("K0", "Smp")] = {"Smp": ONE}
-    t[("K0", "Spm")] = {"Spm": -ONE}
-    t[("K0", "Smm")] = {"Smm": -ONE}
-    t[("Kp", "Spm")] = {"Spp": -ONE}
-    t[("Kp", "Smm")] = {"Smp": ONE}
-    t[("Km", "Spp")] = {"Spm": -ONE}
-    t[("Km", "Smp")] = {"Smm": ONE}
-    # mixed odd brackets
-    t[("Gpp", "Smm")] = {"J0": gm * half, "K0": -gm * half, "Xi": s}
-    t[("Gpm", "Smp")] = {"J0": gm * half, "K0": gm * half, "Xi": s}
-    t[("Gmp", "Spm")] = {"J0": -gp * half, "K0": -gp * half, "Xi": s / a}
-    t[("Gmm", "Spp")] = {"J0": -gp * half, "K0": gp * half, "Xi": s / a}
-    t[("Gpp", "Smp")] = {"Kp": gm}
-    t[("Gpm", "Smm")] = {"Km": gm}
-    t[("Gmp", "Spp")] = {"Kp": -gp}
-    t[("Gmm", "Spm")] = {"Km": -gp}
-    t[("Gpp", "Spm")] = {"Jp": -gp}
-    t[("Gpm", "Spp")] = {"Jp": gp}
-    t[("Gmp", "Smm")] = {"Jm": -gm}
-    t[("Gmm", "Smp")] = {"Jm": gm}
-    t[("Spp", "Smm")] = {"Z": -c / 6}
-    t[("Spm", "Smp")] = {"Z": -c / 6}
-    return LieSuperalgebra(even + odd, parities, t)
-
-
-# ---------------------------------------------------------------------------
 # contact centralizer algebras
 
 
@@ -712,63 +622,68 @@ def _contact_r(n: int) -> LieSuperalgebra:
             if cert is None:
                 raise JacobiError(f"contact span not closed at ({x}, {y})")
             table[(x, y)] = {names[t]: c for t, c in cert.items()}
-    alg = LieSuperalgebra(names, parities, table)
-    alg.fields = fields
-    return alg
+    return LieSuperalgebra(names, parities, table, fields=fields)
 
 
-def _zhu_zero_mode_n1() -> LieSuperalgebra:
-    # L is central in zero modes; derivative images vanish in the quotient
-    return LieSuperalgebra(
-        ["L", "G"], {"L": 0, "G": 1}, {("G", "G"): {"L": Scalar.from_int(2)}}
-    )
+# ---------------------------------------------------------------------------
+# zero-mode algebras derived from presentations
 
 
-def _zhu_zero_mode_n2() -> LieSuperalgebra:
-    names = ["L", "J", "Gp", "Gm"]
-    parities = {"L": 0, "J": 0, "Gp": 1, "Gm": 1}
-    table = {
-        ("J", "Gp"): {"Gp": ONE},
-        ("J", "Gm"): {"Gm": -ONE},
-        ("Gp", "Gm"): {"L": ONE},
+def _zero_mode_algebra(pres) -> LieSuperalgebra:
+    """Zero-mode Lie superalgebra of the H-twisted Zhu algebra of pres.
+
+    For generators a, b the bracket is [a, b] = sum_j binom(wt a - 1, j)
+    [a_(j) b], and a derivative collapses as [d^k X] = (-1)^k wt X
+    (wt X + 1) ... (wt X + k - 1) [X].  Central terms become multiples of an
+    even Z; after the shift L -> L - (c/24) Z, Z joins the basis right after
+    the last even generator, and only if some bracket still has a central
+    term.
+    """
+    names = pres.names()
+    table = {}
+    for i, x in enumerate(names):
+        top = pres.weight[x] - 1
+        for y in names[i:]:
+            out: dict = {}
+            for j, (terms, central) in pres.nth_products(x, y).items():
+                binom = _coerce(Fraction(_falling(top, j), math.factorial(j)))
+                if binom.is_zero():
+                    continue
+                for (k, target), coeff in terms.items():
+                    der = _coerce(_falling(-pres.weight[target], k))
+                    _add_into(out, target, coeff * binom * der)
+                _add_into(out, "Z", central * binom)
+            table[(x, y)] = out
+    shift = pres.central_charge / 24
+    for out in table.values():
+        if pres.conformal_name in out:
+            _add_into(out, "Z", out[pres.conformal_name] * shift)
+    parities = dict(pres.parity)
+    even = [n for n in names if parities[n] == 0]
+    if any("Z" in out for out in table.values()):
+        even.append("Z")
+        parities["Z"] = 0
+    basis = even + [n for n in names if parities[n] == 1]
+    ordered = {
+        pair: {n: out[n] for n in basis if n in out} for pair, out in table.items()
     }
-    return LieSuperalgebra(names, parities, table)
+    return LieSuperalgebra(basis, parities, ordered)
 
 
-def _zhu_zero_mode_n4() -> LieSuperalgebra:
-    names = ["L", "J0", "Jp", "Jm", "Gp", "Gm", "GBp", "GBm"]
-    parities = {n: 0 for n in ("L", "J0", "Jp", "Jm")}
-    parities.update({n: 1 for n in ("Gp", "Gm", "GBp", "GBm")})
-    two = Scalar.from_int(2)
-    table = {
-        ("J0", "Jp"): {"Jp": two},
-        ("J0", "Jm"): {"Jm": -two},
-        ("Jp", "Jm"): {"J0": ONE},
-        ("J0", "Gp"): {"Gp": ONE},
-        ("J0", "Gm"): {"Gm": -ONE},
-        ("J0", "GBp"): {"GBp": ONE},
-        ("J0", "GBm"): {"GBm": -ONE},
-        ("Jp", "Gm"): {"Gp": ONE},
-        ("Jm", "Gp"): {"Gm": ONE},
-        ("Jp", "GBm"): {"GBp": -ONE},
-        ("Jm", "GBp"): {"GBm": -ONE},
-        ("Gp", "GBm"): {"L": ONE},
-        ("Gm", "GBp"): {"L": ONE},
-    }
-    return LieSuperalgebra(names, parities, table)
-
-
+# The derivations read unvalidated presentations: validating big4 costs
+# several times the derivation, and the Lie Jacobi check in the constructor
+# still guards the result.
 _BUILDERS = {
     "osp12": _osp12,
     "sl12": _sl12,
     "psl22": _psl22,
     "osp32": _osp32,
     "d21a": _d21a,
-    "R_N1": _zhu_zero_mode_n1,
-    "R_N2": _zhu_zero_mode_n2,
-    "R_N3": _r_n3,
-    "R_N4small": _zhu_zero_mode_n4,
-    "R_N4": _r_n4,
+    "R_N1": lambda: _zero_mode_algebra(_PRESENTATIONS["N1"]()),
+    "R_N2": lambda: _zero_mode_algebra(_PRESENTATIONS["N2"]()),
+    "R_N3": lambda: _zero_mode_algebra(_PRESENTATIONS["N3"]()),
+    "R_N4small": lambda: _zero_mode_algebra(_PRESENTATIONS["N4"]()),
+    "R_N4": lambda: _zero_mode_algebra(_PRESENTATIONS["big4"]()),
     "contact_R1": lambda: _contact_r(1),
     "contact_R2": lambda: _contact_r(2),
     "contact_R3": lambda: _contact_r(3),
@@ -779,7 +694,12 @@ _CACHE: dict = {}
 
 
 def build_algebra(algebra_id: str) -> LieSuperalgebra:
-    """One of: osp12, sl12, psl22, osp32, d21a, R_N1..R_N4, contact_R1..4."""
+    """One of: osp12, sl12, psl22, osp32, d21a, R_N1..R_N4, contact_R1..4.
+
+    R_N1, R_N2, R_N3, R_N4small and R_N4 are the zero-mode algebras of the
+    N1, N2, N3, N4 and big4 presentations, derived by the Zhu bracket rule
+    of _zero_mode_algebra from the unvalidated presentations.
+    """
     if algebra_id not in _BUILDERS:
         raise ValueError(f"unknown algebra id: {algebra_id}")
     if algebra_id not in _CACHE:

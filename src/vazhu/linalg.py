@@ -12,7 +12,6 @@ from fractions import Fraction
 from .scalar import Scalar, ZERO, ONE, _coerce
 
 __all__ = [
-    "SuperVector",
     "SuperMatrix",
     "GrassmannElement",
     "ContactDerivation",
@@ -49,41 +48,6 @@ def vec_scale(u: dict, f) -> dict:
     if f.is_zero():
         return {}
     return {k: c * f for k, c in u.items()}
-
-
-class SuperVector:
-    """Sparse vector with a parity tag (0 even, 1 odd, None mixed)."""
-
-    __slots__ = ("coords", "parity")
-
-    def __init__(self, coords: dict, parity=None):
-        self.coords = _clean({k: _coerce(c) for k, c in coords.items()})
-        self.parity = parity
-
-    def __add__(self, other):
-        parity = self.parity if self.parity == other.parity else None
-        return SuperVector(vec_add(self.coords, other.coords), parity)
-
-    def __mul__(self, f):
-        return SuperVector(vec_scale(self.coords, f), self.parity)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * Scalar.from_int(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return not self.coords
-
-    def __eq__(self, other):
-        return isinstance(other, SuperVector) and self.coords == other.coords
-
-    def __repr__(self):
-        terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coords.items(), key=str))
-        return f"SuperVector({{{terms}}})"
 
 
 # ---------------------------------------------------------------------------

@@ -404,13 +404,13 @@ def _virasoro() -> VaPresentation:
         [term(1, "L", der=1), term(2, "L", lam=1)],
         {3: c / 12},
     )
-    return VaPresentation("virasoro", gens, brackets, c, "L")
+    return VaPresentation("virasoro", gens, brackets, c, "L", validate=False)
 
 
 def _free_fermion() -> VaPresentation:
     gens = [GeneratorSpec("psi", 1, Fraction(1, 2))]
     return VaPresentation(
-        "free_fermion", gens, {("psi", "psi"): ([], {0: ONE})}, None, None
+        "free_fermion", gens, {("psi", "psi"): ([], {0: ONE})}, validate=False
     )
 
 
@@ -418,7 +418,7 @@ def _free_boson() -> VaPresentation:
     k = Scalar.param("k")
     gens = [GeneratorSpec("xi", 0, Fraction(1))]
     return VaPresentation(
-        "free_boson_k", gens, {("xi", "xi"): ([], {1: k})}, None, None
+        "free_boson_k", gens, {("xi", "xi"): ([], {1: k})}, validate=False
     )
 
 
@@ -434,7 +434,7 @@ def _four_fermions() -> VaPresentation:
         ("Spp", "Smm"): ([], {0: k}),
         ("Spm", "Smp"): ([], {0: k}),
     }
-    return VaPresentation("four_fermions_k", gens, brackets, None, None)
+    return VaPresentation("four_fermions_k", gens, brackets, validate=False)
 
 
 def _n1() -> VaPresentation:
@@ -446,7 +446,7 @@ def _n1() -> VaPresentation:
     brackets = _conformal_rows(gens)
     brackets[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
     brackets[("G", "G")] = ([term(2, "L")], {2: c / 3})
-    return VaPresentation("N1", gens, brackets, c, "L")
+    return VaPresentation("N1", gens, brackets, c, "L", validate=False)
 
 
 def _n2() -> VaPresentation:
@@ -466,7 +466,7 @@ def _n2() -> VaPresentation:
         [term(1, "L"), term(Fraction(1, 2), "J", der=1), term(1, "J", lam=1)],
         {2: c / 6},
     )
-    return VaPresentation("N2", gens, brackets, c, "L")
+    return VaPresentation("N2", gens, brackets, c, "L", validate=False)
 
 
 def _n3() -> VaPresentation:
@@ -497,7 +497,7 @@ def _n3() -> VaPresentation:
         brackets[(f"G{i}", f"G{i}")] = ([term(2, "L")], {2: c / 3})
         brackets[(f"G{i}", "Phi")] = ([term(1, f"A{i}")], {})
     brackets[("Phi", "Phi")] = ([], {0: -c / 3})
-    return VaPresentation("N3", gens, brackets, c, "L")
+    return VaPresentation("N3", gens, brackets, c, "L", validate=False)
 
 
 def _n4() -> VaPresentation:
@@ -537,7 +537,7 @@ def _n4() -> VaPresentation:
         [term(1, "L"), term(-half, "J0", der=1), term(-1, "J0", lam=1)],
         {2: c / 6},
     )
-    return VaPresentation("N4", gens, brackets, c, "L")
+    return VaPresentation("N4", gens, brackets, c, "L", validate=False)
 
 
 def _big4_brackets(corrupt: str | None):
@@ -688,16 +688,10 @@ def _big4_brackets(corrupt: str | None):
     return gens, b, c
 
 
-def _big4() -> VaPresentation:
-    gens, brackets, c = _big4_brackets(None)
-    return VaPresentation("big4", gens, brackets, c, "L")
-
-
-def _big4_corrupt(which: str) -> VaPresentation:
-    gens, brackets, c = _big4_brackets(which)
-    return VaPresentation(
-        f"big4_{which}", gens, brackets, c, "L", validate=False
-    )
+def _big4(corrupt: str | None = None) -> VaPresentation:
+    gens, brackets, c = _big4_brackets(corrupt)
+    name = "big4" if corrupt is None else f"big4_{corrupt}"
+    return VaPresentation(name, gens, brackets, c, "L", validate=False)
 
 
 _BUILTINS = {
@@ -710,9 +704,12 @@ _BUILTINS = {
     "N3": _n3,
     "N4": _n4,
     "big4": _big4,
-    "big4_kwmiss1": lambda: _big4_corrupt("kwmiss1"),
-    "big4_kwmiss2": lambda: _big4_corrupt("kwmiss2"),
+    "big4_kwmiss1": lambda: _big4("kwmiss1"),
+    "big4_kwmiss2": lambda: _big4("kwmiss2"),
 }
+
+# failure-path inputs: served as built, never validated
+_CORRUPTED = ("big4_kwmiss1", "big4_kwmiss2")
 
 _CACHE: dict = {}
 
@@ -722,10 +719,14 @@ def builtin_ids():
 
 
 def builtin_presentation(pres_id: str) -> VaPresentation:
+    """The cached builtin; all but the corrupted ids are validated once."""
     if pres_id not in _BUILTINS:
         raise ValueError(f"unknown presentation id: {pres_id}")
     if pres_id not in _CACHE:
-        _CACHE[pres_id] = _BUILTINS[pres_id]()
+        pres = _BUILTINS[pres_id]()
+        if pres_id not in _CORRUPTED:
+            pres.validate()
+        _CACHE[pres_id] = pres
     return _CACHE[pres_id]
 
 

@@ -5,10 +5,13 @@ Matrix-realized algebras are pinned against their defining invariant
 its seed brackets, and the zero-mode assignments against the contact algebra.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from vazhu import liesuper, presentation
+from vazhu.presentation import VaPresentation, builtin_presentation
 from vazhu.scalar import Scalar, ZERO, ONE
 from vazhu.linalg import SuperMatrix, kernel, solve_membership
 from vazhu.liesuper import (
@@ -364,7 +367,56 @@ def test_subalgebra_requires_homogeneous_elements():
 
 
 # ---------------------------------------------------------------------------
-# the central extensions presenting the Zhu algebras
+# zero-mode algebras derived from the presentations
+
+# sha256 prefixes of the tables the hand-typed builders gave; the derivation
+# must reproduce names, parities and every structure constant exactly
+ZERO_MODE_DIGESTS = {
+    "R_N1": "1adca98786e63139",
+    "R_N2": "7dd87b6d24fa5065",
+    "R_N3": "6cadcf69b7ab2211",
+    "R_N4small": "4a0d426d2b854ab5",
+    "R_N4": "8252d0158e426688",
+}
+
+
+@pytest.mark.parametrize("aid", sorted(ZERO_MODE_DIGESTS))
+def test_zero_mode_table_digest(aid):
+    g = build_algebra(aid)
+    names = g.names
+    text = repr(
+        [names, [g.parity[n] for n in names]]
+        + [
+            (x, y, sorted((n, str(c)) for n, c in g.table[(x, y)].items()))
+            for x in names
+            for y in names
+        ]
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == ZERO_MODE_DIGESTS[aid]
+
+
+def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"presentation {self.name} was validated")
+
+    monkeypatch.setattr(VaPresentation, "validate", refuse)
+    monkeypatch.setattr(liesuper, "_CACHE", {})
+    before = dict(presentation._CACHE)
+    for aid in ZERO_MODE_DIGESTS:
+        build_algebra(aid)
+    assert presentation._CACHE == before
+
+
+@pytest.mark.parametrize(
+    "which, triple",
+    [("big4_kwmiss1", "Jp, Kp, Gmm"), ("big4_kwmiss2", "Jp, Gpp, Gmm")],
+)
+def test_zero_modes_of_corrupted_big4_fail_jacobi(which, triple):
+    pres = builtin_presentation(which)
+    with pytest.raises(JacobiError) as err:
+        liesuper._zero_mode_algebra(pres)
+    assert str(err.value) == f"Jacobi fails at triple ({triple})"
 
 
 def test_r_n3_bracket_relations():
