@@ -369,31 +369,73 @@ def test_subalgebra_requires_homogeneous_elements():
 # ---------------------------------------------------------------------------
 # zero-mode algebras derived from the presentations
 
-# sha256 prefixes of the tables the hand-typed builders gave; the derivation
-# must reproduce names, parities and every structure constant exactly
-ZERO_MODE_DIGESTS = {
+# sha256 prefixes of every builtin table: names, parities and every
+# structure constant must stay bit-identical across rebuilds of the builders
+TABLE_DIGESTS = {
+    "osp12": "08e13a2ba5dcd7da",
+    "sl12": "c1a023378988b216",
+    "psl22": "10c2002648297725",
+    "osp32": "e732ac0b3c60d5fe",
+    "d21a": "beba19caa397b0cd",
     "R_N1": "1adca98786e63139",
     "R_N2": "7dd87b6d24fa5065",
     "R_N3": "6cadcf69b7ab2211",
     "R_N4small": "4a0d426d2b854ab5",
     "R_N4": "8252d0158e426688",
+    "contact_R1": "66d0a3b99e9a415b",
+    "contact_R2": "5abb18f1f8c1c2bb",
+    "contact_R3": "442630b068d9b08e",
+    "contact_R4": "a44e45bfc6d459d5",
+}
+
+ZERO_MODE_IDS = ("R_N1", "R_N2", "R_N3", "R_N4small", "R_N4")
+
+# (table, embedding) digests of the centralizer of each MINIMAL_NILPOTENT
+CENTRALIZER_DIGESTS = {
+    "osp12": ("787a217436457032", "a4c3ee4a7c9630e6"),
+    "sl12": ("862f4b8a1b8c7157", "1e0503c348cc07b3"),
+    "psl22": ("e43f8dd19c1bae06", "7224b1ba168196cc"),
+    "osp32": ("892bbb1d5552e540", "28301f971314b970"),
+    "d21a": ("b37b67c0b09fae91", "9ab876cb2bf92918"),
 }
 
 
-@pytest.mark.parametrize("aid", sorted(ZERO_MODE_DIGESTS))
-def test_zero_mode_table_digest(aid):
-    g = build_algebra(aid)
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _table_digest(g):
     names = g.names
-    text = repr(
-        [names, [g.parity[n] for n in names]]
-        + [
-            (x, y, sorted((n, str(c)) for n, c in g.table[(x, y)].items()))
-            for x in names
-            for y in names
-        ]
+    return _digest(
+        repr(
+            [names, [g.parity[n] for n in names]]
+            + [
+                (x, y, sorted((n, str(c)) for n, c in g.table[(x, y)].items()))
+                for x in names
+                for y in names
+            ]
+        )
     )
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    assert digest == ZERO_MODE_DIGESTS[aid]
+
+
+@pytest.mark.parametrize("aid", sorted(TABLE_DIGESTS))
+def test_zero_mode_table_digest(aid):
+    assert _table_digest(build_algebra(aid)) == TABLE_DIGESTS[aid]
+
+
+@pytest.mark.parametrize("aid", sorted(CENTRALIZER_DIGESTS))
+def test_minimal_nilpotent_centralizer_digest(aid):
+    g = build_algebra(aid)
+    cen = g.centralizer(g.element(MINIMAL_NILPOTENT[aid]))
+    embedding = _digest(
+        repr(
+            [
+                (n, sorted((k, str(v)) for k, v in cen.embedding[n].items()))
+                for n in cen.names
+            ]
+        )
+    )
+    assert (_table_digest(cen), embedding) == CENTRALIZER_DIGESTS[aid]
 
 
 def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
@@ -403,7 +445,7 @@ def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
     monkeypatch.setattr(VaPresentation, "validate", refuse)
     monkeypatch.setattr(liesuper, "_CACHE", {})
     before = dict(presentation._CACHE)
-    for aid in ZERO_MODE_DIGESTS:
+    for aid in ZERO_MODE_IDS:
         build_algebra(aid)
     assert presentation._CACHE == before
 
