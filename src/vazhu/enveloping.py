@@ -42,10 +42,6 @@ def _falling(n, k: int):
     return out
 
 
-def _scaled(coeff, state: dict) -> dict:
-    return vec_scale(state, coeff)
-
-
 def _acc(out: dict, state: dict, coeff=None) -> None:
     """Accumulate coeff * state into out, mutating out in place."""
     get = out.get
@@ -195,7 +191,7 @@ class VertexAlgebra:
                 res = {((i, -n),) + mono: ONE}
             elif n < 0 and (i, -n) == (hi, hm):
                 # odd square: half the bracket of the mode with itself
-                res = _scaled(_HALF, self._bracket_action(i, n, i, hm, rest))
+                res = vec_scale(self._bracket_action(i, n, i, hm, rest), _HALF)
             else:
                 sign = -1 if self.parities[i] and self.parities[hi] else 1
                 res = self.apply_mode(hi, -hm, self._mode_mono(i, n, rest))
@@ -282,7 +278,7 @@ class VertexAlgebra:
             res: dict = {}
         else:
             (i, m), rest = mono[0], mono[1:]
-            res = _scaled(Scalar.from_int(m), self._mode_mono(i, -m - 1, rest))
+            res = vec_scale(self._mode_mono(i, -m - 1, rest), Scalar.from_int(m))
             _acc(res, self.apply_mode(i, -m, self._der_mono(rest)))
         self._der_memo[mono] = res
         self._memo_terms += len(res) + 1
@@ -309,7 +305,7 @@ class VertexAlgebra:
         out = state
         for _ in range(j):
             out = self.translation(out)
-        return _scaled(Scalar.from_fraction(Fraction(1, math.factorial(j))), out)
+        return vec_scale(out, Scalar.from_fraction(Fraction(1, math.factorial(j))))
 
     # -- basis enumeration --------------------------------------------------------
 

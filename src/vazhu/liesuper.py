@@ -2,10 +2,12 @@
 
 Covers the specific algebras appearing in the Zhu-algebra comparisons:
 matrix-realized orthosymplectic / special linear families, the exceptional
-one-parameter family built from its root system, the contact-field
-centralizer algebras, and the zero-mode algebras R_N1, R_N2, R_N3,
-R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4 and big N=4
-superconformal vertex algebras.
+one-parameter family D(2,1;a) built from its sl2 + sl2 + sl2 + C2 x C2 x C2
+model, the contact-field centralizer algebras, and the zero-mode algebras
+R_N1, R_N2, R_N3, R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4
+and big N=4 superconformal vertex algebras.  Every realized algebra (matrices, contact
+fields, the tensor model, a subalgebra's elements) gets its structure
+constants from one routine, _structure_constants.
 
 The zero-mode algebras are derived from the lambda brackets of the
 presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
@@ -30,7 +32,7 @@ from .linalg import (
     SuperMatrix,
     GrassmannElement,
     ContactDerivation,
-    solve_membership,
+    span_echelon,
     kernel,
     contact_derivation,
     vec_add,
@@ -168,19 +170,14 @@ class LieSuperalgebra:
 
     def _validate_matrices(self):
         mats = self.matrices
-        spans = [m.entries_dict() for m in self.modulo_matrices]
+        modulo = span_echelon([m.entries_dict() for m in self.modulo_matrices])
         for x in self.names:
             for y in self.names:
                 got = mats[x].supercommutator(mats[y])
                 want = SuperMatrix.zero(got.m, got.n)
                 for n, c in self.table[(x, y)].items():
                     want = want + c * mats[n]
-                diff = got - want
-                if spans:
-                    flat = diff.entries_dict()
-                    if flat and solve_membership(flat, spans) is None:
-                        raise JacobiError(f"matrix bracket mismatch at ({x}, {y})")
-                elif diff.entries_dict():
+                if modulo.solve((got - want).entries_dict()) is None:
                     raise JacobiError(f"matrix bracket mismatch at ({x}, {y})")
 
     # -- derived algebras ----------------------------------------------------
@@ -213,22 +210,18 @@ class LieSuperalgebra:
     def subalgebra(self, elements: dict[str, dict]) -> "LieSuperalgebra":
         """Span of the given elements with induced brackets; must be closed."""
         names = list(elements)
-        vecs = [elements[n] for n in names]
         parities = {}
         for n, v in elements.items():
             p = self.parity_of(v)
             if p is None:
                 raise ValueError(f"subalgebra element {n} is not homogeneous")
             parities[n] = p
-        table = {}
-        for i, x in enumerate(names):
-            for j in range(i, len(names)):
-                y = names[j]
-                val = self.bracket(vecs[i], vecs[j])
-                cert = solve_membership(val, vecs, key_order=lambda k: self.index[k])
-                if cert is None:
-                    raise JacobiError(f"not closed: [{x}, {y}] leaves the span")
-                table[(x, y)] = {names[t]: c for t, c in cert.items()}
+        table = _structure_constants(
+            names,
+            elements,
+            lambda x, y: self.bracket(elements[x], elements[y]),
+            key_order=self.index.__getitem__,
+        )
         embedding = {n: dict(v) for n, v in elements.items()}
         return LieSuperalgebra(names, parities, table, embedding=embedding)
 
@@ -299,21 +292,36 @@ def pbw_count(names, parities, degree: int):
 # matrix-realized algebras
 
 
-def _from_matrices(names, parities, mats: dict, modulo=()):
-    """Structure constants from supercommutators; optional central quotient."""
-    basis_flat = [mats[n].entries_dict() for n in names]
-    mod_flat = [m.entries_dict() for m in modulo]
+def _structure_constants(names, flat, bracket, key_order=None, modulo=()):
+    """Structure constants of a realization closed under its bracket.
+
+    flat[n] is the coordinate dict realizing the basis vector n, and
+    bracket(x, y) the coordinate dict realizing [x, y].  Every pair is
+    reduced against one echelon of the span of flat and modulo, built once;
+    coordinates along modulo are dropped.  JacobiError when a bracket leaves
+    the span.
+    """
+    span = span_echelon([flat[n] for n in names] + list(modulo), key_order)
     table = {}
     for i, x in enumerate(names):
-        for j in range(i, len(names)):
-            y = names[j]
-            val = mats[x].supercommutator(mats[y]).entries_dict()
-            cert = solve_membership(val, basis_flat + mod_flat)
+        for y in names[i:]:
+            cert = span.solve(bracket(x, y))
             if cert is None:
-                raise JacobiError(f"matrix span not closed at ({x}, {y})")
+                raise JacobiError(f"[{x}, {y}] leaves the span")
             table[(x, y)] = {
                 names[t]: c for t, c in cert.items() if t < len(names)
             }
+    return table
+
+
+def _from_matrices(names, parities, mats: dict, modulo=()):
+    """Structure constants from supercommutators; optional central quotient."""
+    table = _structure_constants(
+        names,
+        {n: mats[n].entries_dict() for n in names},
+        lambda x, y: mats[x].supercommutator(mats[y]).entries_dict(),
+        modulo=[m.entries_dict() for m in modulo],
+    )
     return LieSuperalgebra(
         names, parities, table, matrices=mats, modulo_matrices=modulo
     )
@@ -398,192 +406,113 @@ def _osp32() -> LieSuperalgebra:
 
 
 # ---------------------------------------------------------------------------
-# the exceptional family from its root data
+# the exceptional family from its tensor model
 
-
-_D21A_POS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1)]
-
-_D21A_EE = {
-    ((1, 0, 0), (0, 1, 0)): ((1, 1, 0), 1),
-    ((1, 0, 0), (0, 1, 1)): ((1, 1, 1), 1),
-    ((0, 1, 0), (0, 0, 1)): ((0, 1, 1), 1),
-    ((0, 1, 0), (1, 1, 1)): ((1, 2, 1), 1),
-    ((0, 0, 1), (1, 1, 0)): ((1, 1, 1), -1),
-    ((1, 1, 0), (0, 1, 1)): ((1, 2, 1), -1),
+# D(2,1;a) = sl2 + sl2 + sl2 + V x V x V with V = span(x, y) (Kac 1977).  Keys
+# of the model: "e1".."f3" for the three sl2 copies, "xyy" and so on for
+# tensor products in the odd part.
+_SL2 = {
+    ("h", "e"): ("e", 2),
+    ("e", "h"): ("e", -2),
+    ("h", "f"): ("f", -2),
+    ("f", "h"): ("f", 2),
+    ("e", "f"): ("h", 1),
+    ("f", "e"): ("h", -1),
+}
+# the sl2 action on V
+_ON_V = {
+    ("h", "x"): ("x", 1),
+    ("h", "y"): ("y", -1),
+    ("e", "y"): ("x", 1),
+    ("f", "x"): ("y", 1),
+}
+_PSI = {("x", "y"): 1, ("y", "x"): -1}
+# P(u, v): w -> psi(v, w) u + psi(u, w) v, as an sl2 element
+_P = {
+    ("x", "x"): ("e", 2),
+    ("y", "y"): ("f", -2),
+    ("x", "y"): ("h", -1),
+    ("y", "x"): ("h", -1),
 }
 
 
-def _root_parity(alpha):
-    return alpha[1] % 2
-
-
-def _d21a_gram():
-    a = Scalar.param("a")
-    gp = ONE / (a + 1)
-    gm = a / (a + 1)
-    z = ZERO
-    two = Scalar.from_int(2)
-    return [
-        [-two * gp, gp, z],
-        [gp, z, gm],
-        [z, gm, -two * gm],
-    ]
+def _d21a_model_bracket(p: str, q: str, sigma) -> dict:
+    """Bracket of two model keys; sigma weighs the three odd-odd channels."""
+    if len(q) == 2 and len(p) == 3:
+        return {k: -c for k, c in _d21a_model_bracket(q, p, sigma).items()}
+    if len(p) == 2 and len(q) == 2:
+        if p[1] != q[1] or (p[0], q[0]) not in _SL2:
+            return {}
+        t, c = _SL2[(p[0], q[0])]
+        return {t + p[1]: Scalar.from_int(c)}
+    if len(p) == 2:
+        i = int(p[1]) - 1
+        if (p[0], q[i]) not in _ON_V:
+            return {}
+        w, c = _ON_V[(p[0], q[i])]
+        return {q[:i] + w + q[i + 1 :]: Scalar.from_int(c)}
+    out: dict = {}
+    for i in range(3):
+        psi = math.prod(_PSI.get((p[j], q[j]), 0) for j in range(3) if j != i)
+        if psi:
+            t, c = _P[(p[i], q[i])]
+            _add_into(out, f"{t}{i + 1}", sigma[i] * Scalar.from_int(psi * c))
+    return out
 
 
 def _d21a() -> LieSuperalgebra:
+    """D(2,1;a) in root-vector names, as the image of its tensor model.
+
+    The odd-odd bracket is [u1 u2 u3, v1 v2 v3] = sum_i sigma_i
+    prod_{j != i} psi(u_j, v_j) P(u_i, v_i) in the i-th sl2, with
+    sigma = (-1, g+, g-), g+ = 1/(a+1) and g- = a/(a+1).  Simple root
+    vectors and the Cartan are placed by hand; the other root vectors are
+    brackets of them.
+    """
     a = Scalar.param("a")
-    gp = ONE / (a + 1)
-    gm = a / (a + 1)
-    gram = _d21a_gram()
+    gp, gm = ONE / (a + 1), a / (a + 1)
+    half = Scalar.from_fraction(Fraction(1, 2))
+    sigma = (-ONE, gp, gm)
 
-    def form(al, be):
-        acc = ZERO
-        for i in range(3):
-            for j in range(3):
-                if al[i] and be[j]:
-                    acc = acc + gram[i][j] * Scalar.from_int(al[i] * be[j])
-        return acc
-
-    ff_seeds = {
-        ((1, 0, 0), (0, 1, 0)): ((1, 1, 0), gp),
-        ((1, 0, 0), (0, 1, 1)): ((1, 1, 1), gp),
-        ((0, 0, 1), (0, 1, 0)): ((0, 1, 1), -gm),
-        ((0, 0, 1), (1, 1, 0)): ((1, 1, 1), -gm),
-        ((0, 1, 0), (1, 1, 1)): ((1, 2, 1), ONE),
-        ((1, 1, 0), (0, 1, 1)): ((1, 2, 1), -ONE),
-    }
-    # expansions of composite root vectors into brackets of lower ones
-    e_expand = {
-        (1, 1, 0): (ONE, (1, 0, 0), (0, 1, 0)),
-        (0, 1, 1): (ONE, (0, 1, 0), (0, 0, 1)),
-        (1, 1, 1): (ONE, (1, 0, 0), (0, 1, 1)),
-        (1, 2, 1): (ONE, (0, 1, 0), (1, 1, 1)),
-    }
-    f_expand = {
-        (1, 1, 0): (ONE / gp, (1, 0, 0), (0, 1, 0)),
-        (0, 1, 1): (-ONE / gm, (0, 0, 1), (0, 1, 0)),
-        (1, 1, 1): (ONE / gp, (1, 0, 0), (0, 1, 1)),
-        (1, 2, 1): (ONE, (0, 1, 0), (1, 1, 1)),
-    }
-    simple = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
-
-    def parity_of_key(k):
-        kind, al = k
-        return 0 if kind == "h" else _root_parity(al)
-
-    def h_coords(alpha):
-        return {("h", i): Scalar.from_int(alpha[i]) for i in range(3) if alpha[i]}
-
-    memo: dict = {}
-
-    def ee_lookup(table, al, be):
-        hit = table.get((al, be))
-        if hit is not None:
-            root, coeff = hit
-            return {("e" if table is _see_e else "f", root): coeff}
-        hit = table.get((be, al))
-        if hit is not None:
-            root, coeff = hit
-            s = Scalar.from_int(-1 if not (_root_parity(al) and _root_parity(be)) else 1)
-            return {("e" if table is _see_e else "f", root): coeff * s}
-        return {}
-
-    _see_e = {k: (r, Scalar.from_int(c)) for k, (r, c) in _D21A_EE.items()}
-    _see_f = ff_seeds
-
-    def ev(x, y):
-        """Bracket of two basis keys as a coordinate dict."""
-        if (x, y) in memo:
-            return memo[(x, y)]
-        out = _ev(x, y)
-        memo[(x, y)] = out
-        return out
-
-    def br(dx: dict, dy: dict) -> dict:
+    def bracket(u: dict, v: dict) -> dict:
         out: dict = {}
-        for kx, cx in dx.items():
-            for ky, cy in dy.items():
-                for k, c in ev(kx, ky).items():
-                    nc = out.get(k, ZERO) + c * cx * cy
-                    if nc.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = nc
+        for p, cp in u.items():
+            for q, cq in v.items():
+                for k, c in _d21a_model_bracket(p, q, sigma).items():
+                    _add_into(out, k, c * cp * cq)
         return out
 
-    def _ev(x, y):
-        kx, ax = x
-        ky, ay = y
-        if kx == "h" and ky == "h":
-            return {}
-        if kx == "h":
-            al = tuple(1 if i == ax else 0 for i in range(3))
-            coef = form(al, ay)
-            if ky == "f":
-                coef = -coef
-            return {} if coef.is_zero() else {y: coef}
-        if ky == "h":
-            sub = _ev(y, x)
-            # both entries even-h against anything: sign by parities
-            s = Scalar.from_int(-1 if parity_of_key(x) and parity_of_key(y) else 1)
-            return {k: -c * s for k, c in sub.items()}
-        if kx == "e" and ky == "e":
-            return ee_lookup(_see_e, ax, ay)
-        if kx == "f" and ky == "f":
-            return ee_lookup(_see_f, ax, ay)
-        # mixed e-f
-        if kx == "f":
-            s = Scalar.from_int(-1 if parity_of_key(x) and parity_of_key(y) else 1)
-            return {k: -c * s for k, c in ev(y, x).items()}
-        if ax == ay and ax in simple:
-            # diagonal pairings of composite root vectors follow from the
-            # expansions below; only the simple ones are normalization input
-            return h_coords(ax)
-        if ay in f_expand:
-            coeff, u, v = f_expand[ay]
-            fu, fv = ("f", u), ("f", v)
-            sx = Scalar.from_int(
-                -1 if parity_of_key(x) and _root_parity(u) else 1
-            )
-            inner = vec_add(
-                br(ev(x, fu), {fv: ONE}),
-                vec_scale(br({fu: ONE}, ev(x, fv)), sx),
-            )
-            return {k: c * coeff for k, c in inner.items()}
-        if ax in e_expand:
-            coeff, u, v = e_expand[ax]
-            eu, ev_ = ("e", u), ("e", v)
-            # [[u,v],y] = [u,[v,y]] - (-1)^{|u||v|}[v,[u,y]]
-            s = Scalar.from_int(
-                -1 if _root_parity(u) and _root_parity(v) else 1
-            )
-            inner = vec_add(
-                br({eu: ONE}, ev(ev_, y)),
-                vec_scale(br({ev_: ONE}, ev(eu, y)), -s),
-            )
-            return {k: c * coeff for k, c in inner.items()}
-        return {}
-
-    names = []
-    parities = {}
-    keys = {}
-    for i, nm in enumerate(("h1", "h2", "h3")):
-        names.append(nm)
-        parities[nm] = 0
-        keys[nm] = ("h", i)
-    for al in _D21A_POS:
-        for kind in ("e", "f"):
-            nm = f"{kind}{al[0]}{al[1]}{al[2]}"
-            names.append(nm)
-            parities[nm] = _root_parity(al)
-            keys[nm] = (kind, al)
-    back = {v: k for k, v in keys.items()}
-    table = {}
-    for i, x in enumerate(names):
-        for j in range(i, len(names)):
-            y = names[j]
-            val = ev(keys[x], keys[y])
-            table[(x, y)] = {back[k]: c for k, c in val.items()}
+    images = {
+        "h1": {"h2": -gp},
+        "h2": {"h1": half, "h2": gp * half, "h3": gm * half},
+        "h3": {"h3": -gm},
+        "e100": {"e2": ONE},
+        "f100": {"f2": -gp},
+        "e010": {"xyy": ONE},
+        "f010": {"yxx": half},
+        "e001": {"e3": ONE},
+        "f001": {"f3": -gm},
+    }
+    for name, coeff, x, y in (
+        ("e110", ONE, "e100", "e010"),
+        ("f110", a + 1, "f100", "f010"),
+        ("e011", ONE, "e010", "e001"),
+        ("f011", -(a + 1) / a, "f001", "f010"),
+        ("e111", ONE, "e100", "e011"),
+        ("f111", a + 1, "f100", "f011"),
+        ("e121", ONE, "e010", "e111"),
+        ("f121", ONE, "f010", "f111"),
+    ):
+        images[name] = vec_scale(bracket(images[x], images[y]), coeff)
+    names = ["h1", "h2", "h3"] + [
+        f"{kind}{root}"
+        for root in ("100", "010", "001", "110", "011", "111", "121")
+        for kind in "ef"
+    ]
+    parities = {n: int(n[-2]) % 2 if n[0] != "h" else 0 for n in names}
+    table = _structure_constants(
+        names, images, lambda x, y: bracket(images[x], images[y])
+    )
     return LieSuperalgebra(names, parities, table)
 
 
@@ -611,17 +540,12 @@ def contact_fields(n: int) -> dict[str, ContactDerivation]:
 def _contact_r(n: int) -> LieSuperalgebra:
     names = contact_basis_names(n)
     fields = contact_fields(n)
-    flats = [fields[nm].flatten() for nm in names]
     parities = {nm: (len(nm) - 1) % 2 if nm != "D0" else 0 for nm in names}
-    table = {}
-    for i, x in enumerate(names):
-        for j in range(i, len(names)):
-            y = names[j]
-            val = fields[x].bracket(fields[y]).flatten()
-            cert = solve_membership(val, flats)
-            if cert is None:
-                raise JacobiError(f"contact span not closed at ({x}, {y})")
-            table[(x, y)] = {names[t]: c for t, c in cert.items()}
+    table = _structure_constants(
+        names,
+        {nm: fields[nm].flatten() for nm in names},
+        lambda x, y: fields[x].bracket(fields[y]).flatten(),
+    )
     return LieSuperalgebra(names, parities, table, fields=fields)
 
 

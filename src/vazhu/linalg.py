@@ -16,6 +16,7 @@ __all__ = [
     "GrassmannElement",
     "ContactDerivation",
     "solve_membership",
+    "span_echelon",
     "verify_membership",
     "kernel",
     "contact_derivation",
@@ -59,7 +60,6 @@ class _Echelon:
 
     def __init__(self, key_order=None):
         self.rows: list[tuple] = []  # (pivot, row_dict, combo_dict)
-        self.pivots: dict = {}
         self.key_order = key_order or (lambda k: k)
 
     def _pick_pivot(self, row: dict):
@@ -102,11 +102,22 @@ class _Echelon:
         pivot = self._pick_pivot(residue)
         self.rows.append((pivot, residue, combo))
         self.rows.sort(key=lambda r: self.key_order(r[0]))
-        self.pivots[pivot] = residue
         return True
 
-    def rank(self):
-        return len(self.rows)
+    def solve(self, target: dict):
+        """Certificate {tag: coeff} with target = sum coeff*original[tag], or None."""
+        residue, used = self.reduce(_clean(dict(target)))
+        if residue:
+            return None
+        return used
+
+
+def span_echelon(spanning: list[dict], key_order=None) -> _Echelon:
+    """Echelon of a spanning family, row i tagged i; solve() many targets."""
+    ech = _Echelon(key_order)
+    for i, vec in enumerate(spanning):
+        ech.insert(_clean(dict(vec)), i)
+    return ech
 
 
 def solve_membership(target: dict, spanning: list[dict], key_order=None):
@@ -116,13 +127,7 @@ def solve_membership(target: dict, spanning: list[dict], key_order=None):
     certificate is exact; callers needing independence from this code path
     re-verify it with verify_membership.
     """
-    ech = _Echelon(key_order)
-    for i, vec in enumerate(spanning):
-        ech.insert(_clean(dict(vec)), i)
-    residue, used = ech.reduce(_clean(dict(target)))
-    if residue:
-        return None
-    return used
+    return span_echelon(spanning, key_order).solve(target)
 
 
 def verify_membership(target: dict, spanning: list[dict], cert: dict) -> bool:
@@ -139,15 +144,12 @@ def kernel(columns: list[dict], key_order=None) -> list[dict]:
     out: list[dict] = []
     for j, col in enumerate(columns):
         residue, used = ech.reduce(_clean(dict(col)))
+        combo = {j: ONE}
+        for idx, f in used.items():
+            combo[idx] = combo.get(idx, ZERO) - f
         if not residue:
-            combo = {j: ONE}
-            for idx, f in used.items():
-                combo[idx] = combo.get(idx, ZERO) - f
             out.append(combo)
         else:
-            combo = {j: ONE}
-            for idx, f in used.items():
-                combo[idx] = combo.get(idx, ZERO) - f
             pivot = ech._pick_pivot(residue)
             ech.rows.append((pivot, residue, combo))
             ech.rows.sort(key=lambda r: ech.key_order(r[0]))

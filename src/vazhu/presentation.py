@@ -333,10 +333,16 @@ class VaPresentation:
         return res_terms, res_central
 
     def jacobi_witness(self):
-        """First failing triple with its residual, or None."""
+        """First failing triple with its residual, or None.
+
+        Only y at or after x is tried: pair_bracket completes each pair by
+        skew symmetry, so residual(y, x, z)(lam, mu) = -p(x, y)
+        residual(x, y, z)(mu, lam), and the first failing triple in the
+        full order already has x at or before y.
+        """
         names = self.names()
-        for x in names:
-            for y in names:
+        for i, x in enumerate(names):
+            for y in names[i:]:
                 for z in names:
                     res_terms, res_central = self.jacobi_residual(x, y, z)
                     if res_terms or res_central:

@@ -15,10 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+# the rational backend, read by name from benchmark records
+_Q = Fraction
 
 __all__ = [
     "Scalar",
@@ -144,7 +142,7 @@ def _mono_mul(m1, m2):
         exps[v] = exps.get(v, 0) + e
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    res = _reduce_mono(exps, _Q(1))
+    res = _reduce_mono(exps, Fraction(1))
     _MONO_MUL_CACHE[(m1, m2)] = res
     return res
 
@@ -244,7 +242,7 @@ def _rat_content(p):
     for c in p.values():
         num_gcd = _int_gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    cont = _Q(num_gcd, den_lcm)
+    cont = Fraction(num_gcd, den_lcm)
     if p[_poly_lead(p)] < 0:
         cont = -cont
     return cont
@@ -296,7 +294,7 @@ def _poly_gcd(p, q):
         return _make_primitive(p)
     vs = _poly_vars(p) | _poly_vars(q)
     if not vs:
-        return {tuple(): _Q(1)}
+        return {tuple(): Fraction(1)}
     v = max(vs)
     pu, qu = _uni_view(p, v), _uni_view(q, v)
     cont_p, pp_p = _uni_content_pp(pu)
@@ -428,7 +426,7 @@ def _items(p) -> tuple:
     return tuple(sorted(p.items(), key=lambda mc: _mono_key(mc[0])))
 
 
-_ONE_ITEMS = ((tuple(), _Q(1)),)
+_ONE_ITEMS = ((tuple(), Fraction(1)),)
 _INT_CACHE: dict = {}
 
 
@@ -453,7 +451,7 @@ class Scalar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_fraction(f) -> "Scalar":
-        f = _Q(f)
+        f = Fraction(f)
         if not f:
             return ZERO
         return Scalar(((tuple(), f),), _ONE_ITEMS, _canonical=True)
@@ -469,7 +467,7 @@ class Scalar:
     def param(name: str) -> "Scalar":
         if name not in _PARAM_INDEX:
             raise KeyError(f"undeclared parameter {name!r}")
-        return Scalar({((_PARAM_INDEX[name], 1),): _Q(1)})
+        return Scalar({((_PARAM_INDEX[name], 1),): Fraction(1)})
 
     # -- views -------------------------------------------------------------
     def num_dict(self) -> dict:
@@ -671,7 +669,7 @@ class Scalar:
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction, _Q)):
+    if isinstance(x, (int, Fraction)):
         return Scalar.from_fraction(x)
     if isinstance(x, str):
         return parse_scalar(x)
@@ -686,7 +684,7 @@ def _eval_poly(p, repl) -> Scalar:
             if v in repl:
                 term = term * repl[v] ** e
             else:
-                term = term * Scalar({((v, 1),): _Q(1)}) ** e
+                term = term * Scalar({((v, 1),): Fraction(1)}) ** e
         total = total + term
     return total
 
@@ -694,12 +692,12 @@ def _eval_poly(p, repl) -> Scalar:
 def _normalize(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
-    num = {m: q for m, q in ((m, _Q(c)) for m, c in num.items()) if q}
-    den = {m: q for m, q in ((m, _Q(c)) for m, c in den.items()) if q}
+    num = {m: q for m, q in ((m, Fraction(c)) for m, c in num.items()) if q}
+    den = {m: q for m, q in ((m, Fraction(c)) for m, c in den.items()) if q}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {tuple(): _Q(1)}
+        return {}, {tuple(): Fraction(1)}
     # clear algebraic variables out of the denominator by conjugation
     for v in sorted(_SQUARE_RULES):
         if v in _poly_vars(den):
@@ -709,15 +707,15 @@ def _normalize(num, den):
     if len(den) == 1:
         (m, c), = den.items()
         if not m:
-            return _poly_scale(num, 1 / c), {tuple(): _Q(1)}
+            return _poly_scale(num, 1 / c), {tuple(): Fraction(1)}
     hinted = _hint_normalize(num, den) if _DEN_HINTS else None
     if hinted is not None:
         num, den = hinted
         if len(den) == 1 and tuple() in den:
-            return _poly_scale(num, 1 / den[tuple()]), {tuple(): _Q(1)}
+            return _poly_scale(num, 1 / den[tuple()]), {tuple(): Fraction(1)}
     else:
         g = _poly_gcd(num, den)
-        if g != {tuple(): _Q(1)}:
+        if g != {tuple(): Fraction(1)}:
             num = _poly_divexact(num, g)
             den = _poly_divexact(den, g)
     lc = den[_poly_lead(den)]
@@ -901,7 +899,7 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, _Q, Scalar)):
+        if isinstance(other, (int, Fraction, Scalar)):
             f = _coerce(other)
             return FormalSeries(
                 self.var, {n: c * f for n, c in self.coeffs.items()}, self.truncation
@@ -1074,9 +1072,9 @@ declare_parameter("gamma")
 declare_parameter("k")
 
 ZERO = Scalar({})
-ONE = Scalar({tuple(): _Q(1)})
+ONE = Scalar({tuple(): Fraction(1)})
 _INT_CACHE.update(
-    {n: Scalar({tuple(): _Q(n)}) for n in range(-64, 65) if n}
+    {n: Scalar({tuple(): Fraction(n)}) for n in range(-64, 65) if n}
 )
 _INT_CACHE[0] = ZERO
 

@@ -1,8 +1,10 @@
 """Checks for the finite-dimensional Lie superalgebra layer.
 
 Matrix-realized algebras are pinned against their defining invariant
-(supertransposed form condition, supertrace), the exceptional family against
-its seed brackets, and the zero-mode assignments against the contact algebra.
+(supertransposed form condition, supertrace), the exceptional family built
+from its tensor model against its root-vector brackets and Cartan pairing,
+every builtin table against a digest, and the zero-mode assignments against
+the contact algebra.
 """
 
 import hashlib
@@ -185,7 +187,7 @@ def test_antisymmetry_completion_and_check():
 
 
 # ---------------------------------------------------------------------------
-# the exceptional family: seed brackets and invariants
+# the exceptional family: root-vector brackets and invariants
 
 
 def test_d21a_sl2_pairs_and_odd_action():

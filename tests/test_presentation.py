@@ -216,6 +216,52 @@ def test_big4_single_entry_perturbations_fail_jacobi(mutate):
     assert bad.jacobi_witness() is not None
 
 
+def _swap_lam_mu(residual, sign):
+    terms, central = residual
+    s = Scalar.from_int(-sign)
+    return (
+        {(m, l, k, t): c * s for (l, m, k, t), c in terms.items()},
+        {(m, l): c * s for (l, m), c in central.items()},
+    )
+
+
+def _doubled_first_off_diagonal(pres):
+    # a copy whose first stored off-diagonal bracket is doubled, so that
+    # some residuals are nonzero
+    brackets = {}
+    for pair, (terms, central) in pres._table.items():
+        brackets[pair] = ([(n, k, x, co) for (n, k, x), co in terms.items()], central)
+    pair = next(p for p in pres._table if p[0] != p[1] and pres._table[p][0])
+    terms, central = brackets[pair]
+    brackets[pair] = ([(n, k, x, 2 * co) for n, k, x, co in terms], central)
+    return VaPresentation(
+        f"{pres.name}_doubled",
+        pres.generators,
+        brackets,
+        pres.central_charge,
+        pres.conformal_name,
+        validate=False,
+    )
+
+
+@pytest.mark.parametrize("pres_id", ["N2", "N3", "N4"])
+def test_jacobi_residual_is_skew_in_the_first_pair(pres_id):
+    # residual(y, x, z)(lam, mu) = -p(x, y) residual(x, y, z)(mu, lam), which
+    # lets jacobi_witness try only y at or after x
+    clean = builtin_presentation(pres_id)
+    doubled = _doubled_first_off_diagonal(clean)
+    assert doubled.jacobi_witness() is not None
+    for pres in (clean, doubled):
+        names = pres.names()
+        for x in names:
+            for y in names:
+                for z in names:
+                    want = _swap_lam_mu(
+                        pres.jacobi_residual(x, y, z), pres.pair_sign(x, y)
+                    )
+                    assert pres.jacobi_residual(y, x, z) == want, (x, y, z)
+
+
 # -- embeddings ----------------------------------------------------------------
 
 
