@@ -5,9 +5,9 @@ matrix-realized orthosymplectic / special linear families, the exceptional
 one-parameter family D(2,1;a) built from its sl2 + sl2 + sl2 + C2 x C2 x C2
 model, the contact-field centralizer algebras, and the zero-mode algebras
 R_N1, R_N2, R_N3, R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4
-and big N=4 superconformal vertex algebras.  Every realized algebra (matrices, contact
-fields, the tensor model, a subalgebra's elements) gets its structure
-constants from one routine, _structure_constants.
+and big N=4 superconformal vertex algebras.  Every realized algebra
+(matrices, contact fields, the tensor model, a subalgebra's elements) gets
+its structure constants from one routine, _structure_constants.
 
 The zero-mode algebras are derived from the lambda brackets of the
 presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal

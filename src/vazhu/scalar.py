@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-# the rational backend, read by name from benchmark records
+# the rational type; benchmark records report its name as the backend
 _Q = Fraction
 
 __all__ = [
