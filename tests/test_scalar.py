@@ -141,6 +141,54 @@ def test_gcd_reduction_matches_sympy(x, y, z):
 
 
 # ---------------------------------------------------------------------------
+# canonical forms, pinned exactly
+
+
+def _pinned_values():
+    c, a, k, s, i = (Scalar.param(n) for n in ("c", "a", "k", "s", "I"))
+    x, y = (c + a) / (a + 1), (c * a - 1) / (c + 2)
+    z, w = (c * a + c) / (a * (a + 1)), (a - 1) / (a + 1)
+    # the big4 structure constants
+    gp, gm, km = ONE / (a + 1), a / (a + 1), (a + 1) * c / (6 * a)
+    return {
+        "x*y+x": x * y + x,
+        "z*w+z": z * w + z,
+        "1/s": ONE / s,
+        "1/(1+I)": ONE / (1 + i),
+        "gp*gm/km": gp * gm / km,
+        "s/a": s / a,
+        "k_and_c": (k * c + 1) * (k - 1) / (k * k * c - c),
+    }
+
+
+_PINNED_FORMS = {
+    "x*y+x": "(((((1, 1),), Fraction(1, 1)), (((0, 1),), Fraction(1, 1)), "
+    "(((0, 1), (1, 1)), Fraction(1, 1)), (((0, 2),), Fraction(1, 1)), "
+    "(((0, 1), (1, 2)), Fraction(1, 1)), (((0, 2), (1, 1)), Fraction(1, 1))), "
+    "(((), Fraction(2, 1)), (((1, 1),), Fraction(2, 1)), "
+    "(((0, 1),), Fraction(1, 1)), (((0, 1), (1, 1)), Fraction(1, 1))))",
+    "z*w+z": "(((((0, 1),), Fraction(2, 1)),), "
+    "(((), Fraction(1, 1)), (((1, 1),), Fraction(1, 1))))",
+    "1/s": "(((((5, 1),), Fraction(2, 1)),), ((((1, 1),), Fraction(1, 1)),))",
+    "1/(1+I)": "((((), Fraction(1, 2)), (((6, 1),), Fraction(-1, 2))), "
+    "(((), Fraction(1, 1)),))",
+    "gp*gm/km": "(((((1, 2),), Fraction(6, 1)),), "
+    "((((0, 1),), Fraction(1, 1)), (((0, 1), (1, 1)), Fraction(3, 1)), "
+    "(((0, 1), (1, 2)), Fraction(3, 1)), (((0, 1), (1, 3)), Fraction(1, 1))))",
+    "s/a": "(((((5, 1),), Fraction(1, 1)),), ((((1, 1),), Fraction(1, 1)),))",
+    "k_and_c": "((((), Fraction(1, 1)), (((0, 1), (4, 1)), Fraction(1, 1))), "
+    "((((0, 1),), Fraction(1, 1)), (((0, 1), (4, 1)), Fraction(1, 1))))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FORMS))
+def test_canonical_form_pinned(name):
+    # exact forms, whatever engines were built earlier in the process
+    v = _pinned_values()[name]
+    assert repr((v._num, v._den)) == _PINNED_FORMS[name]
+
+
+# ---------------------------------------------------------------------------
 # Bernoulli-type data
 
 
