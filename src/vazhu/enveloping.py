@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import vec_scale
-from .scalar import Scalar, ZERO, ONE, register_denominator_hint
+from .scalar import Scalar, ZERO, ONE
 
 __all__ = [
     "VertexAlgebra",
@@ -94,11 +94,6 @@ class VertexAlgebra:
                         (d, self.index[t], coeff) for (d, t), coeff in terms.items()
                     ]
                     table[n] = (rows, central)
-                    for _, _, coeff in rows:
-                        if not coeff.is_polynomial():
-                            register_denominator_hint(coeff.den_dict())
-                    if not central.is_zero() and not central.is_polynomial():
-                        register_denominator_hint(central.den_dict())
                 self._products[(xi, yi)] = table
         self._mode_memo: dict = {}
         self._prod_memo: dict = {}

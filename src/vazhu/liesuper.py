@@ -171,8 +171,9 @@ class LieSuperalgebra:
     def _validate_matrices(self):
         mats = self.matrices
         modulo = span_echelon([m.entries_dict() for m in self.modulo_matrices])
-        for x in self.names:
-            for y in self.names:
+        # super-antisymmetry of the table is checked, so i <= j suffices
+        for i, x in enumerate(self.names):
+            for y in self.names[i:]:
                 got = mats[x].supercommutator(mats[y])
                 want = SuperMatrix.zero(got.m, got.n)
                 for n, c in self.table[(x, y)].items():

@@ -8,6 +8,11 @@ share no common factor, the denominator is monic in graded lexicographic
 order and free of algebraic variables (cleared by conjugation).  Equality
 of canonical forms is therefore literal equality, which every exactness
 guarantee downstream relies on.
+
+Normalization has one rule: after conjugation, a fraction is divided by
+the gcd of its numerator and denominator (`_poly_gcd`), then made monic.
+Only the two polynomials and the parameter registry take part, so a
+Scalar's form does not depend on what was computed before it.
 """
 
 from __future__ import annotations
@@ -284,18 +289,34 @@ def _uni_build(u, v):
 def _poly_gcd(p, q):
     """Multivariate gcd over Q, primitive with positive leading coefficient.
 
-    Primitive euclidean PRS, recursing on the variable set.  Algebraic
-    variables (square-ruled) never reach here with exponent > 1 and are
-    treated like ordinary variables; callers keep denominators free of them.
+    A common factor lives in the variables p and q share.  So when their
+    variable sets differ, the gcd is that of every coefficient of p and of q
+    over that side's unshared variables, and it stops at the first constant.
+    One variable runs Euclid on dense coefficient lists; more run a primitive
+    euclidean PRS, whose content recursion reaches both rules again.
+    Algebraic variables (square-ruled) never reach here with exponent > 1
+    and are treated like ordinary variables; callers keep denominators free
+    of them.
     """
     if not p:
         return _make_primitive(q)
     if not q:
         return _make_primitive(p)
-    vs = _poly_vars(p) | _poly_vars(q)
-    if not vs:
+    vp, vq = _poly_vars(p), _poly_vars(q)
+    if vp != vq:
+        shared = vp & vq
+        g: dict = {}
+        for part in _coeffs_over(p, shared) + _coeffs_over(q, shared):
+            g = _poly_gcd(g, part)
+            if tuple() in g and len(g) == 1:
+                return g
+        return g
+    if not vp:
         return {tuple(): Fraction(1)}
-    v = max(vs)
+    if len(vp) == 1:
+        (v,) = vp
+        return _uni_gcd(p, q, v)
+    v = max(vp)
     pu, qu = _uni_view(p, v), _uni_view(q, v)
     cont_p, pp_p = _uni_content_pp(pu)
     cont_q, pp_q = _uni_content_pp(qu)
@@ -310,6 +331,52 @@ def _poly_gcd(p, q):
     gu = _uni_build(a, v)
     g = _poly_mul(cont, _make_primitive(gu))
     return _make_primitive(g)
+
+
+def _coeffs_over(p, keep):
+    """Coefficients of p, as dict-polys in `keep`, over the other variables."""
+    out: dict = {}
+    for m, c in p.items():
+        rest = tuple(ve for ve in m if ve[0] not in keep)
+        kept = tuple(ve for ve in m if ve[0] in keep)
+        out.setdefault(rest, {})[kept] = c
+    return list(out.values())
+
+
+def _uni_gcd(p, q, v):
+    """Euclid over Q for p, q in the one variable v, remainders kept monic."""
+    a, b = _dense(p), _dense(q)
+    while b:
+        a, b = b, _dense_rem(a, b)
+    return _make_primitive(
+        {((v, e),) if e else tuple(): c for e, c in enumerate(a) if c}
+    )
+
+
+def _dense(p):
+    # monic coefficient list, constant term first; every monomial is v^e or 1
+    out = [Fraction(0)] * (1 + max(m[0][1] if m else 0 for m in p))
+    for m, c in p.items():
+        out[m[0][1] if m else 0] = c
+    inv = 1 / out[-1]
+    return [c * inv for c in out]
+
+
+def _dense_rem(a, b):
+    # remainder of a by the monic b, made monic
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    if a:
+        inv = 1 / a[-1]
+        a = [c * inv for c in a]
+    return a
 
 
 def _make_primitive(p):
@@ -347,65 +414,6 @@ def _uni_prem(a, b, v):
             new[ee] = _poly_add(new.get(ee, {}), _poly_neg(t))
         r = {e: c for e, c in new.items() if c}
     return r
-
-
-_DEN_HINTS: list = []
-
-
-def register_denominator_hint(factor) -> None:
-    """Teach _normalize a denominator factor (as a Scalar or dict-poly).
-
-    Only affine polynomials are retained: they are irreducible and, after
-    the primitive-monic dedupe here, pairwise coprime, which the factorwise
-    cancellation in _hint_normalize relies on.  Hinted reduction replaces
-    the generic gcd only when the denominator factors completely over the
-    hints, so a skipped or missing hint costs speed, never correctness.
-    """
-    if isinstance(factor, Scalar):
-        if factor._den != _ONE_ITEMS:
-            raise ValueError("hint must be polynomial")
-        p = dict(factor._num)
-    else:
-        p = dict(factor)
-    p = _make_primitive(p)
-    if not p or (len(p) == 1 and tuple() in p):
-        return
-    if any(sum(e for _, e in m) > 1 for m in p):
-        return
-    if any(p == h for h in _DEN_HINTS):
-        return
-    _DEN_HINTS.append(p)
-
-
-def _hint_normalize(num, den):
-    """Cancel num/den when den factors over _DEN_HINTS; None when it doesn't."""
-    residual = den
-    powers = []
-    for h in _DEN_HINTS:
-        e = 0
-        while len(residual) > 1 or tuple() not in residual:
-            try:
-                q = _poly_divexact(residual, h)
-            except ArithmeticError:
-                break
-            residual = q
-            e += 1
-        if e:
-            powers.append((h, e))
-    if len(residual) != 1 or tuple() not in residual:
-        return None
-    new_den = dict(residual)
-    for h, e in powers:
-        while e:
-            try:
-                q = _poly_divexact(num, h)
-            except ArithmeticError:
-                break
-            num = q
-            e -= 1
-        for _ in range(e):
-            new_den = _poly_mul(new_den, h)
-    return num, new_den
 
 
 def _conjugate_poly(p, v):
@@ -470,12 +478,6 @@ class Scalar:
         return Scalar({((_PARAM_INDEX[name], 1),): Fraction(1)})
 
     # -- views -------------------------------------------------------------
-    def num_dict(self) -> dict:
-        return dict(self._num)
-
-    def den_dict(self) -> dict:
-        return dict(self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -708,16 +710,10 @@ def _normalize(num, den):
         (m, c), = den.items()
         if not m:
             return _poly_scale(num, 1 / c), {tuple(): Fraction(1)}
-    hinted = _hint_normalize(num, den) if _DEN_HINTS else None
-    if hinted is not None:
-        num, den = hinted
-        if len(den) == 1 and tuple() in den:
-            return _poly_scale(num, 1 / den[tuple()]), {tuple(): Fraction(1)}
-    else:
-        g = _poly_gcd(num, den)
-        if g != {tuple(): Fraction(1)}:
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
+    g = _poly_gcd(num, den)
+    if g != {tuple(): Fraction(1)}:
+        num = _poly_divexact(num, g)
+        den = _poly_divexact(den, g)
     lc = den[_poly_lead(den)]
     if lc != 1:
         num = _poly_scale(num, 1 / lc)

@@ -170,6 +170,14 @@ def test_validation_rejects_a_corrupted_table():
         LieSuperalgebra(g.names, g.parity, bad)
 
 
+def test_validation_rejects_a_wrong_matrix_realization():
+    # swapping the matrices of e and f breaks [h, e] = 2e
+    g = build_algebra("osp12")
+    mats = dict(g.matrices, e=g.matrices["f"], f=g.matrices["e"])
+    with pytest.raises(JacobiError, match=r"matrix bracket mismatch at \(h, e\)"):
+        LieSuperalgebra(g.names, g.parity, g.table, matrices=mats)
+
+
 def test_antisymmetry_completion_and_check():
     two = Scalar.from_int(2)
     g = LieSuperalgebra(

@@ -14,9 +14,11 @@ from vazhu.scalar import (
     bernoulli_plus,
     declare_parameter,
     fn_coeff,
+    parameter_names,
     parse_scalar,
     u_coefficients,
 )
+from vazhu.scalar import _mono_key
 
 
 def S(text):
@@ -141,7 +143,7 @@ def test_gcd_reduction_matches_sympy(x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms, pinned exactly
+# canonical forms: pinned exactly, and checked against sympy
 
 
 def _pinned_values():
@@ -186,6 +188,84 @@ def test_canonical_form_pinned(name):
     # exact forms, whatever engines were built earlier in the process
     v = _pinned_values()[name]
     assert repr((v._num, v._den)) == _PINNED_FORMS[name]
+
+
+_SYMS = {n: sympy.Symbol(n) for n in parameter_names()}
+
+
+def _poly_to_sympy(items):
+    total = sympy.Integer(0)
+    for mono, coeff in items:
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for v, e in mono:
+            term *= _SYMS[parameter_names()[v]] ** e
+        total += term
+    return total
+
+
+def _reduce_algebraic(expr):
+    sym_s, sym_i, sym_a = _SYMS["s"], _SYMS["I"], _SYMS["a"]
+    expr = sympy.rem(sympy.expand(expr), sym_s**2 - sym_a / 2, sym_s)
+    return sympy.expand(sympy.rem(expr, sym_i**2 + 1, sym_i))
+
+
+# variable sets (numerator, denominator) for the four kinds of denominator
+_VAR_CASES = {
+    "one_variable": (("a",), ("a",)),
+    "strict_subset": (("c", "a", "k"), ("a", "k")),
+    "partial_overlap": (("c", "a"), ("a", "k")),
+    "multivariate": (("c", "a", "k"), ("c", "a", "k")),
+}
+nonzero_frac = small_frac.filter(bool)
+
+
+@st.composite
+def _poly_in(draw, names):
+    """A polynomial involving exactly the named parameters."""
+    out = Scalar.from_fraction(draw(small_frac))
+    for name in names:
+        coeff = Scalar.from_fraction(draw(nonzero_frac))
+        out = out + coeff * Scalar.param(name) ** draw(st.integers(1, 2))
+    if len(names) > 1:
+        u, v = draw(st.permutations(names))[:2]
+        cross = Scalar.param(u) * Scalar.param(v)
+        out = out + Scalar.from_fraction(draw(small_frac)) * cross
+    return out
+
+
+@st.composite
+def _fractions(draw):
+    case = draw(st.sampled_from(sorted(_VAR_CASES)))
+    num_vars, den_vars = _VAR_CASES[case]
+    num = draw(_poly_in(num_vars))
+    if draw(st.booleans()):
+        alg = Scalar.param(draw(st.sampled_from(["s", "I"])))
+        num = num + Scalar.from_fraction(draw(nonzero_frac)) * alg
+    den = draw(_poly_in(den_vars))
+    if draw(st.booleans()):
+        den = den * draw(_poly_in(den_vars))
+    shared = sorted(set(num_vars) & set(den_vars))
+    common_vars = draw(st.sets(st.sampled_from(shared), max_size=2))
+    common = draw(_poly_in(sorted(common_vars)))
+    if draw(st.booleans()):
+        alg = Scalar.param(draw(st.sampled_from(["s", "I"])))
+        common = common + Scalar.from_fraction(draw(nonzero_frac)) * alg
+    if common.is_zero():
+        common = ONE
+    return num, den, common
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fractions())
+def test_canonical_form_matches_sympy(nd):
+    num, den, common = nd
+    v = (num * common) / (den * common)
+    got_num, got_den = _poly_to_sympy(v._num), _poly_to_sympy(v._den)
+    want_num, want_den = _poly_to_sympy(num._num), _poly_to_sympy(den._num)
+    assert _reduce_algebraic(got_num * want_den - want_num * got_den) == 0
+    assert sympy.gcd(got_num, got_den).is_number
+    assert not {_SYMS["s"], _SYMS["I"]} & got_den.free_symbols
+    assert max(v._den, key=lambda mc: _mono_key(mc[0]))[1] == 1
 
 
 # ---------------------------------------------------------------------------
