@@ -1,5 +1,6 @@
 """Engine-level checks: PBW dimensions, mode pins, axiom suite, tensor."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,80 @@ def test_corrupted_tables_fail_with_witness():
     )
     assert not rep2.passed
     assert rep2.failures[0] == ("commutator", ("L", "Gpp", "Gpm", 2, 0))
+    # the whole failure lists, not just their heads
+    assert (len(rep1.failures), _digest(repr(rep1.failures))) == (
+        159,
+        "56b2566f710e15cf",
+    )
+    assert (len(rep2.failures), _digest(repr(rep2.failures))) == (
+        151,
+        "c6ba7e354c97c4b2",
+    )
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),
+# row k = 1..4, column n = -1..3
+VIR_LADDER = [
+    ["eb05122c36626ba7", "afb54656a8b3c48b", "63193e50f457d5a3",
+     "5feceb66ffc86f38", "7992408151fdfffa"],
+    ["d35176f3a1fa7445", "6928074e487cdfab", "743db6f6161592c7",
+     "b5a19ceeda14eb39", "c30592a082f114b8"],
+    ["7a04bdb9c885424d", "a32701b8bc077d64", "f43d768aa57dacd1",
+     "3ceaceff82601f95", "38b4e0d28f887905"],
+    ["c3b86bf52ad394b8", "2879baea8ecce0f6", "06baa2577bac2348",
+     "b6e4d5c00eada683", "b25eef347c6ea70e"],
+]
+
+
+def test_virasoro_ladder_products_pinned():
+    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    state = eng.vacuum()
+    got = []
+    for _ in VIR_LADDER:
+        state = eng.apply_mode(eng.index["L"], -1, state)
+        got.append(
+            [_digest(eng.format_state(eng.nth_product(state, n, state)))
+             for n in range(-1, 4)]
+        )
+    assert got == VIR_LADDER
+
+
+# (A, B) = (:x1 y1:, :x2 y2:); per n = -1..3, digests of A_(n)B and B_(n)A
+COMPOSITE_PRODUCTS = {
+    ("N2", ("J", "Gp"), ("Gp", "Gm")): [
+        ("c359848c82bcd72b", "5907585292628204"),
+        ("209d0bd778209903", "e73f890507607f42"),
+        ("2a3302e519912045", "c21ee5b7e9685ce8"),
+        ("8135f9e4cbfc4cd9", "8a6bc29604ce50b1"),
+        ("afb458d5b9ff35e0", "afb458d5b9ff35e0"),
+    ],
+    ("big4", ("J0", "Gpp"), ("Kp", "Gmm")): [
+        ("7d18e91aa03548f3", "ef4f58cae278a6f9"),
+        ("a741d0c32d44ba6e", "8ddeea8a1a9d6d3c"),
+        ("ee13a32668c17884", "f22906b14743c175"),
+        ("f8045293b3286ce5", "1f0d403e98e9bb6a"),
+        ("5977267e60fb4dde", "3b14584e9e2b7ab2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITE_PRODUCTS, ids=lambda c: c[0])
+def test_composite_products_pinned(case):
+    pres_id, (x1, y1), (x2, y2) = case
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    gen = eng.generator
+    a = eng.nth_product(gen(x1), -1, gen(y1))
+    b = eng.nth_product(gen(x2), -1, gen(y2))
+    got = [
+        (_digest(eng.format_state(eng.nth_product(a, n, b))),
+         _digest(eng.format_state(eng.nth_product(b, n, a))))
+        for n in range(-1, 4)
+    ]
+    assert got == COMPOSITE_PRODUCTS[case]
 
 
 # -- tensor product ---------------------------------------------------------------
