@@ -13,6 +13,11 @@ Normalization has one rule: after conjugation, a fraction is divided by
 the gcd of its numerator and denominator (`_poly_gcd`), then made monic.
 Only the two polynomials and the parameter registry take part, so a
 Scalar's form does not depend on what was computed before it.
+
+The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
+denominator is 1 holds that very object, so the hot paths test it with
+`is` and never compare `Fraction`s to find it.  `ONE` is likewise one
+object, and multiplying by it returns the other operand unchanged.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def declare_parameter(name: str, square=None) -> None:
     rule = None
     if square is not None:
         sq = _coerce(square)
-        if sq._den != _ONE_ITEMS:
+        if sq._den is not _ONE_ITEMS:
             raise ValueError("square rule must be polynomial")
         rule = dict(sq._num)
     if name in _PARAM_INDEX:
@@ -453,7 +458,9 @@ class Scalar:
             return
         num, den = _normalize(dict(num), dict(den))
         self._num = _items(num)
-        self._den = _items(den)
+        den = _items(den)
+        # the unit denominator is interned: `is _ONE_ITEMS` decides it
+        self._den = _ONE_ITEMS if den == _ONE_ITEMS else den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -482,7 +489,7 @@ class Scalar:
         return not self._num
 
     def is_polynomial(self) -> bool:
-        return self._den == _ONE_ITEMS
+        return self._den is _ONE_ITEMS
 
     def parameters(self) -> set[str]:
         vs = _poly_vars(dict(self._num)) | _poly_vars(dict(self._den))
@@ -501,11 +508,11 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.is_zero():
+        if not self._num:
             return other
-        if other.is_zero():
+        if not other._num:
             return self
-        if self._den == _ONE_ITEMS and other._den == _ONE_ITEMS:
+        if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             sn, on = self._num, other._num
             if len(sn) == 1 and len(on) == 1 and not sn[0][0] and not on[0][0]:
                 q = sn[0][1] + on[0][1]
@@ -548,17 +555,21 @@ class Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
         if type(other) is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if self is ONE:
+            return other
+        if not self._num or not other._num:
             return ZERO
         # scaling by a plain rational keeps the canonical form
         sn, on = self._num, other._num
-        if other._den == _ONE_ITEMS and len(on) == 1 and not on[0][0]:
+        if other._den is _ONE_ITEMS and len(on) == 1 and not on[0][0]:
             q = on[0][1]
-            if self._den == _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
+            if self._den is _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
                 return Scalar(
                     ((tuple(), sn[0][1] * q),), _ONE_ITEMS, _canonical=True
                 )
@@ -567,7 +578,7 @@ class Scalar:
             return Scalar(
                 tuple((m, c * q) for m, c in sn), self._den, _canonical=True
             )
-        if self._den == _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
+        if self._den is _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
             q = sn[0][1]
             if q == 1:
                 return other
@@ -575,7 +586,7 @@ class Scalar:
                 tuple((m, c * q) for m, c in on), other._den, _canonical=True
             )
         num = _poly_mul(dict(self._num), dict(other._num))
-        if self._den == _ONE_ITEMS and other._den == _ONE_ITEMS:
+        if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             # product of canonical polynomials is canonical (unit denominator)
             if not num:
                 return ZERO
@@ -637,9 +648,10 @@ class Scalar:
 
     # -- comparisons / hashing ----------------------------------------------
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
@@ -655,7 +667,7 @@ class Scalar:
         if not self._num:
             return "0"
         num = _poly_str(self._num)
-        if self._den == _ONE_ITEMS:
+        if self._den is _ONE_ITEMS:
             return num
         den = _poly_str(self._den)
         if len(self._num) > 1:
@@ -1073,6 +1085,7 @@ _INT_CACHE.update(
     {n: Scalar({tuple(): Fraction(n)}) for n in range(-64, 65) if n}
 )
 _INT_CACHE[0] = ZERO
+_INT_CACHE[1] = ONE
 
 declare_parameter("s", square=Scalar.param("a") / 2)
 declare_parameter("I", square=Scalar.from_int(-1))

@@ -235,6 +235,8 @@ def test_axiom_suite_passes_small(pres_id):
     assert rep.passed, rep.failures[:3]
     assert rep.checks > 0
     assert "PASS" in rep.summary_line()
+    assert set(rep.phase_s) == {"generators", "sampled"}
+    assert min(rep.phase_s.values()) >= 0
 
 
 def test_axiom_suite_passes_n3():
@@ -477,4 +479,30 @@ def test_derivative_mode_shift(a, b, n):
 )
 def test_commutator_property(a, b, c, m, n):
     eng = engine("N1")
-    assert _commutator_holds(eng, {a: ONE}, {b: ONE}, {c: ONE}, m, n)
+    assert _commutator_holds(eng, {a: ONE}, {b: ONE}, {c: ONE}, m, n, {})
+
+
+POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
+
+
+@settings(max_examples=12, deadline=None)
+@given(pres_id=st.sampled_from(sorted(POOLS)), data=st.data())
+def test_shared_commutator_memo_matches_fresh(pres_id, data):
+    # one memo across a triple's mode window gives the fresh-memo verdicts,
+    # and every product it holds is the one computed from scratch
+    eng = engine(pres_id)
+    a, b, c = ({data.draw(st.sampled_from(POOLS[pres_id])): ONE} for _ in "abc")
+    memo: dict = {}
+    for m in range(-1, 3):
+        for n in range(-1, 3):
+            shared = _commutator_holds(eng, a, b, c, m, n, memo)
+            assert shared == _commutator_holds(eng, a, b, c, m, n, {})
+    recompute = {
+        "bc": lambda n: eng.nth_product(b, n, c),
+        "ac": lambda m: eng.nth_product(a, m, c),
+        "ab": lambda k: eng.nth_product(a, k, b),
+        "abc": lambda k, j: eng.nth_product(eng.nth_product(a, k, b), j, c),
+    }
+    assert memo
+    for (kind, *modes), state in memo.items():
+        assert state == recompute[kind](*modes)

@@ -18,7 +18,7 @@ from vazhu.scalar import (
     parse_scalar,
     u_coefficients,
 )
-from vazhu.scalar import _mono_key
+from vazhu.scalar import _ONE_ITEMS, _mono_key
 
 
 def S(text):
@@ -140,6 +140,61 @@ def test_gcd_reduction_matches_sympy(x, y, z):
         return sympy.nsimplify(sympy.sympify(str(v), locals=env), rational=True)
 
     assert sympy.simplify(to_sympy(mine) - to_sympy(x) / to_sympy(y)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the interned unit denominator and ONE
+
+
+@st.composite
+def _scalar_chains(draw):
+    """Scalars built by a random chain of every way one can be made."""
+    atoms = st.one_of(
+        small_frac.map(Scalar.from_fraction),
+        st.sampled_from(["c", "a", "s", "I"]).map(Scalar.param),
+        st.sampled_from(
+            ["1", "3/4", "c/(a + 1)", "(c^2 - 1)/(c - 1)", "2*a/(4*a)", "s*s", "1/I"]
+        ).map(parse_scalar),
+    )
+    out = [draw(atoms), draw(atoms)]
+    for _ in range(draw(st.integers(1, 5))):
+        x, y = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+        op = draw(
+            st.sampled_from(["+", "-", "*", "/", "**", "subs", "decompose", "atom"])
+        )
+        try:
+            if op == "+":
+                out.append(x + y)
+            elif op == "-":
+                out.append(x - y)
+            elif op == "*":
+                out.append(x * y)
+            elif op == "/":
+                out.append(x / y)
+            elif op == "**":
+                out.append(x ** draw(st.integers(-2, 3)))
+            elif op == "subs":
+                name = draw(st.sampled_from(["c", "a"]))
+                value = draw(st.one_of(small_frac, st.just(y)))
+                out.append(x.substitute({name: value}))
+            elif op == "decompose":
+                out.extend(x.decompose("s").values())
+            else:
+                out.append(draw(atoms))
+        except ZeroDivisionError:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_chains())
+def test_unit_denominator_is_interned(values):
+    # a missed interning site would silently fall back to the slow paths
+    assert Scalar.from_int(1) is ONE
+    for x in values:
+        assert (x._den is _ONE_ITEMS) == (x._den == _ONE_ITEMS)
+        assert x * ONE is x
+        assert ONE * x is x
 
 
 # ---------------------------------------------------------------------------
