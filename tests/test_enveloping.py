@@ -12,10 +12,11 @@ from vazhu.enveloping import (
     VertexAlgebra,
     axiom_suite,
     gbinom,
+    _borcherds_holds,
     _commutator_holds,
     _skew_holds,
 )
-from vazhu.presentation import builtin_presentation
+from vazhu.presentation import VaPresentation, builtin_presentation, term
 from vazhu.scalar import ONE, Scalar
 
 C = Scalar.param("c")
@@ -285,6 +286,35 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _n2_doubled_j_gp() -> VaPresentation:
+    """N2 with [J_lam Gp] = 2 Gp, unvalidated: only the axiom checks see it."""
+    base = builtin_presentation("N2")
+    brackets = {
+        pair: ([(n, k, x, co) for (n, k, x), co in terms.items()], dict(central))
+        for pair, (terms, central) in base._table.items()
+    }
+    brackets[("J", "Gp")] = ([term(2, "Gp")], {})
+    return VaPresentation(
+        "N2_J2Gp", base.generators, brackets, base.central_charge, "L",
+        validate=False,
+    )
+
+
+def test_corrupted_sampled_suite_pinned():
+    # the sampled phase's failures, which the big4 pins (triples=0) never reach
+    rep = axiom_suite(
+        VertexAlgebra(_n2_doubled_j_gp()), weight_bound=3, triples=4, seed=1
+    )
+    kinds = [name for name, _ in rep.failures]
+    assert rep.checks == 1196
+    assert (kinds.count("commutator"), kinds.count("borcherds")) == (38, 8)
+    assert kinds.count("skew") == 2
+    assert (len(rep.failures), _digest(repr(rep.failures))) == (
+        48,
+        "a5b1817952e17412",
+    )
+
+
 # sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),
 # row k = 1..4, column n = -1..3
 VIR_LADDER = [
@@ -483,6 +513,41 @@ def test_commutator_property(a, b, c, m, n):
 
 
 POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pres_id=st.sampled_from(["N1", "N2", "N2_J2Gp"]),
+    data=st.data(),
+    m=st.integers(min_value=-2, max_value=3),
+    n=st.integers(min_value=-2, max_value=3),
+)
+def test_commutator_is_borcherds_at_middle_zero(pres_id, data, m, n):
+    # [a_(m), b_(n)] c = sum_j binom(m, j) (a_(j) b)_(m+n-j) c is the
+    # Borcherds identity at (m, 0, n), failing checks included
+    if pres_id not in _ENGINES:
+        _ENGINES[pres_id] = VertexAlgebra(_n2_doubled_j_gp())
+    eng = engine(pres_id)
+    pool = eng.basis(2)[1:]
+    a, b, c = ({data.draw(st.sampled_from(pool)): ONE} for _ in "abc")
+    assert _commutator_holds(eng, a, b, c, m, n, {}) == _borcherds_holds(
+        eng, a, b, c, m, 0, n
+    )
+
+
+def test_commutator_is_borcherds_at_middle_zero_on_corrupted_generators():
+    eng = VertexAlgebra(_n2_doubled_j_gp())
+    gens = [eng.generator(x) for x in eng.names]
+    verdicts = []
+    for a in gens:
+        for b in gens:
+            for c in gens:
+                for m in range(4):
+                    for n in range(4):
+                        old = _commutator_holds(eng, a, b, c, m, n, {})
+                        assert old == _borcherds_holds(eng, a, b, c, m, 0, n)
+                        verdicts.append(old)
+    assert verdicts.count(False) > 0
 
 
 @settings(max_examples=12, deadline=None)
