@@ -1,23 +1,6 @@
-"""Exact vertex-superalgebra engine with Zhu-algebra machinery."""
+"""Exact vertex-superalgebra engine with Zhu-algebra machinery.
 
-from .scalar import (
-    Scalar,
-    FormalSeries,
-    declare_parameter,
-    parameter_names,
-    bernoulli_plus,
-    fn_coeff,
-    u_coefficients,
-    parse_scalar,
-)
-
-__all__ = [
-    "Scalar",
-    "FormalSeries",
-    "declare_parameter",
-    "parameter_names",
-    "bernoulli_plus",
-    "fn_coeff",
-    "u_coefficients",
-    "parse_scalar",
-]
+The package exports nothing itself; import from its modules:
+vazhu.scalar, vazhu.linalg, vazhu.presentation, vazhu.enveloping and
+vazhu.liesuper.
+"""

@@ -16,12 +16,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import vec_scale
-from .scalar import Scalar, ZERO, ONE
+from .linalg import key_acc, vec_acc, vec_scale
+from .scalar import Scalar, ONE
 
 __all__ = [
     "VertexAlgebra",
-    "TensorAlgebra",
     "AxiomReport",
     "axiom_suite",
     "gbinom",
@@ -43,39 +42,11 @@ def _falling(n, k: int):
     return out
 
 
-def _acc(out: dict, state: dict, coeff=None) -> None:
-    """Accumulate coeff * state into out, mutating out in place."""
-    get = out.get
-    if coeff is None or coeff is ONE:
-        if not out:
-            out.update(state)
-            return
-        for k, v in state.items():
-            cur = get(k)
-            nv = v if cur is None else cur + v
-            if nv._num:
-                out[k] = nv
-            else:
-                del out[k]
-        return
-    if not coeff._num:
-        return
-    for k, v in state.items():
-        v = v * coeff
-        cur = get(k)
-        nv = v if cur is None else cur + v
-        if nv._num:
-            out[k] = nv
-        else:
-            del out[k]
-
-
 def _key(i: int, m: int):
     return (-m, i)
 
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
-_ZERO_Q = Fraction(0)
 
 
 class VertexAlgebra:
@@ -100,7 +71,6 @@ class VertexAlgebra:
         self._mode_memo: dict = {}
         self._prod_memo: dict = {}
         self._der_memo: dict = {}
-        self._wt_memo: dict = {}
         self._par_memo: dict = {}
         # doubled weights are integers, keeping hot-path bounds in int math
         self._wt2 = [int(2 * w) for w in self.weights]
@@ -118,11 +88,7 @@ class VertexAlgebra:
         return {((self.index[name], 1),): ONE}
 
     def mono_weight(self, mono) -> Fraction:
-        hit = self._wt_memo.get(mono)
-        if hit is None:
-            hit = sum((self.weights[i] + m - 1 for i, m in mono), _ZERO_Q)
-            self._wt_memo[mono] = hit
-        return hit
+        return Fraction(self._mono_wt2(mono), 2)
 
     def mono_parity(self, mono) -> int:
         hit = self._par_memo.get(mono)
@@ -139,11 +105,8 @@ class VertexAlgebra:
             self._wt2_memo[mono] = hit
         return hit
 
-    def max_weight(self, state) -> Fraction:
-        return max((self.mono_weight(m) for m in state), default=_ZERO_Q)
-
     def _max_wt2(self, state) -> int:
-        """Twice max_weight, as an int."""
+        """Twice the largest monomial weight in state, as an int."""
         return max((self._mono_wt2(m) for m in state), default=0)
 
     def state_parity(self, state) -> int:
@@ -172,7 +135,7 @@ class VertexAlgebra:
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
         out: dict = {}
         for mono, coeff in state.items():
-            _acc(out, self._mode_mono(i, n, mono), coeff)
+            vec_acc(out, self._mode_mono(i, n, mono), coeff)
         return out
 
     def _mode_mono(self, i: int, n: int, mono) -> dict:
@@ -198,7 +161,7 @@ class VertexAlgebra:
                 res = self.apply_mode(hi, -hm, self._mode_mono(i, n, rest))
                 if sign < 0:
                     res = {k: -v for k, v in res.items()}
-                _acc(res, self._bracket_action(i, n, hi, hm, rest))
+                vec_acc(res, self._bracket_action(i, n, hi, hm, rest))
         self._mode_memo[memo_key] = res
         self._memo_terms += len(res) + 1
         return res
@@ -216,9 +179,9 @@ class VertexAlgebra:
                 if fall == 0:
                     continue
                 factor = coeff * Scalar.from_int(binom * (-fall if d & 1 else fall))
-                _acc(out, self._mode_mono(target, q - d, mono), factor)
+                vec_acc(out, self._mode_mono(target, q - d, mono), factor)
             if not central.is_zero() and q == -1:
-                _acc(out, {mono: central * Scalar.from_int(binom)})
+                key_acc(out, mono, central * Scalar.from_int(binom))
         return out
 
     # -- general products and translation ----------------------------------------
@@ -227,7 +190,7 @@ class VertexAlgebra:
         out: dict = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                _acc(out, self._mono_product(ma, n, mb), ca * cb)
+                vec_acc(out, self._mono_product(ma, n, mb), ca * cb)
         return out
 
     def _mono_product(self, ma, n: int, mb) -> dict:
@@ -253,10 +216,10 @@ class VertexAlgebra:
                 binom = math.comb(m + j - 1, j)
                 scale = Scalar.from_int(binom)
                 for mu, cu in self._mono_product(rest, n + j, mb).items():
-                    _acc(res, self._mode_mono(i, -m - j, mu), cu * scale)
+                    vec_acc(res, self._mode_mono(i, -m - j, mu), cu * scale)
                 scale = Scalar.from_int(binom * sign)
                 for mu, cu in self._mode_mono(i, j, mb).items():
-                    _acc(res, self._mono_product(rest, -m + n - j, mu), cu * scale)
+                    vec_acc(res, self._mono_product(rest, -m + n - j, mu), cu * scale)
         self._prod_memo[memo_key] = res
         self._memo_terms += len(res) + 1
         return res
@@ -264,7 +227,7 @@ class VertexAlgebra:
     def translation(self, state: dict) -> dict:
         out: dict = {}
         for mono, coeff in state.items():
-            _acc(out, self._der_mono(mono), coeff)
+            vec_acc(out, self._der_mono(mono), coeff)
         return out
 
     def _der_mono(self, mono) -> dict:
@@ -276,7 +239,7 @@ class VertexAlgebra:
         else:
             (i, m), rest = mono[0], mono[1:]
             res = vec_scale(self._mode_mono(i, -m - 1, rest), Scalar.from_int(m))
-            _acc(res, self.apply_mode(i, -m, self._der_mono(rest)))
+            vec_acc(res, self.apply_mode(i, -m, self._der_mono(rest)))
         self._der_memo[mono] = res
         self._memo_terms += len(res) + 1
         return res
@@ -292,7 +255,6 @@ class VertexAlgebra:
         self._mode_memo.clear()
         self._prod_memo.clear()
         self._der_memo.clear()
-        self._wt_memo.clear()
         self._par_memo.clear()
         self._wt2_memo = {(): 0}
         self._memo_terms = 0
@@ -340,96 +302,6 @@ class VertexAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# tensor product of two engines
-
-
-class TensorAlgebra:
-    """Tensor product of two engines, states keyed by monomial pairs."""
-
-    def __init__(self, left: VertexAlgebra, right: VertexAlgebra):
-        self.left = left
-        self.right = right
-
-    def vacuum(self) -> dict:
-        return {((), ()): ONE}
-
-    def embed(self, a: dict, b: dict) -> dict:
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                coeff = ca * cb
-                if not coeff.is_zero():
-                    out[(ma, mb)] = coeff
-        return out
-
-    def mono_weight(self, mono) -> Fraction:
-        la, ra = mono
-        return self.left.mono_weight(la) + self.right.mono_weight(ra)
-
-    def mono_parity(self, mono) -> int:
-        la, ra = mono
-        return (self.left.mono_parity(la) + self.right.mono_parity(ra)) % 2
-
-    def max_weight(self, state) -> Fraction:
-        return max((self.mono_weight(m) for m in state), default=_ZERO_Q)
-
-    def format_state(self, state) -> str:
-        if not state:
-            return "0"
-        parts = []
-        for (la, ra), coeff in sorted(
-            state.items(), key=lambda kv: (self.mono_weight(kv[0]), kv[0])
-        ):
-            parts.append(
-                f"({coeff})*{self.left.format_mono(la)}(x){self.right.format_mono(ra)}"
-            )
-        return " + ".join(parts)
-
-    def nth_product(self, a: dict, n: int, b: dict) -> dict:
-        out: dict = {}
-        for (la, ra), ca in a.items():
-            for (lb, rb), cb in b.items():
-                sign = -1 if self.right.mono_parity(ra) and self.left.mono_parity(
-                    lb
-                ) else 1
-                pmax = math.floor(
-                    self.left.mono_weight(la) + self.left.mono_weight(lb) - 1
-                )
-                qmax = math.floor(
-                    self.right.mono_weight(ra) + self.right.mono_weight(rb) - 1
-                )
-                coeff = ca * cb * Scalar.from_int(sign)
-                for p in range(n - 1 - qmax, pmax + 1):
-                    q = n - 1 - p
-                    lprod = self.left.nth_product({la: ONE}, p, {lb: ONE})
-                    if not lprod:
-                        continue
-                    rprod = self.right.nth_product({ra: ONE}, q, {rb: ONE})
-                    for ml, cl in lprod.items():
-                        for mr, cr in rprod.items():
-                            _acc(out, {(ml, mr): coeff * cl * cr})
-        return out
-
-    def translation(self, state: dict) -> dict:
-        out: dict = {}
-        for (la, ra), coeff in state.items():
-            for ml, cl in self.left._der_mono(la).items():
-                _acc(out, {(ml, ra): coeff * cl})
-            for mr, cr in self.right._der_mono(ra).items():
-                _acc(out, {(la, mr): coeff * cr})
-        return out
-
-    def basis(self, max_weight) -> list:
-        bound = Fraction(max_weight)
-        out = []
-        for la in self.left.basis(bound):
-            rest = bound - self.left.mono_weight(la)
-            for ra in self.right.basis(rest):
-                out.append((la, ra))
-        return sorted(out, key=lambda mn: (self.mono_weight(mn), mn))
-
-
-# ---------------------------------------------------------------------------
 # axiom suite
 
 
@@ -459,62 +331,57 @@ class AxiomReport:
         return line
 
 
-def _skew_holds(engine: VertexAlgebra, a, b, n: int) -> bool:
-    lhs = engine.nth_product(a, n, b)
-    pa, pb = engine.state_parity(a), engine.state_parity(b)
-    sign = -1 if pa and pb else 1
-    jmax = (engine._max_wt2(a) + engine._max_wt2(b) - 2 - 2 * n) // 2
+def _shared(engine: VertexAlgebra, memo: dict, key, x, i: int, y) -> dict:
+    """x_(i)y, kept in memo under key; callers never mutate it."""
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = engine.nth_product(x, i, y)
+    return hit
+
+
+def _pair_facts(engine: VertexAlgebra, memo: dict, a, b) -> tuple:
+    """p(a)p(b) as a sign and the doubled max weights of a and b, once per memo."""
+    hit = memo.get("pair")
+    if hit is None:
+        pa, pb = engine.state_parity(a), engine.state_parity(b)
+        hit = memo["pair"] = (
+            -1 if pa and pb else 1,
+            engine._max_wt2(a),
+            engine._max_wt2(b),
+        )
+    return hit
+
+
+def _skew_holds(engine: VertexAlgebra, a, b, n: int, memo: dict) -> bool:
+    """Skew symmetry a_(n)b = p(a, b) sum_j (-1)^(n+j+1) T^(j)(b_(n+j)a)."""
+    lhs = _shared(engine, memo, ("ab", n), a, n, b)
+    sign, wa2, wb2 = _pair_facts(engine, memo, a, b)
+    jmax = (wa2 + wb2 - 2 - 2 * n) // 2
     rhs: dict = {}
     for j in range(max(jmax + 1, 0)):
         flipped = engine.nth_product(b, n + j, a)
         if not flipped:
             continue
         factor = Scalar.from_int(sign * (-1) ** (j + n + 1))
-        _acc(rhs, engine.divided_derivative(flipped, j), factor)
+        vec_acc(rhs, engine.divided_derivative(flipped, j), factor)
     return lhs == rhs
 
 
-def _commutator_holds(
-    engine: VertexAlgebra, a, b, c, m: int, n: int, memo: dict
+def _borcherds_holds(
+    engine: VertexAlgebra, a, b, c, m: int, n: int, k: int, memo: dict
 ) -> bool:
-    """The commutator formula for a_(m), b_(n) on c.
+    """The Borcherds identity for a, b, c at (m, n, k).
 
-    `memo` holds the inner products b_(n)c, a_(m)c, a_(k)b and
-    (a_(k)b)_(j)c, which recur across the mode pairs of one (a, b, c)
-    triple: pass one dict per triple to share them, a fresh one otherwise.
+    At n = 0 it is the commutator formula [a_(m), b_(k)] c =
+    sum_j binom(m, j) (a_(j)b)_(m+k-j) c.  `memo` holds what recurs across
+    the checks of one (a, b, c) triple: b_(i)c, a_(i)c, a_(i)b,
+    (a_(i)b)_(j)c, p(a)p(b) and the doubled max weights.  Pass one dict per
+    triple to share them, a fresh one otherwise.
     """
-
-    def shared(key, x, k, y):
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = engine.nth_product(x, k, y)
-        return hit
-
-    pa, pb = engine.state_parity(a), engine.state_parity(b)
-    lhs = engine.nth_product(a, m, shared(("bc", n), b, n, c))
-    _acc(
-        lhs,
-        engine.nth_product(b, n, shared(("ac", m), a, m, c)),
-        Scalar.from_int(1 if pa and pb else -1),
-    )
-    kmax = (engine._max_wt2(a) + engine._max_wt2(b) - 2) // 2
-    rhs: dict = {}
-    for k in range(max(kmax + 1, 0)):
-        binom = gbinom(m, k)
-        if binom == 0:
-            continue
-        ab = shared(("ab", k), a, k, b)
-        if not ab:
-            continue
-        j = m + n - k
-        _acc(rhs, shared(("abc", k, j), ab, j, c), Scalar.from_int(binom))
-    return lhs == rhs
-
-
-def _borcherds_holds(engine: VertexAlgebra, a, b, c, m: int, n: int, k: int) -> bool:
-    pa, pb = engine.state_parity(a), engine.state_parity(b)
-    p_ab = -1 if pa and pb else 1
-    wa2, wb2, wc2 = (engine._max_wt2(x) for x in (a, b, c))
+    p_ab, wa2, wb2 = _pair_facts(engine, memo, a, b)
+    wc2 = memo.get("wc2")
+    if wc2 is None:
+        wc2 = memo["wc2"] = engine._max_wt2(c)
     lhs: dict = {}
     jmax = max(
         (wb2 + wc2 - 2 - 2 * k) // 2,
@@ -525,20 +392,27 @@ def _borcherds_holds(engine: VertexAlgebra, a, b, c, m: int, n: int, k: int) -> 
         binom = gbinom(n, j)
         if binom == 0:
             continue
-        first = engine.nth_product(a, m + n - j, engine.nth_product(b, k + j, c))
-        second = engine.nth_product(b, n + k - j, engine.nth_product(a, m + j, c))
-        _acc(first, second, Scalar.from_int(-p_ab * (-1) ** n))
-        _acc(lhs, first, Scalar.from_int((-1) ** j * binom))
+        bc = _shared(engine, memo, ("bc", k + j), b, k + j, c)
+        ac = _shared(engine, memo, ("ac", m + j), a, m + j, c)
+        first = engine.nth_product(a, m + n - j, bc)
+        vec_acc(
+            first,
+            engine.nth_product(b, n + k - j, ac),
+            Scalar.from_int(-p_ab * (-1) ** n),
+        )
+        vec_acc(lhs, first, Scalar.from_int((-1) ** j * binom))
     rhs: dict = {}
     jmax = (wa2 + wb2 - 2 - 2 * n) // 2
     for j in range(max(jmax + 1, 0)):
         binom = gbinom(m, j)
         if binom == 0:
             continue
-        ab = engine.nth_product(a, n + j, b)
+        ab = _shared(engine, memo, ("ab", n + j), a, n + j, b)
         if not ab:
             continue
-        _acc(rhs, engine.nth_product(ab, m + k - j, c), Scalar.from_int(binom))
+        i = m + k - j
+        abc = _shared(engine, memo, ("abc", n + j, i), ab, i, c)
+        vec_acc(rhs, abc, Scalar.from_int(binom))
     return lhs == rhs
 
 
@@ -556,9 +430,12 @@ def axiom_suite(
     all non-negative mode pairs up to the window.  Since bracket polynomial
     degrees are weight-bounded, that phase decides Jacobi on generators
     outright, so a corrupted table cannot slip past the later sampling.
-    Then `triples` sampled basis triples get the full battery.  The products
-    that a commutator check shares with the other mode pairs of its triple
-    are computed once per triple.  `phase_s` records each phase's seconds.
+    Then `triples` sampled basis triples get the full battery.  A
+    commutator check is the Borcherds identity at n = 0, reported as
+    "commutator".  Each (a, b, c) triple shares one memo across its checks,
+    so its inner products, p(a)p(b) and doubled weights are computed once;
+    in the generator phase each triple's memo starts from its pair's.
+    `phase_s` records each phase's seconds.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -567,17 +444,18 @@ def axiom_suite(
     gens = [{((i, 1),): ONE} for i in range(len(engine.names))]
     for xi, x in enumerate(engine.names):
         for yi, y in enumerate(engine.names):
+            pair: dict = {}
             for n in range(-mode_window, mode_window + 1):
                 report.checks += 1
-                if not _skew_holds(engine, gens[xi], gens[yi], n):
+                if not _skew_holds(engine, gens[xi], gens[yi], n, pair):
                     report.failures.append(("skew", (x, y, n)))
             for zi, z in enumerate(engine.names):
-                memo: dict = {}
+                memo = dict(pair)
                 for m in range(mode_window + 1):
                     for n in range(mode_window + 1):
                         report.checks += 1
-                        if not _commutator_holds(
-                            engine, gens[xi], gens[yi], gens[zi], m, n, memo
+                        if not _borcherds_holds(
+                            engine, gens[xi], gens[yi], gens[zi], m, 0, n, memo
                         ):
                             report.failures.append(
                                 ("commutator", (x, y, z, m, n))
@@ -588,9 +466,10 @@ def axiom_suite(
         ma, mb, mc = (rng.choice(pool) for _ in range(3))
         a, b, c = ({ma: ONE}, {mb: ONE}, {mc: ONE})
         desc = tuple(engine.format_mono(x) for x in (ma, mb, mc))
+        memo = {}
         for n in range(-mode_window, mode_window + 1):
             report.checks += 1
-            if not _skew_holds(engine, a, b, n):
+            if not _skew_holds(engine, a, b, n, memo):
                 report.failures.append(("skew", (desc[0], desc[1], n)))
             engine.trim_caches()
         pairs = [(0, 0), (1, -1)] + [
@@ -600,10 +479,9 @@ def axiom_suite(
             )
             for _ in range(2)
         ]
-        memo = {}
         for m, n in pairs:
             report.checks += 1
-            if not _commutator_holds(engine, a, b, c, m, n, memo):
+            if not _borcherds_holds(engine, a, b, c, m, 0, n, memo):
                 report.failures.append(("commutator", (*desc, m, n)))
             engine.trim_caches()
         triples_mnk = [(0, 0, -1), (-1, 1, 0)] + [
@@ -612,7 +490,7 @@ def axiom_suite(
         ]
         for m, n, k in triples_mnk:
             report.checks += 1
-            if not _borcherds_holds(engine, a, b, c, m, n, k):
+            if not _borcherds_holds(engine, a, b, c, m, n, k, memo):
                 report.failures.append(("borcherds", (*desc, m, n, k)))
             engine.trim_caches()
     report.phase_s["sampled"] = time.perf_counter() - split

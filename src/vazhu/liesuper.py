@@ -26,8 +26,8 @@ from functools import partial
 from itertools import combinations
 
 from .enveloping import _falling
-from .presentation import _BUILTINS as _PRESENTATIONS, _add_into
-from .scalar import Scalar, ZERO, ONE, _coerce
+from .presentation import _BUILTINS as _PRESENTATIONS
+from .scalar import Scalar, ONE, _coerce
 from .linalg import (
     SuperMatrix,
     GrassmannElement,
@@ -35,7 +35,9 @@ from .linalg import (
     span_echelon,
     kernel,
     contact_derivation,
-    vec_add,
+    _clean,
+    key_acc,
+    vec_acc,
     vec_scale,
 )
 
@@ -43,8 +45,6 @@ __all__ = [
     "LieSuperalgebra",
     "LieMorphism",
     "build_algebra",
-    "pbw_monomials",
-    "pbw_count",
     "MINIMAL_NILPOTENT",
     "zero_mode_morphism",
     "contact_basis_names",
@@ -82,12 +82,12 @@ class LieSuperalgebra:
         # complete the table over both orientations
         full = {}
         for (x, y), val in table.items():
-            full[(x, y)] = {n: _coerce(c) for n, c in val.items() if not _coerce(c).is_zero()}
+            full[(x, y)] = _clean(val)
         for (x, y), val in list(full.items()):
             sign = -1 if self.parity[x] and self.parity[y] else 1
             flipped = {n: c * Scalar.from_int(-sign) for n, c in val.items()}
             if (y, x) in full:
-                if full[(y, x)] != {n: c for n, c in flipped.items() if not c.is_zero()}:
+                if full[(y, x)] != flipped:
                     raise JacobiError(
                         f"antisymmetry violated on pair ({x}, {y})"
                     )
@@ -106,15 +106,8 @@ class LieSuperalgebra:
         for nx, cx in x.items():
             for ny, cy in y.items():
                 val = self.table[(nx, ny)]
-                if not val:
-                    continue
-                f = cx * cy
-                for n, c in val.items():
-                    nc = out.get(n, ZERO) + c * f
-                    if nc.is_zero():
-                        out.pop(n, None)
-                    else:
-                        out[n] = nc
+                if val:
+                    vec_acc(out, val, cx * cy)
         return out
 
     def element(self, name: str) -> dict:
@@ -162,10 +155,8 @@ class LieSuperalgebra:
         ex, ey, ez = self.element(x), self.element(y), self.element(z)
         lhs = self.bracket(ex, self.bracket(ey, ez))
         sign = Scalar.from_int(-1 if self.parity[x] and self.parity[y] else 1)
-        rhs = vec_add(
-            self.bracket(self.bracket(ex, ey), ez),
-            vec_scale(self.bracket(ey, self.bracket(ex, ez)), sign),
-        )
+        rhs = self.bracket(self.bracket(ex, ey), ez)
+        vec_acc(rhs, self.bracket(ey, self.bracket(ex, ez)), sign)
         return lhs == rhs
 
     def _validate_matrices(self):
@@ -233,12 +224,12 @@ class LieMorphism:
     def __init__(self, source: LieSuperalgebra, target, images: dict):
         self.source = source
         self.target = target
-        self.images = {n: dict(v) for n, v in images.items()}
+        self.images = {n: _clean(v) for n, v in images.items()}
 
     def apply(self, x: dict) -> dict:
         out: dict = {}
         for n, c in x.items():
-            out = vec_add(out, vec_scale(self.images[n], c))
+            vec_acc(out, self.images[n], c)
         return out
 
     def check(self):
@@ -252,41 +243,6 @@ class LieMorphism:
                 if got != want:
                     return (x, y, got, want)
         return None
-
-
-# ---------------------------------------------------------------------------
-# PBW monomial enumeration
-
-
-def pbw_monomials(names, parities, degree: int):
-    """Monomials of total degree <= degree, odd factors at most once.
-
-    Ordered factors follow the declared name order; each monomial is a tuple
-    of (name, exponent) pairs with positive exponents.
-    """
-    out = [()]
-    for name in names:
-        maxe = 1 if parities[name] else degree
-        new = []
-        for mono in out:
-            used = sum(e for _, e in mono)
-            new.append(mono)
-            for e in range(1, maxe + 1):
-                if used + e <= degree:
-                    new.append(mono + ((name, e),))
-        out = new
-    return out
-
-
-def pbw_count(names, parities, degree: int):
-    even = odd = 0
-    for mono in pbw_monomials(names, parities, degree):
-        p = sum(e * parities[n] for n, e in mono) % 2
-        if p:
-            odd += 1
-        else:
-            even += 1
-    return (even, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +413,7 @@ def _d21a_model_bracket(p: str, q: str, sigma) -> dict:
         psi = math.prod(_PSI.get((p[j], q[j]), 0) for j in range(3) if j != i)
         if psi:
             t, c = _P[(p[i], q[i])]
-            _add_into(out, f"{t}{i + 1}", sigma[i] * Scalar.from_int(psi * c))
+            key_acc(out, f"{t}{i + 1}", sigma[i] * Scalar.from_int(psi * c))
     return out
 
 
@@ -479,8 +435,7 @@ def _d21a() -> LieSuperalgebra:
         out: dict = {}
         for p, cp in u.items():
             for q, cq in v.items():
-                for k, c in _d21a_model_bracket(p, q, sigma).items():
-                    _add_into(out, k, c * cp * cq)
+                vec_acc(out, _d21a_model_bracket(p, q, sigma), cp * cq)
         return out
 
     images = {
@@ -576,13 +531,13 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
                     continue
                 for (k, target), coeff in terms.items():
                     der = _coerce(_falling(-pres.weight[target], k))
-                    _add_into(out, target, coeff * binom * der)
-                _add_into(out, "Z", central * binom)
+                    key_acc(out, target, coeff * binom * der)
+                key_acc(out, "Z", central * binom)
             table[(x, y)] = out
     shift = pres.central_charge / 24
     for out in table.values():
         if pres.conformal_name in out:
-            _add_into(out, "Z", out[pres.conformal_name] * shift)
+            key_acc(out, "Z", out[pres.conformal_name] * shift)
     parities = dict(pres.parity)
     even = [n for n in names if parities[n] == 0]
     if any("Z" in out for out in table.values()):

@@ -3,6 +3,12 @@
 Everything here works over Scalar coefficients and is deterministic: pivot
 choices depend only on a caller-supplied (or natural) ordering of basis keys,
 never on dict iteration order.
+
+Sparse vectors are {key: Scalar} dicts with no zero values.  Every sum of
+them in the package goes through one accumulate pair: vec_acc adds a
+scaled vector and key_acc adds one coefficient, both in place and never
+storing a zero.  _clean is the boundary: it turns outside input (ints,
+Fractions, strings, zeros) into such a vector before anything accumulates.
 """
 
 from __future__ import annotations
@@ -25,23 +31,53 @@ __all__ = [
 
 
 def _clean(d: dict) -> dict:
+    """A zero-free Scalar vector with the entries of d."""
     out = {}
     for k, v in d.items():
         v = _coerce(v)
-        if not v.is_zero():
+        if v._num:
             out[k] = v
     return out
 
 
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        nc = out.get(k, ZERO) + c
-        if nc.is_zero():
-            out.pop(k, None)
+def vec_acc(out: dict, vec: dict, coeff=None) -> None:
+    """Add coeff * vec into out in place; coeff None or ONE adds vec as is.
+
+    vec must hold no zero values: an empty out takes its entries as they are.
+    """
+    get = out.get
+    if coeff is None or coeff is ONE:
+        if not out:
+            out.update(vec)
+            return
+        for k, v in vec.items():
+            cur = get(k)
+            nv = v if cur is None else cur + v
+            if nv._num:
+                out[k] = nv
+            else:
+                del out[k]
+        return
+    if not coeff._num:
+        return
+    for k, v in vec.items():
+        v = v * coeff
+        cur = get(k)
+        nv = v if cur is None else cur + v
+        if nv._num:
+            out[k] = nv
         else:
-            out[k] = nc
-    return out
+            del out[k]
+
+
+def key_acc(out: dict, key, coeff) -> None:
+    """Add the Scalar coeff at key in place; a zero sum removes the key."""
+    cur = out.get(key)
+    nv = coeff if cur is None else cur + coeff
+    if nv._num:
+        out[key] = nv
+    elif cur is not None:
+        del out[key]
 
 
 def vec_scale(u: dict, f) -> dict:
@@ -62,11 +98,8 @@ class _Echelon:
         self.rows: list[tuple] = []  # (pivot, row_dict, combo_dict)
         self.key_order = key_order or (lambda k: k)
 
-    def _pick_pivot(self, row: dict):
-        return min(row, key=self.key_order)
-
     def reduce(self, vec: dict):
-        """Reduce vec against the basis.
+        """Reduce a zero-free vec against the basis.
 
         Returns (residue, used) with residue = vec - sum used[tag]*original[tag],
         where original[tag] is the vector inserted under that tag.
@@ -78,35 +111,34 @@ class _Echelon:
             changed = False
             for pivot, row, rcombo in self.rows:
                 c = vec.get(pivot)
-                if c is None or c.is_zero():
+                if c is None:
                     continue
                 factor = c / row[pivot]
-                vec = vec_add(vec, vec_scale(row, -factor))
-                for idx, f in rcombo.items():
-                    nf = used.get(idx, ZERO) + factor * f
-                    if nf.is_zero():
-                        used.pop(idx, None)
-                    else:
-                        used[idx] = nf
+                vec_acc(vec, row, -factor)
+                vec_acc(used, rcombo, factor)
                 changed = True
         return vec, used
 
-    def insert(self, vec: dict, tag) -> bool:
-        """Insert a vector labelled by tag; False when already in the span."""
+    def insert(self, vec: dict, tag):
+        """Insert a zero-free vector labelled by tag.
+
+        Returns None when it enlarges the span, else the relation
+        {tag: 1, i: -c_i} with vec = sum c_i original[i].
+        """
         residue, used = self.reduce(vec)
-        if not residue:
-            return False
         combo = {tag: ONE}
         for idx, f in used.items():
             combo[idx] = -f
-        pivot = self._pick_pivot(residue)
+        if not residue:
+            return combo
+        pivot = min(residue, key=self.key_order)
         self.rows.append((pivot, residue, combo))
         self.rows.sort(key=lambda r: self.key_order(r[0]))
-        return True
+        return None
 
     def solve(self, target: dict):
         """Certificate {tag: coeff} with target = sum coeff*original[tag], or None."""
-        residue, used = self.reduce(_clean(dict(target)))
+        residue, used = self.reduce(_clean(target))
         if residue:
             return None
         return used
@@ -116,7 +148,7 @@ def span_echelon(spanning: list[dict], key_order=None) -> _Echelon:
     """Echelon of a spanning family, row i tagged i; solve() many targets."""
     ech = _Echelon(key_order)
     for i, vec in enumerate(spanning):
-        ech.insert(_clean(dict(vec)), i)
+        ech.insert(_clean(vec), i)
     return ech
 
 
@@ -134,8 +166,8 @@ def verify_membership(target: dict, spanning: list[dict], cert: dict) -> bool:
     """Independent recombination check of a membership certificate."""
     total: dict = {}
     for idx, coeff in cert.items():
-        total = vec_add(total, vec_scale(spanning[idx], coeff))
-    return total == _clean(dict(target))
+        vec_acc(total, _clean(spanning[idx]), _coerce(coeff))
+    return total == _clean(target)
 
 
 def kernel(columns: list[dict], key_order=None) -> list[dict]:
@@ -143,16 +175,9 @@ def kernel(columns: list[dict], key_order=None) -> list[dict]:
     ech = _Echelon(key_order)
     out: list[dict] = []
     for j, col in enumerate(columns):
-        residue, used = ech.reduce(_clean(dict(col)))
-        combo = {j: ONE}
-        for idx, f in used.items():
-            combo[idx] = combo.get(idx, ZERO) - f
-        if not residue:
-            out.append(combo)
-        else:
-            pivot = ech._pick_pivot(residue)
-            ech.rows.append((pivot, residue, combo))
-            ech.rows.sort(key=lambda r: ech.key_order(r[0]))
+        relation = ech.insert(_clean(col), j)
+        if relation is not None:
+            out.append(relation)
     return out
 
 
@@ -308,12 +333,10 @@ class GrassmannElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        for (te, subset), c in (terms or {}).items():
-            c = _coerce(c)
-            if not c.is_zero():
-                clean[(te, tuple(sorted(subset)))] = c
-        self.terms = clean
+        terms = terms or {}
+        self.terms = _clean(
+            {(te, tuple(sorted(subset))): c for (te, subset), c in terms.items()}
+        )
 
     @staticmethod
     def monomial(t_exp: int = 0, thetas=(), coeff=1) -> "GrassmannElement":
@@ -325,12 +348,7 @@ class GrassmannElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            nc = out.get(key, ZERO) + c
-            if nc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nc
+        vec_acc(out, other.terms)
         return GrassmannElement(out)
 
     def __neg__(self):
@@ -348,11 +366,7 @@ class GrassmannElement:
                         continue
                     sign = _merge_sign(s1, s2)
                     key = (t1 + t2, tuple(sorted(s1 + s2)))
-                    nc = out.get(key, ZERO) + c1 * c2 * sign
-                    if nc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = nc
+                    key_acc(out, key, c1 * c2 * sign)
             return GrassmannElement(out)
         f = _coerce(other)
         return GrassmannElement({k: c * f for k, c in self.terms.items()})
@@ -376,8 +390,7 @@ class GrassmannElement:
                 continue
             pos = subset.index(i)
             rest = subset[:pos] + subset[pos + 1 :]
-            sign = Scalar.from_int((-1) ** pos)
-            out[(te, rest)] = out.get((te, rest), ZERO) + c * sign
+            key_acc(out, (te, rest), c * Scalar.from_int((-1) ** pos))
         return GrassmannElement(out)
 
     def t_derivative(self) -> "GrassmannElement":

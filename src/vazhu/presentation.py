@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import _clean, key_acc, vec_acc
 from .scalar import Scalar, ZERO, ONE, _coerce
 
 __all__ = [
@@ -26,6 +27,9 @@ __all__ = [
     "check_embedding",
     "builtin_embedding",
 ]
+
+
+_MINUS_ONE = Scalar.from_int(-1)
 
 
 class PresentationError(ValueError):
@@ -47,30 +51,8 @@ def term(coeff, target: str, der: int = 0, lam: int = 0):
 def _norm_terms(terms):
     out: dict = {}
     for lam, der, target, coeff in terms:
-        key = (lam, der, target)
-        acc = out.get(key, ZERO) + coeff
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        key_acc(out, (lam, der, target), _coerce(coeff))
     return out
-
-
-def _norm_central(central) -> dict:
-    out = {}
-    for lam, coeff in (central or {}).items():
-        coeff = _coerce(coeff)
-        if not coeff.is_zero():
-            out[lam] = coeff
-    return out
-
-
-def _add_into(acc: dict, key, coeff):
-    cur = acc.get(key, ZERO) + coeff
-    if cur.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
 
 
 class VaPresentation:
@@ -110,7 +92,7 @@ class VaPresentation:
             if (x, y) in self._table:
                 raise PresentationError(f"duplicate bracket for ({x}, {y})")
             terms, central = val
-            self._table[(x, y)] = (_norm_terms(terms), _norm_central(central))
+            self._table[(x, y)] = (_norm_terms(terms), _clean(central or {}))
         self._pair_cache: dict = {}
         if validate:
             self.validate()
@@ -150,16 +132,14 @@ class VaPresentation:
         for (n, k, target), coeff in terms.items():
             base = coeff * s * Scalar.from_int((-1) ** n)
             for j in range(n + 1):
-                _add_into(
+                key_acc(
                     out_terms,
                     (n - j, k + j, target),
                     base * Scalar.from_int(math.comb(n, j)),
                 )
-        out_central = {}
-        for n, coeff in central.items():
-            val = coeff * s * Scalar.from_int((-1) ** n)
-            if not val.is_zero():
-                out_central[n] = val
+        out_central = {
+            n: coeff * s * Scalar.from_int((-1) ** n) for n, coeff in central.items()
+        }
         return out_terms, out_central
 
     def nth_products(self, x: str, y: str):
@@ -173,7 +153,7 @@ class VaPresentation:
         for (n, k, target), coeff in terms.items():
             fact = Scalar.from_int(math.factorial(n))
             slot = out.setdefault(n, ({}, ZERO))
-            _add_into(slot[0], (k, target), coeff * fact)
+            key_acc(slot[0], (k, target), coeff * fact)
         for n, coeff in central.items():
             tdict, cval = out.get(n, ({}, ZERO))
             out[n] = (tdict, cval + coeff * Scalar.from_int(math.factorial(n)))
@@ -243,11 +223,7 @@ class VaPresentation:
             if g.name == L:
                 continue
             terms, central = self.pair_bracket(L, g.name)
-            want = {
-                (0, 1, g.name): ONE,
-                (1, 0, g.name): _coerce(Fraction(g.weight)),
-            }
-            want = {k: v for k, v in want.items() if not v.is_zero()}
+            want = _clean({(0, 1, g.name): ONE, (1, 0, g.name): Fraction(g.weight)})
             if terms != want or central:
                 raise PresentationError(f"{g.name} is not primary of its weight")
 
@@ -276,12 +252,12 @@ class VaPresentation:
                         if outer_is_lambda
                         else (m, nu_pow, q + t, y2)
                     )
-                    _add_into(terms_out, key, coeff * c2 * shift)
+                    key_acc(terms_out, key, coeff * c2 * shift)
                 if t == k:
                     for p, c2 in base_central.items():
                         nu_pow = p + k
                         key = (nu_pow, m) if outer_is_lambda else (m, nu_pow)
-                        _add_into(central_out, key, coeff * c2)
+                        key_acc(central_out, key, coeff * c2)
         return terms_out, central_out
 
     def _nest_middle(self, ab_value, cgen: str):
@@ -295,7 +271,7 @@ class VaPresentation:
             for (p, q, y2), c2 in base_terms.items():
                 tot = k + p
                 for i in range(tot + 1):
-                    _add_into(
+                    key_acc(
                         terms_out,
                         (n + i, tot - i, q, y2),
                         coeff * c2 * sign * Scalar.from_int(math.comb(tot, i)),
@@ -303,7 +279,7 @@ class VaPresentation:
             for p, c2 in base_central.items():
                 tot = k + p
                 for i in range(tot + 1):
-                    _add_into(
+                    key_acc(
                         central_out,
                         (n + i, tot - i),
                         coeff * c2 * sign * Scalar.from_int(math.comb(tot, i)),
@@ -319,17 +295,13 @@ class VaPresentation:
         t3_terms, t3_central = self._nest_outer(
             y, self.pair_bracket(x, z), outer_is_lambda=False
         )
-        sign = Scalar.from_int(self.pair_sign(x, y))
+        sign = Scalar.from_int(-self.pair_sign(x, y))
         res_terms = dict(t1_terms)
-        for key, coeff in t2_terms.items():
-            _add_into(res_terms, key, -coeff)
-        for key, coeff in t3_terms.items():
-            _add_into(res_terms, key, -coeff * sign)
+        vec_acc(res_terms, t2_terms, _MINUS_ONE)
+        vec_acc(res_terms, t3_terms, sign)
         res_central = dict(t1_central)
-        for key, coeff in t2_central.items():
-            _add_into(res_central, key, -coeff)
-        for key, coeff in t3_central.items():
-            _add_into(res_central, key, -coeff * sign)
+        vec_acc(res_central, t2_central, _MINUS_ONE)
+        vec_acc(res_central, t3_central, sign)
         return res_terms, res_central
 
     def jacobi_witness(self):
@@ -369,19 +341,16 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
             src_terms, src_central = source.pair_bracket(x, y)
             for (n, k, tgt), coeff in src_terms.items():
                 for tname, tcoeff in images[tgt].items():
-                    _add_into(want_terms, (n, k, tname), coeff * _coerce(tcoeff))
-            for n, coeff in src_central.items():
-                _add_into(want_central, n, coeff)
+                    key_acc(want_terms, (n, k, tname), coeff * _coerce(tcoeff))
+            vec_acc(want_central, src_central)
             got_terms: dict = {}
             got_central: dict = {}
             for xg, xc in images[x].items():
                 for yg, yc in images[y].items():
                     factor = _coerce(xc) * _coerce(yc)
                     tterms, tcentral = target.pair_bracket(xg, yg)
-                    for key, coeff in tterms.items():
-                        _add_into(got_terms, key, coeff * factor)
-                    for n, coeff in tcentral.items():
-                        _add_into(got_central, n, coeff * factor)
+                    vec_acc(got_terms, tterms, factor)
+                    vec_acc(got_central, tcentral, factor)
             if got_terms != want_terms or got_central != want_central:
                 return (x, y, (got_terms, got_central), (want_terms, want_central))
     return None

@@ -30,12 +30,8 @@ _Q = Fraction
 
 __all__ = [
     "Scalar",
-    "FormalSeries",
     "declare_parameter",
     "parameter_names",
-    "bernoulli_plus",
-    "fn_coeff",
-    "u_coefficients",
     "parse_scalar",
     "ZERO",
     "ONE",
@@ -869,210 +865,13 @@ def parse_scalar(text: str, extra: dict[str, Scalar] | None = None) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# formal power series over Scalar (finite truncation window)
-
-class FormalSeries:
-    """Truncated series sum_{n < truncation} coeff_n * var^n, exponents in Z."""
-
-    __slots__ = ("var", "coeffs", "truncation")
-
-    def __init__(self, var: str, coeffs: dict[int, Scalar], truncation: int):
-        self.var = var
-        self.truncation = truncation
-        self.coeffs = {
-            n: _coerce(c)
-            for n, c in coeffs.items()
-            if n < truncation and not _coerce(c).is_zero()
-        }
-
-    def coefficient(self, n: int) -> Scalar:
-        if n >= self.truncation:
-            raise ValueError(f"order {n} beyond truncation {self.truncation}")
-        return self.coeffs.get(n, ZERO)
-
-    def __add__(self, other):
-        assert self.var == other.var
-        trunc = min(self.truncation, other.truncation)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, ZERO) + c
-        return FormalSeries(self.var, out, trunc)
-
-    def __neg__(self):
-        return FormalSeries(
-            self.var, {n: -c for n, c in self.coeffs.items()}, self.truncation
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            f = _coerce(other)
-            return FormalSeries(
-                self.var, {n: c * f for n, c in self.coeffs.items()}, self.truncation
-            )
-        assert self.var == other.var
-        lo_s = min(self.coeffs, default=0)
-        lo_o = min(other.coeffs, default=0)
-        trunc = min(self.truncation + lo_o, other.truncation + lo_s)
-        out: dict[int, Scalar] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n < trunc:
-                    out[n] = out.get(n, ZERO) + c1 * c2
-        return FormalSeries(self.var, out, trunc)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return f"O({self.var}^{self.truncation})"
-        parts = [f"({c})*{self.var}^{n}" for n, c in sorted(self.coeffs.items())]
-        return " + ".join(parts) + f" + O({self.var}^{self.truncation})"
-
-
-# ---------------------------------------------------------------------------
-# combinatorial series data
-
-_BPLUS_CACHE: list[Fraction] = []
-
-
-def bernoulli_plus(j: int) -> Fraction:
-    """Coefficients of t/(1 - e^-t) = sum B+_j t^j / j!."""
-    if j < 0:
-        raise ValueError("negative index")
-    while len(_BPLUS_CACHE) <= j:
-        n = len(_BPLUS_CACHE)
-        # S with S * ((1-e^-t)/t) = 1, A_k = (-1)^k / (k+1)!
-        acc = Fraction(1) if n == 0 else Fraction(0)
-        fact = Fraction(1)
-        for k in range(1, n + 1):
-            fact *= k + 1
-            a_k = Fraction((-1) ** k, int(fact))
-            acc -= a_k * _BPLUS_CACHE[n - k] / _factorial(n - k)
-        _BPLUS_CACHE.append(acc * _factorial(n))
-    return _BPLUS_CACHE[j]
-
-
-def _factorial(n: int) -> Fraction:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return Fraction(out)
-
-
-_FN_POW_CACHE: dict[int, list[Fraction]] = {}
-
-
-def _em1_over_u(order: int) -> list[Fraction]:
-    # (e^u - 1)/u truncated
-    return [Fraction(1, int(_factorial(k + 1))) for k in range(order)]
-
-
-def _series_inv(a: list[Fraction]) -> list[Fraction]:
-    assert a[0] == 1
-    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
-    for n in range(1, len(a)):
-        s = Fraction(0)
-        for k in range(1, n + 1):
-            s += a[k] * out[n - k]
-        out[n] = -s
-    return out
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, ai in enumerate(a):
-        if i >= order or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def fn_coeff(j: int, n: int) -> Fraction:
-    """Coefficient c(j, n) in the kernel expansion f_n = sum_j c(j,n) g^j z^(j-n).
-
-    Computed as [u^j] of e^u * (u/(e^u - 1))^n, all exact rationals.
-    At n and j both zero the kernel degenerates to 1.
-    """
-    if j < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    order = j + 1
-    cached = _FN_POW_CACHE.get(n)
-    if cached is None or len(cached) < order:
-        t = _series_inv(_em1_over_u(order))
-        power = [Fraction(1)] + [Fraction(0)] * (order - 1)
-        for _ in range(n):
-            power = _series_mul(power, t, order)
-        exp_u = [Fraction(1, int(_factorial(k))) for k in range(order)]
-        _FN_POW_CACHE[n] = _series_mul(exp_u, power, order)
-        cached = _FN_POW_CACHE[n]
-    return cached[j]
-
-
-def u_coefficients(jmax: int, gamma0: Scalar | None = None) -> list[Scalar]:
-    """Solve g0^-1 log(1 + g0*y) = exp(sum_{j>0} c_j y^{j+1} d_y) y for c_1..c_jmax.
-
-    Returns [c_1, ..., c_jmax] as Scalars in gamma0 (or the supplied value).
-    """
-    g = Scalar.param("gamma0") if gamma0 is None else _coerce(gamma0)
-    order = jmax + 2  # track powers y^1 .. y^(jmax+1)
-    target = [ZERO] * order
-    for m in range(1, order):
-        # y^m coefficient of g^-1 log(1+g y): (-1)^(m+1) g^(m-1) / m
-        target[m] = Scalar.from_fraction(Fraction((-1) ** (m + 1), m)) * g ** (m - 1)
-
-    cs: list[Scalar] = []
-
-    def apply_d(series: list[Scalar]) -> list[Scalar]:
-        # D = sum_j c_j y^(j+1) d_y acting on a polynomial-in-y list
-        out = [ZERO] * order
-        for m in range(order):
-            if series[m].is_zero() or m == 0:
-                continue
-            for j, cj in enumerate(cs, start=1):
-                if m + j < order:
-                    out[m + j] = out[m + j] + cj * Scalar.from_int(m) * series[m]
-        return out
-
-    def exp_d_on_y() -> list[Scalar]:
-        out = [ZERO] * order
-        term = [ZERO] * order
-        term[1] = ONE
-        k = 0
-        fact = Fraction(1)
-        while any(not t.is_zero() for t in term):
-            for m in range(order):
-                out[m] = out[m] + term[m] * Scalar.from_fraction(1 / fact)
-            term = apply_d(term)
-            k += 1
-            fact *= k
-            if k > order:
-                break
-        return out
-
-    for j in range(1, jmax + 1):
-        cs.append(ZERO)
-        got = exp_d_on_y()
-        # c_j enters the y^(j+1) coefficient linearly with unit weight
-        cs[-1] = target[j + 1] - got[j + 1]
-    return cs
-
-
-# ---------------------------------------------------------------------------
 # default registry: engine-wide parameter order is part of canonical printing
 
 ZERO = None  # placeholder, replaced below
 ONE = None
 
+# gamma0 and gamma keep their registry slots: variable indices order the
+# monomials of every canonical form
 declare_parameter("c")
 declare_parameter("a")
 declare_parameter("gamma0")

@@ -1,4 +1,4 @@
-"""Engine-level checks: PBW dimensions, mode pins, axiom suite, tensor."""
+"""Engine-level checks: PBW dimensions, mode pins, axiom suite."""
 
 import hashlib
 from fractions import Fraction
@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vazhu.enveloping import (
-    TensorAlgebra,
     VertexAlgebra,
     axiom_suite,
     gbinom,
     _borcherds_holds,
-    _commutator_holds,
     _skew_holds,
 )
 from vazhu.presentation import VaPresentation, builtin_presentation, term
@@ -376,72 +374,6 @@ def test_composite_products_pinned(case):
     assert got == COMPOSITE_PRODUCTS[case]
 
 
-# -- tensor product ---------------------------------------------------------------
-
-
-def tensor_vf() -> TensorAlgebra:
-    return TensorAlgebra(engine("virasoro"), engine("free_fermion"))
-
-
-def test_tensor_left_factor_acts_on_left():
-    ten = tensor_vf()
-    eng_l, eng_r = ten.left, ten.right
-    L, psi = eng_l.generator("L"), eng_r.generator("psi")
-    a = ten.embed(L, eng_r.vacuum())
-    b = ten.embed(L, psi)
-    for n in (-2, -1, 0, 1, 3):
-        expected = ten.embed(eng_l.nth_product(L, n, L), psi)
-        assert ten.nth_product(a, n, b) == expected
-
-
-def test_tensor_vacuum_factor_is_identity_shift():
-    ten = tensor_vf()
-    eng_l, eng_r = ten.left, ten.right
-    L, psi = eng_l.generator("L"), eng_r.generator("psi")
-    b = ten.embed(L, psi)
-    vac_psi = ten.embed(eng_l.vacuum(), psi)
-    for n in (-1, 0, 1):
-        expected = ten.embed(L, eng_r.nth_product(psi, n, psi))
-        assert ten.nth_product(vac_psi, n, b) == expected
-
-
-def test_tensor_fermion_sign():
-    ff = engine("free_fermion")
-    ten = TensorAlgebra(ff, ff)
-    psi, vac = ff.generator("psi"), ff.vacuum()
-    a = ten.embed(psi, vac)
-    b = ten.embed(vac, psi)
-    prod = ten.nth_product(a, -1, b)
-    assert prod == ten.embed(psi, psi)
-    assert ten.nth_product(b, -1, a) == {m: -c for m, c in prod.items()}
-    assert ten.nth_product(a, 0, b) == {}
-
-
-def test_tensor_weight_and_dimension():
-    ten = tensor_vf()
-    pool = ten.basis(4)
-    counts: dict = {}
-    for mono in pool:
-        counts[ten.mono_weight(mono)] = counts.get(ten.mono_weight(mono), 0) + 1
-    weights = ten.left.weights + ten.right.weights
-    parities = ten.left.parities + ten.right.parities
-    expected = character_counts(weights, parities, 4)
-    assert counts == expected
-
-
-def test_tensor_translation_is_derivation_of_embed():
-    ten = tensor_vf()
-    L, psi = ten.left.generator("L"), ten.right.generator("psi")
-    lhs = ten.translation(ten.embed(L, psi))
-    rhs: dict = {}
-    for m, c in ten.embed(ten.left.translation(L), psi).items():
-        rhs[m] = rhs.get(m, Scalar.from_int(0)) + c
-    for m, c in ten.embed(L, ten.right.translation(psi)).items():
-        rhs[m] = rhs.get(m, Scalar.from_int(0)) + c
-    rhs = {m: c for m, c in rhs.items() if not c.is_zero()}
-    assert lhs == rhs
-
-
 # -- property checks --------------------------------------------------------------
 
 
@@ -456,7 +388,7 @@ N1_POOL = engine("N1").basis(Fraction(7, 2))[1:]
 )
 def test_skew_symmetry_property(a, b, n):
     eng = engine("N1")
-    assert _skew_holds(eng, {a: ONE}, {b: ONE}, n)
+    assert _skew_holds(eng, {a: ONE}, {b: ONE}, n, {})
 
 
 @settings(max_examples=20, deadline=None)
@@ -508,66 +440,39 @@ def test_derivative_mode_shift(a, b, n):
     n=st.integers(min_value=-1, max_value=2),
 )
 def test_commutator_property(a, b, c, m, n):
+    # the commutator formula is the Borcherds identity at (m, 0, n)
     eng = engine("N1")
-    assert _commutator_holds(eng, {a: ONE}, {b: ONE}, {c: ONE}, m, n, {})
+    assert _borcherds_holds(eng, {a: ONE}, {b: ONE}, {c: ONE}, m, 0, n, {})
 
 
 POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    pres_id=st.sampled_from(["N1", "N2", "N2_J2Gp"]),
-    data=st.data(),
-    m=st.integers(min_value=-2, max_value=3),
-    n=st.integers(min_value=-2, max_value=3),
-)
-def test_commutator_is_borcherds_at_middle_zero(pres_id, data, m, n):
-    # [a_(m), b_(n)] c = sum_j binom(m, j) (a_(j) b)_(m+n-j) c is the
-    # Borcherds identity at (m, 0, n), failing checks included
-    if pres_id not in _ENGINES:
-        _ENGINES[pres_id] = VertexAlgebra(_n2_doubled_j_gp())
-    eng = engine(pres_id)
-    pool = eng.basis(2)[1:]
-    a, b, c = ({data.draw(st.sampled_from(pool)): ONE} for _ in "abc")
-    assert _commutator_holds(eng, a, b, c, m, n, {}) == _borcherds_holds(
-        eng, a, b, c, m, 0, n
-    )
-
-
-def test_commutator_is_borcherds_at_middle_zero_on_corrupted_generators():
-    eng = VertexAlgebra(_n2_doubled_j_gp())
-    gens = [eng.generator(x) for x in eng.names]
-    verdicts = []
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                for m in range(4):
-                    for n in range(4):
-                        old = _commutator_holds(eng, a, b, c, m, n, {})
-                        assert old == _borcherds_holds(eng, a, b, c, m, 0, n)
-                        verdicts.append(old)
-    assert verdicts.count(False) > 0
-
-
 @settings(max_examples=12, deadline=None)
 @given(pres_id=st.sampled_from(sorted(POOLS)), data=st.data())
 def test_shared_commutator_memo_matches_fresh(pres_id, data):
-    # one memo across a triple's mode window gives the fresh-memo verdicts,
-    # and every product it holds is the one computed from scratch
+    # one memo across a triple's checks gives the fresh-memo verdicts, and
+    # every entry it holds is the one computed from scratch
     eng = engine(pres_id)
     a, b, c = ({data.draw(st.sampled_from(POOLS[pres_id])): ONE} for _ in "abc")
+    modes = st.integers(min_value=-1, max_value=2)
     memo: dict = {}
-    for m in range(-1, 3):
-        for n in range(-1, 3):
-            shared = _commutator_holds(eng, a, b, c, m, n, memo)
-            assert shared == _commutator_holds(eng, a, b, c, m, n, {})
+    for _ in range(6):
+        m, n, k = data.draw(st.tuples(modes, modes, modes))
+        shared = _borcherds_holds(eng, a, b, c, m, n, k, memo)
+        assert shared == _borcherds_holds(eng, a, b, c, m, n, k, {})
+    pa, pb = eng.state_parity(a), eng.state_parity(b)
     recompute = {
-        "bc": lambda n: eng.nth_product(b, n, c),
-        "ac": lambda m: eng.nth_product(a, m, c),
-        "ab": lambda k: eng.nth_product(a, k, b),
-        "abc": lambda k, j: eng.nth_product(eng.nth_product(a, k, b), j, c),
+        "pair": lambda: (
+            -1 if pa and pb else 1, eng._max_wt2(a), eng._max_wt2(b)
+        ),
+        "wc2": lambda: eng._max_wt2(c),
+        "bc": lambda i: eng.nth_product(b, i, c),
+        "ac": lambda i: eng.nth_product(a, i, c),
+        "ab": lambda i: eng.nth_product(a, i, b),
+        "abc": lambda i, j: eng.nth_product(eng.nth_product(a, i, b), j, c),
     }
-    assert memo
-    for (kind, *modes), state in memo.items():
-        assert state == recompute[kind](*modes)
+    assert {"pair", "wc2"} <= set(memo)
+    for key, value in memo.items():
+        kind, *modes_ = key if isinstance(key, tuple) else (key,)
+        assert value == recompute[kind](*modes_)

@@ -21,8 +21,6 @@ from vazhu.liesuper import (
     LieMorphism,
     JacobiError,
     build_algebra,
-    pbw_monomials,
-    pbw_count,
     MINIMAL_NILPOTENT,
     zero_mode_morphism,
     contact_basis_names,
@@ -562,28 +560,3 @@ def test_contact_basis_names_order():
         "D3",
         "D123",
     ]
-
-
-# ---------------------------------------------------------------------------
-# PBW monomial enumeration
-
-
-def test_pbw_monomials_small_counts():
-    names = ["x", "q"]
-    parities = {"x": 0, "q": 1}
-    assert pbw_count(names, parities, 0) == (1, 0)
-    assert pbw_count(names, parities, 1) == (2, 1)
-    assert pbw_count(names, parities, 2) == (3, 2)
-    monos = pbw_monomials(names, parities, 2)
-    assert (("x", 2),) in monos
-    assert (("x", 1), ("q", 1)) in monos
-    assert (("q", 1),) in monos
-    assert all(e == 1 for mono in monos for n, e in mono if n == "q")
-
-
-def test_pbw_monomials_respect_declared_order():
-    names = ["x", "y"]
-    parities = {"x": 0, "y": 0}
-    monos = pbw_monomials(names, parities, 2)
-    assert (("x", 1), ("y", 1)) in monos
-    assert (("y", 1), ("x", 1)) not in monos

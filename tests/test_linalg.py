@@ -18,6 +18,9 @@ from vazhu.linalg import (
     kernel,
     contact_derivation,
     contact_bracket,
+    _clean,
+    key_acc,
+    vec_acc,
 )
 
 C = Scalar.param("c")
@@ -258,6 +261,71 @@ def test_grassmann_basics():
     assert f.parity() == 0
     assert gmono(0, (1,)).parity() == 1
     assert (gmono(0, (1,)) + gmono(0, (1, 2))).parity() is None
+
+
+# ---------------------------------------------------------------------------
+# the accumulate pair
+
+
+_ACC_VALUES = st.builds(
+    lambda p, q: Scalar.from_int(p) + Scalar.from_int(q) * C,
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+)
+_ACC_VECS = st.dictionaries(st.integers(0, 4), _ACC_VALUES, max_size=5).map(_clean)
+
+
+def _reference_sum(u: dict, v: dict, coeff) -> dict:
+    total = {k: u.get(k, ZERO) + v.get(k, ZERO) * coeff for k in set(u) | set(v)}
+    return {k: c for k, c in total.items() if not c.is_zero()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u=_ACC_VECS,
+    v=_ACC_VECS,
+    coeff=st.one_of(st.none(), st.just(ONE), _ACC_VALUES),
+    cancel=st.booleans(),
+)
+def test_vec_acc_matches_reference_sum(u, v, coeff, cancel):
+    if cancel:
+        # v holds -u on u's keys, so those entries cancel
+        v = {**v, **{k: -c for k, c in u.items()}}
+        coeff = None
+    v_before = dict(v)
+    want = _reference_sum(u, v, ONE if coeff is None else coeff)
+    out = dict(u)
+    vec_acc(out, v, coeff)
+    assert out == want
+    assert all(not c.is_zero() for c in out.values())
+    assert v == v_before
+    # an empty out copies the entries of v, never the dict itself
+    fresh: dict = {}
+    vec_acc(fresh, v, coeff)
+    fresh["new"] = ONE
+    assert "new" not in v
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u=_ACC_VECS,
+    adds=st.lists(
+        st.tuples(st.integers(0, 4), st.one_of(st.just(ZERO), _ACC_VALUES)),
+        max_size=12,
+    ),
+)
+def test_key_acc_matches_reference_sum(u, adds):
+    out = dict(u)
+    want = dict(u)
+    for key, coeff in adds:
+        want = _reference_sum(want, {key: coeff}, ONE)
+        key_acc(out, key, coeff)
+        assert out == want
+        assert all(not c.is_zero() for c in out.values())
+    # a zero never lands on an absent key
+    absent: dict = {}
+    key_acc(absent, 0, ZERO)
+    assert absent == {}
 
 
 # ---------------------------------------------------------------------------

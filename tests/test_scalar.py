@@ -9,14 +9,10 @@ from hypothesis import given, settings, strategies as st
 from vazhu.scalar import (
     ONE,
     ZERO,
-    FormalSeries,
     Scalar,
-    bernoulli_plus,
     declare_parameter,
-    fn_coeff,
     parameter_names,
     parse_scalar,
-    u_coefficients,
 )
 from vazhu.scalar import _ONE_ITEMS, _mono_key
 
@@ -321,126 +317,3 @@ def test_canonical_form_matches_sympy(nd):
     assert sympy.gcd(got_num, got_den).is_number
     assert not {_SYMS["s"], _SYMS["I"]} & got_den.free_symbols
     assert max(v._den, key=lambda mc: _mono_key(mc[0]))[1] == 1
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli-type data
-
-
-def test_bernoulli_plus_small_table():
-    expected = [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 6),
-        Fraction(0),
-        Fraction(-1, 30),
-    ]
-    assert [bernoulli_plus(j) for j in range(5)] == expected
-
-
-def test_bernoulli_plus_sympy_oracle():
-    t = sympy.symbols("t")
-    gen = t / (1 - sympy.exp(-t))
-    series = sympy.series(gen, t, 0, 13).removeO()
-    for j in range(13):
-        want = Fraction(str(series.coeff(t, j))) * Fraction(
-            int(sympy.factorial(j))
-        )
-        assert bernoulli_plus(j) == want
-
-
-# ---------------------------------------------------------------------------
-# kernel coefficients c(j, n)
-
-
-def test_fn_coeff_pinned_identities():
-    for n in range(9):
-        assert fn_coeff(0, n) == 1
-        assert fn_coeff(1, n) == Fraction(-(n - 2), 2)
-    for j in range(13):
-        assert fn_coeff(j, 1) == bernoulli_plus(j) / Fraction(
-            int(sympy.factorial(j))
-        )
-    # c(n-1, n) vanishes except in the first kernel
-    assert fn_coeff(0, 1) == 1
-    for n in range(2, 9):
-        assert fn_coeff(n - 1, n) == 0
-
-
-def test_fn_coeff_sympy_oracle():
-    u = sympy.symbols("u")
-    for n in range(5):
-        gen = sympy.exp(u) * (u / (sympy.exp(u) - 1)) ** n
-        series = sympy.series(gen, u, 0, 8).removeO()
-        for j in range(8):
-            assert fn_coeff(j, n) == Fraction(str(series.coeff(u, j)))
-
-
-def test_fn_coeff_derivative_recurrence():
-    # z-derivative of the kernel: (m-n) c(m,n) = -(n-1) c(m-1,n) - n c(m,n+1)
-    for n in range(1, 7):
-        for m in range(0, 9):
-            lhs = (m - n) * fn_coeff(m, n)
-            prev = fn_coeff(m - 1, n) if m >= 1 else Fraction(0)
-            rhs = -(n - 1) * prev - n * fn_coeff(m, n + 1)
-            assert lhs == rhs
-
-
-def test_fn_coeff_product_recurrence():
-    # multiplying the kernel by (e^{g z} - 1)/g drops n by one
-    for n in range(2, 7):
-        for m in range(0, 8):
-            total = Fraction(0)
-            for r in range(1, m + 2):
-                total += fn_coeff(m + 1 - r, n) / Fraction(
-                    int(sympy.factorial(r))
-                )
-            assert total == fn_coeff(m, n - 1)
-
-
-# ---------------------------------------------------------------------------
-# conjugation-flow coefficients
-
-
-def test_u_coefficients_pinned():
-    g = Scalar.param("gamma0")
-    c1, c2, c3 = u_coefficients(3)
-    assert c1 == -g / 2
-    assert c2 == g**2 / 12
-    assert c3 == -(g**3) / 48
-
-
-def test_u_coefficients_satisfy_defining_flow():
-    # independent route: expand exp(sum c_j y^(j+1) d_y) y with sympy diff
-    jmax = 5
-    cs = u_coefficients(jmax, gamma0=Fraction(1))
-    y, g0 = sympy.symbols("y g0")
-    vals = [sympy.Rational(str(c.to_fraction())) for c in cs]
-    field = sum(v * y ** (j + 1) for j, v in enumerate(vals, start=1))
-    order = jmax + 2
-    term = y
-    total = sympy.Integer(0)
-    for kk in range(order + 1):
-        total += term / sympy.factorial(kk)
-        term = sympy.expand(field * sympy.diff(term, y))
-        term = sum(
-            t for t in sympy.Add.make_args(term) if sympy.degree(t, y) < order
-        )
-    target = sympy.series(sympy.log(1 + y), y, 0, order).removeO()
-    assert sympy.expand(total - target) == 0
-
-
-# ---------------------------------------------------------------------------
-# formal series
-
-
-def test_formal_series_ops():
-    z = "z"
-    f = FormalSeries(z, {0: ONE, 1: Scalar.param("c")}, 4)
-    g = FormalSeries(z, {-1: ONE, 2: ONE}, 4)
-    prod = f * g
-    assert prod.coefficient(-1) == ONE
-    assert prod.coefficient(0) == Scalar.param("c")
-    assert prod.coefficient(2) == ONE
-    assert (f - f).is_zero()
-    assert prod.truncation == 3
