@@ -446,6 +446,34 @@ def test_minimal_nilpotent_centralizer_digest(aid):
     assert (_table_digest(cen), embedding) == CENTRALIZER_DIGESTS[aid]
 
 
+# sha256 prefixes of every ordered basis-pair supercommutator and every basis
+# supertranspose of the matrix realizations, as sorted entries
+MATRIX_DIGESTS = {
+    "osp12": "09082a34e149087b",
+    "sl12": "278aa66eceefb967",
+    "psl22": "59c04097e23a1e1e",
+    "osp32": "ad015b21d6d8e74f",
+}
+
+
+def _entries(m):
+    return m.entries_dict()
+
+
+@pytest.mark.parametrize("aid", sorted(MATRIX_DIGESTS))
+def test_matrix_supercommutators_pinned(aid):
+    def flat(m):
+        return sorted((k, str(v)) for k, v in _entries(m).items())
+
+    mats = build_algebra(aid).matrices
+    rows = []
+    for x, mx in mats.items():
+        rows.append((x, flat(mx.supertranspose())))
+        for y, my in mats.items():
+            rows.append((x, y, flat(mx.supercommutator(my))))
+    assert _digest(repr(rows)) == MATRIX_DIGESTS[aid]
+
+
 def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
     def refuse(self):
         raise AssertionError(f"presentation {self.name} was validated")
