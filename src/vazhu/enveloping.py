@@ -70,7 +70,6 @@ class VertexAlgebra:
                 self._products[(xi, yi)] = table
         self._mode_memo: dict = {}
         self._prod_memo: dict = {}
-        self._der_memo: dict = {}
         self._par_memo: dict = {}
         # doubled weights are integers, keeping hot-path bounds in int math
         self._wt2 = [int(2 * w) for w in self.weights]
@@ -225,24 +224,8 @@ class VertexAlgebra:
         return res
 
     def translation(self, state: dict) -> dict:
-        out: dict = {}
-        for mono, coeff in state.items():
-            vec_acc(out, self._der_mono(mono), coeff)
-        return out
-
-    def _der_mono(self, mono) -> dict:
-        hit = self._der_memo.get(mono)
-        if hit is not None:
-            return hit
-        if not mono:
-            res: dict = {}
-        else:
-            (i, m), rest = mono[0], mono[1:]
-            res = vec_scale(self._mode_mono(i, -m - 1, rest), Scalar.from_int(m))
-            vec_acc(res, self.apply_mode(i, -m, self._der_mono(rest)))
-        self._der_memo[mono] = res
-        self._memo_terms += len(res) + 1
-        return res
+        """T a = a_(-2)|0>."""
+        return self.nth_product(state, -2, self.vacuum())
 
     def trim_caches(self) -> bool:
         """Drop memoized states once the term budget is exceeded.
@@ -254,17 +237,14 @@ class VertexAlgebra:
             return False
         self._mode_memo.clear()
         self._prod_memo.clear()
-        self._der_memo.clear()
         self._par_memo.clear()
         self._wt2_memo = {(): 0}
         self._memo_terms = 0
         return True
 
     def divided_derivative(self, state: dict, j: int) -> dict:
-        out = state
-        for _ in range(j):
-            out = self.translation(out)
-        return vec_scale(out, Scalar.from_fraction(Fraction(1, math.factorial(j))))
+        """T^(j) a = T^j a / j! = a_(-j-1)|0>."""
+        return self.nth_product(state, -j - 1, self.vacuum())
 
     # -- basis enumeration --------------------------------------------------------
 

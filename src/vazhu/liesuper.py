@@ -161,15 +161,15 @@ class LieSuperalgebra:
 
     def _validate_matrices(self):
         mats = self.matrices
-        modulo = span_echelon([m.entries_dict() for m in self.modulo_matrices])
+        modulo = span_echelon([m.entries for m in self.modulo_matrices])
         # super-antisymmetry of the table is checked, so i <= j suffices
         for i, x in enumerate(self.names):
             for y in self.names[i:]:
-                got = mats[x].supercommutator(mats[y])
-                want = SuperMatrix.zero(got.m, got.n)
+                # [x, y] - sum c mats[n], zero modulo the span
+                diff = dict(mats[x].supercommutator(mats[y]).entries)
                 for n, c in self.table[(x, y)].items():
-                    want = want + c * mats[n]
-                if modulo.solve((got - want).entries_dict()) is None:
+                    vec_acc(diff, mats[n].entries, -c)
+                if modulo.solve(diff) is None:
                     raise JacobiError(f"matrix bracket mismatch at ({x}, {y})")
 
     # -- derived algebras ----------------------------------------------------
@@ -275,25 +275,17 @@ def _from_matrices(names, parities, mats: dict, modulo=()):
     """Structure constants from supercommutators; optional central quotient."""
     table = _structure_constants(
         names,
-        {n: mats[n].entries_dict() for n in names},
-        lambda x, y: mats[x].supercommutator(mats[y]).entries_dict(),
-        modulo=[m.entries_dict() for m in modulo],
+        {n: mats[n].entries for n in names},
+        lambda x, y: mats[x].supercommutator(mats[y]).entries,
+        modulo=[m.entries for m in modulo],
     )
     return LieSuperalgebra(
         names, parities, table, matrices=mats, modulo_matrices=modulo
     )
 
 
-def _int_matrix(m: int, n: int, entries: dict) -> SuperMatrix:
-    """The (m|n) super matrix with the given integer entries, zero elsewhere."""
-    out = SuperMatrix.zero(m, n)
-    for (i, j), v in entries.items():
-        out.rows[i][j] = Scalar.from_int(v)
-    return out
-
-
 def _osp12() -> LieSuperalgebra:
-    m = partial(_int_matrix, 1, 2)
+    m = partial(SuperMatrix, 1, 2)
     mats = {
         "h": m({(1, 1): 1, (2, 2): -1}),
         "e": m({(1, 2): 1}),
@@ -306,7 +298,7 @@ def _osp12() -> LieSuperalgebra:
 
 
 def _sl12() -> LieSuperalgebra:
-    m = partial(_int_matrix, 1, 2)
+    m = partial(SuperMatrix, 1, 2)
     mats = {
         "t1": m({(0, 0): 1, (1, 1): 1}),
         "t2": m({(0, 0): 1, (2, 2): 1}),
@@ -323,7 +315,7 @@ def _sl12() -> LieSuperalgebra:
 
 
 def _psl22() -> LieSuperalgebra:
-    m = partial(_int_matrix, 2, 2)
+    m = partial(SuperMatrix, 2, 2)
     mats = {
         "ha": m({(0, 0): 1, (1, 1): -1}),
         "ea": m({(0, 1): 1}),
@@ -344,7 +336,7 @@ def _psl22() -> LieSuperalgebra:
 
 
 def _osp32() -> LieSuperalgebra:
-    m = partial(_int_matrix, 3, 2)
+    m = partial(SuperMatrix, 3, 2)
     mats = {
         "a1": m({(1, 2): -1, (2, 1): 1}),
         "a2": m({(0, 2): 1, (2, 0): -1}),

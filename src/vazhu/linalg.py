@@ -4,11 +4,13 @@ Everything here works over Scalar coefficients and is deterministic: pivot
 choices depend only on a caller-supplied (or natural) ordering of basis keys,
 never on dict iteration order.
 
-Sparse vectors are {key: Scalar} dicts with no zero values.  Every sum of
-them in the package goes through one accumulate pair: vec_acc adds a
-scaled vector and key_acc adds one coefficient, both in place and never
-storing a zero.  _clean is the boundary: it turns outside input (ints,
-Fractions, strings, zeros) into such a vector before anything accumulates.
+Sparse vectors are {key: Scalar} dicts with no zero values: echelon rows,
+Lie elements, Grassmann terms and SuperMatrix entries (keyed by (i, j))
+all take this form.  Every sum of them in the package goes through one
+accumulate pair: vec_acc adds a scaled vector and key_acc adds one
+coefficient, both in place and never storing a zero.  _clean is the
+boundary: it turns outside input (ints, Fractions, strings, zeros) into
+such a vector before anything accumulates.
 """
 
 from __future__ import annotations
@@ -103,20 +105,21 @@ class _Echelon:
 
         Returns (residue, used) with residue = vec - sum used[tag]*original[tag],
         where original[tag] is the vector inserted under that tag.
+
+        One pass in pivot order is exact: every row's keys come at or after
+        its pivot in key_order (which tells keys apart), and the rows are
+        sorted by pivot, so eliminating one row never brings back an earlier
+        pivot.
         """
         used: dict = {}
         vec = dict(vec)
-        changed = True
-        while changed and vec:
-            changed = False
-            for pivot, row, rcombo in self.rows:
-                c = vec.get(pivot)
-                if c is None:
-                    continue
-                factor = c / row[pivot]
-                vec_acc(vec, row, -factor)
-                vec_acc(used, rcombo, factor)
-                changed = True
+        for pivot, row, rcombo in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            factor = c / row[pivot]
+            vec_acc(vec, row, -factor)
+            vec_acc(used, rcombo, factor)
         return vec, used
 
     def insert(self, vec: dict, tag):
@@ -182,81 +185,58 @@ def kernel(columns: list[dict], key_order=None) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# super matrices (dense, small)
+# super matrices
 
 
 class SuperMatrix:
-    """Dense matrix over Scalar split as (m|n) x (m|n) blocks A B / C D."""
+    """Matrix over Scalar split as (m|n) x (m|n) blocks A B / C D.
 
-    __slots__ = ("m", "n", "rows")
+    entries is a sparse vector {(i, j): Scalar} with 0 <= i, j < m + n.
+    """
 
-    def __init__(self, m: int, n: int, rows):
+    __slots__ = ("m", "n", "entries")
+
+    def __init__(self, m: int, n: int, entries: dict | None = None):
         self.m = m
         self.n = n
-        self.rows = [[_coerce(x) for x in row] for row in rows]
+        self.entries = _clean(entries or {})
         d = m + n
-        if len(self.rows) != d or any(len(r) != d for r in self.rows):
-            raise ValueError("matrix shape does not match superdimension")
-
-    @staticmethod
-    def zero(m: int, n: int) -> "SuperMatrix":
-        d = m + n
-        return SuperMatrix(m, n, [[ZERO] * d for _ in range(d)])
-
-    @staticmethod
-    def unit(m: int, n: int, i: int, j: int, value=1) -> "SuperMatrix":
-        out = SuperMatrix.zero(m, n)
-        out.rows[i][j] = _coerce(value)
-        return out
+        for i, j in self.entries:
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"entry ({i}, {j}) outside an ({m}|{n}) matrix")
 
     def parity(self):
         """0 for block-diagonal support, 1 for block-off-diagonal, None mixed."""
-        even = odd = False
-        for i in range(self.m + self.n):
-            for j in range(self.m + self.n):
-                if self.rows[i][j].is_zero():
-                    continue
-                if (i < self.m) == (j < self.m):
-                    even = True
-                else:
-                    odd = True
-        if even and odd:
+        m = self.m
+        kinds = {int((i < m) != (j < m)) for i, j in self.entries}
+        if len(kinds) > 1:
             return None
-        return 1 if odd else 0
+        return kinds.pop() if kinds else 0
 
     def __add__(self, other):
         self._check(other)
-        return SuperMatrix(
-            self.m,
-            self.n,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        out = dict(self.entries)
+        vec_acc(out, other.entries)
+        return SuperMatrix(self.m, self.n, out)
 
     def __sub__(self, other):
-        return self + (other * Scalar.from_int(-1))
+        self._check(other)
+        out = dict(self.entries)
+        vec_acc(out, other.entries, -ONE)
+        return SuperMatrix(self.m, self.n, out)
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
             self._check(other)
-            d = self.m + self.n
-            rows = []
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    acc = ZERO
-                    for t in range(d):
-                        if not self.rows[i][t].is_zero():
-                            acc = acc + self.rows[i][t] * other.rows[t][j]
-                    row.append(acc)
-                rows.append(row)
-            return SuperMatrix(self.m, self.n, rows)
-        f = _coerce(other)
-        return SuperMatrix(
-            self.m, self.n, [[x * f for x in row] for row in self.rows]
-        )
+            right: dict = {}
+            for (t, j), v in other.entries.items():
+                right.setdefault(t, []).append((j, v))
+            out: dict = {}
+            for (i, t), u in self.entries.items():
+                for j, v in right.get(t, ()):
+                    key_acc(out, (i, j), u * v)
+            return SuperMatrix(self.m, self.n, out)
+        return SuperMatrix(self.m, self.n, vec_scale(self.entries, other))
 
     __rmul__ = __mul__
 
@@ -273,51 +253,30 @@ class SuperMatrix:
 
     def supertranspose(self) -> "SuperMatrix":
         # [[A^T, C^T], [-B^T, D^T]]
-        m, n = self.m, self.n
-        out = SuperMatrix.zero(m, n)
-        for i in range(m + n):
-            for j in range(m + n):
-                v = self.rows[i][j]
-                if i < m and j < m:
-                    out.rows[j][i] = v
-                elif i >= m and j >= m:
-                    out.rows[j][i] = v
-                elif i < m <= j:  # B block -> -B^T in lower-left
-                    out.rows[j][i] = -v
-                else:  # C block -> C^T in upper-right
-                    out.rows[j][i] = v
-        return out
+        m = self.m
+        return SuperMatrix(
+            m,
+            self.n,
+            {(j, i): -v if i < m <= j else v for (i, j), v in self.entries.items()},
+        )
 
     def supertrace(self) -> Scalar:
         tr = ZERO
-        for i in range(self.m):
-            tr = tr + self.rows[i][i]
-        for i in range(self.m, self.m + self.n):
-            tr = tr - self.rows[i][i]
+        for (i, j), v in self.entries.items():
+            if i == j:
+                tr = tr + v if i < self.m else tr - v
         return tr
-
-    def entries_dict(self) -> dict:
-        out = {}
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    out[(i, j)] = v
-        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, SuperMatrix)
             and (self.m, self.n) == (other.m, other.n)
-            and all(
-                a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
-            )
+            and self.entries == other.entries
         )
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.rows
-        )
-        return f"SuperMatrix({self.m}|{self.n}: {body})"
+        body = ", ".join(f"{k}: {v}" for k, v in sorted(self.entries.items()))
+        return f"SuperMatrix({self.m}|{self.n}: {{{body}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +457,6 @@ class ContactDerivation:
             self.parity,
             self.image_t * f,
             {i: g * f for i, g in self.image_theta.items()},
-        )
-
-    def add(self, other: "ContactDerivation") -> "ContactDerivation":
-        if self.parity != other.parity:
-            raise ValueError("cannot add derivations of different parity")
-        return ContactDerivation(
-            self.n_theta,
-            self.parity,
-            self.image_t + other.image_t,
-            {
-                i: self.image_theta[i] + other.image_theta[i]
-                for i in range(1, self.n_theta + 1)
-            },
         )
 
     def is_zero(self):

@@ -360,13 +360,16 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
 # builtin presentations
 
 
-def _conformal_rows(gens):
-    """[L_lam X] = (d + wt lam) X for every generator, L included."""
+def _conformal_rows(gens, c):
+    """The rows [L_lam X] = (d + wt lam) X for every generator X.
+
+    [L_lam L] = (d + 2 lam) L also gets its central term (c/12) lam^3.
+    """
     rows = {}
     for g in gens:
         rows[("L", g.name)] = (
             [term(1, g.name, der=1), term(Fraction(g.weight), g.name, lam=1)],
-            {},
+            {3: c / 12} if g.name == "L" else {},
         )
     return rows
 
@@ -374,11 +377,7 @@ def _conformal_rows(gens):
 def _virasoro() -> VaPresentation:
     c = Scalar.param("c")
     gens = [GeneratorSpec("L", 0, Fraction(2))]
-    brackets = _conformal_rows(gens)
-    brackets[("L", "L")] = (
-        [term(1, "L", der=1), term(2, "L", lam=1)],
-        {3: c / 12},
-    )
+    brackets = _conformal_rows(gens, c)
     return VaPresentation("virasoro", gens, brackets, c, "L", validate=False)
 
 
@@ -418,8 +417,7 @@ def _n1() -> VaPresentation:
         GeneratorSpec("L", 0, Fraction(2)),
         GeneratorSpec("G", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens)
-    brackets[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
+    brackets = _conformal_rows(gens, c)
     brackets[("G", "G")] = ([term(2, "L")], {2: c / 3})
     return VaPresentation("N1", gens, brackets, c, "L", validate=False)
 
@@ -432,8 +430,7 @@ def _n2() -> VaPresentation:
         GeneratorSpec("Gp", 1, Fraction(3, 2)),
         GeneratorSpec("Gm", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens)
-    brackets[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
+    brackets = _conformal_rows(gens, c)
     brackets[("J", "J")] = ([], {1: c / 3})
     brackets[("J", "Gp")] = ([term(1, "Gp")], {})
     brackets[("J", "Gm")] = ([term(-1, "Gm")], {})
@@ -450,8 +447,7 @@ def _n3() -> VaPresentation:
     gens += [GeneratorSpec(f"A{i}", 0, Fraction(1)) for i in (1, 2, 3)]
     gens += [GeneratorSpec(f"G{i}", 1, Fraction(3, 2)) for i in (1, 2, 3)]
     gens += [GeneratorSpec("Phi", 1, Fraction(1, 2))]
-    brackets = _conformal_rows(gens)
-    brackets[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
+    brackets = _conformal_rows(gens, c)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
     for (i, j), k in eps.items():
         lo, hi = min(i, j), max(i, j)
@@ -488,8 +484,7 @@ def _n4() -> VaPresentation:
         GeneratorSpec("GBp", 1, Fraction(3, 2)),
         GeneratorSpec("GBm", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens)
-    brackets[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
+    brackets = _conformal_rows(gens, c)
     brackets[("J0", "J0")] = ([], {1: c / 3})
     brackets[("J0", "Jp")] = ([term(2, "Jp")], {})
     brackets[("J0", "Jm")] = ([term(-2, "Jm")], {})
@@ -549,8 +544,7 @@ def _big4_brackets(corrupt: str | None):
         GeneratorSpec("Smp", 1, Fraction(1, 2)),
         GeneratorSpec("Smm", 1, Fraction(1, 2)),
     ]
-    b = _conformal_rows(gens)
-    b[("L", "L")] = ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12})
+    b = _conformal_rows(gens, c)
     # two commuting current sl(2) pairs at levels k+ and k-, one boson
     b[("J0", "J0")] = ([], {1: 2 * kp})
     b[("J0", "Jp")] = ([term(2, "Jp")], {})

@@ -189,20 +189,6 @@ def test_translation_kills_vacuum_only():
             assert eng.translation({mono: ONE}) != {}
 
 
-@pytest.mark.parametrize("pres_id", ["N1", "N2"])
-def test_derivatives_are_vacuum_products(pres_id):
-    # T^(j) a = a_(-j-1)|0>
-    eng = engine(pres_id)
-    vac = eng.vacuum()
-    for mono in eng.basis(3):
-        state = {mono: ONE}
-        assert eng.translation(state) == eng.nth_product(state, -2, vac)
-        for j in range(4):
-            assert eng.divided_derivative(state, j) == eng.nth_product(
-                state, -j - 1, vac
-            )
-
-
 def test_divided_derivative_matches_iterate():
     eng = engine("virasoro")
     L = eng.generator("L")

@@ -79,36 +79,30 @@ def _ortho_sympl_condition(m_dim, n_half):
     orthosymplectic condition preserves.
     """
     total = m_dim + 2 * n_half
-    J = SuperMatrix.zero(m_dim, 2 * n_half)
-    for i in range(m_dim):
-        J.rows[i][i] = ONE
+    form = {(i, i): ONE for i in range(m_dim)}
     for b in range(n_half):
         r = m_dim + 2 * b
-        J.rows[r][r + 1] = ONE
-        J.rows[r + 1][r] = -ONE
+        form[(r, r + 1)] = ONE
+        form[(r + 1, r)] = -ONE
+    J = SuperMatrix(m_dim, 2 * n_half, form)
     units = []
     for i in range(total):
         for j in range(total):
-            u = SuperMatrix.zero(m_dim, 2 * n_half)
-            u.rows[i][j] = ONE
-            units.append(u)
+            units.append(SuperMatrix(m_dim, 2 * n_half, {(i, j): ONE}))
     flats = []
     for u in units:
         cond = u.supertranspose() * J + J * u
-        flats.append(cond.entries_dict())
+        flats.append(cond.entries)
     out = []
     for combo in kernel(flats):
-        m = SuperMatrix.zero(m_dim, 2 * n_half)
-        for t, coeff in combo.items():
-            i, j = divmod(t, total)
-            m.rows[i][j] = coeff
-        out.append(m)
+        entries = {divmod(t, total): coeff for t, coeff in combo.items()}
+        out.append(SuperMatrix(m_dim, 2 * n_half, entries))
     return out
 
 
 def _span_equal(mats_a, mats_b):
-    fa = [m.entries_dict() for m in mats_a]
-    fb = [m.entries_dict() for m in mats_b]
+    fa = [m.entries for m in mats_a]
+    fb = [m.entries for m in mats_b]
     return all(solve_membership(v, fb) is not None for v in fa) and all(
         solve_membership(v, fa) is not None for v in fb
     )
@@ -149,7 +143,7 @@ def test_psl22_is_a_quotient_by_the_identity():
 def test_structure_constants_match_supercommutators_spot():
     g = build_algebra("osp12")
     got = g.matrices["q"].supercommutator(g.matrices["q"])
-    want = SuperMatrix.zero(1, 2)
+    want = SuperMatrix(1, 2)
     for n, coeff in g.table[("q", "q")].items():
         want = want + coeff * g.matrices[n]
     assert got == want
@@ -457,7 +451,7 @@ MATRIX_DIGESTS = {
 
 
 def _entries(m):
-    return m.entries_dict()
+    return m.entries
 
 
 @pytest.mark.parametrize("aid", sorted(MATRIX_DIGESTS))

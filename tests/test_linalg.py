@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -419,21 +420,31 @@ def test_kernel_rank_against_sympy():
 
 
 def _rand_homog(rng, m, n, parity):
-    out = SuperMatrix.zero(m, n)
+    entries = {}
     for i in range(m + n):
         for j in range(m + n):
             block_parity = 0 if (i < m) == (j < m) else 1
             if block_parity == parity:
-                out.rows[i][j] = Scalar.from_int(rng.randint(-3, 3))
-    return out
+                entries[(i, j)] = rng.randint(-3, 3)
+    return SuperMatrix(m, n, entries)
 
 
 def test_supertrace_pinned():
-    x = SuperMatrix(1, 1, [[2, 5], [7, 3]])
+    x = SuperMatrix(1, 1, {(0, 0): 2, (0, 1): 5, (1, 0): 7, (1, 1): 3})
     assert x.supertrace() == Scalar.from_int(-1)
     assert x.parity() is None
-    assert SuperMatrix.unit(1, 1, 0, 1).parity() == 1
-    assert SuperMatrix.unit(1, 1, 1, 1).parity() == 0
+    assert SuperMatrix(1, 1, {(0, 1): 1}).parity() == 1
+    assert SuperMatrix(1, 1, {(1, 1): 1}).parity() == 0
+
+
+def test_super_matrix_constructor_cleans_and_checks_indices():
+    assert SuperMatrix(1, 1, {(0, 0): 0}) == SuperMatrix(1, 1)
+    assert SuperMatrix(1, 1, {(0, 0): 0, (1, 0): 2}).entries == {
+        (1, 0): Scalar.from_int(2)
+    }
+    for key in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            SuperMatrix(1, 1, {key: 1})
 
 
 def test_supercommutator_trace_vanishes():
