@@ -165,7 +165,7 @@ class LieSuperalgebra:
         # super-antisymmetry of the table is checked, so i <= j suffices
         for i, x in enumerate(self.names):
             for y in self.names[i:]:
-                # [x, y] - sum c mats[n], zero modulo the span
+                # [x, y] minus its table expansion must lie in the modulo span
                 diff = dict(mats[x].supercommutator(mats[y]).entries)
                 for n, c in self.table[(x, y)].items():
                     vec_acc(diff, mats[n].entries, -c)
