@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -317,3 +319,74 @@ def test_canonical_form_matches_sympy(nd):
     assert sympy.gcd(got_num, got_den).is_number
     assert not {_SYMS["s"], _SYMS["I"]} & got_den.free_symbols
     assert max(v._den, key=lambda mc: _mono_key(mc[0]))[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of seeded random expressions, pinned by one digest
+
+# (numerator, denominator) variables: one variable, split, multivariate
+_DIGEST_CASES = (
+    (("a",), ("a",)),
+    (("c",), ("c",)),
+    (("c", "a", "k"), ("a", "k")),
+    (("c", "a"), ("a", "k")),
+    (("c", "a", "k"), ("c", "a", "k")),
+)
+
+
+def _digest_values(count, seed):
+    """Seeded fractions over every kind of denominator, s or I on top.
+
+    Each is built with a common factor to cancel, then summed, scaled,
+    negated or multiplied once more, and split by its powers of I.
+    """
+    rng = random.Random(seed)
+    par = {n: Scalar.param(n) for n in ("c", "a", "k", "s", "I")}
+
+    def rat(nonzero=False):
+        num = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+        return Scalar.from_fraction(Fraction(num, rng.randint(1, 3)))
+
+    def poly(names, top=2):
+        out = rat()
+        for n in names:
+            out = out + rat(True) * par[n] ** rng.randint(1, top)
+        if len(names) > 1:
+            u, v = rng.sample(names, 2)
+            out = out + rat() * par[u] * par[v]
+        return out
+
+    values = []
+    for idx in range(count):
+        num_vars, den_vars = _DIGEST_CASES[idx % len(_DIGEST_CASES)]
+        num = poly(num_vars)
+        if rng.random() < 0.5:
+            num = num + rat(True) * par[rng.choice("sI")]
+        shared = sorted(set(num_vars) & set(den_vars))
+        common = poly(rng.sample(shared, rng.randint(1, min(2, len(shared)))), 1)
+        if rng.random() < 0.25:
+            common = common + rat(True) * par[rng.choice("sI")]
+        if not common:
+            common = ONE
+        v = (num * common) / (poly(den_vars) * common)
+        op = rng.randrange(5)
+        if op == 0:
+            v = v + v * rat()
+        elif op == 1:
+            v = rat() - v
+        elif op == 2:
+            v = rat(True) * v * poly(num_vars)
+        elif op == 3:
+            v = v + poly(den_vars) / poly(den_vars[:1])
+        else:
+            v = -v
+        values.append(v)
+        values.extend(v.decompose("I").values())
+    return values
+
+
+def test_seeded_canonical_form_digest():
+    h = hashlib.sha256()
+    for v in _digest_values(200, seed=8):
+        h.update(repr((v._num, v._den)).encode())
+    assert h.hexdigest()[:16] == "14cbd0209a5b3215"
