@@ -176,6 +176,37 @@ def test_witt_fields():
                 assert got == want
 
 
+_APPLY_FIELDS = [
+    contact_derivation(f, 3)
+    for f in (
+        gmono(1),
+        gmono(1, (1,)),
+        gmono(1, (2, 3)),
+        gmono(1, (1, 2, 3)),
+        gmono(-1, (1, 3), 2) + gmono(2, (), Fraction(1, 3)),
+        gmono(0, (2,)) + gmono(3, (1, 2, 3), -1),
+    )
+]
+
+
+@given(
+    st.sampled_from(_APPLY_FIELDS),
+    st.integers(min_value=0, max_value=1),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_contact_field_is_superderivation(field, pf, data):
+    # D(fg) = D(f) g + (-1)^{|D||f|} f D(g), D fixed by its generator images
+    f = data.draw(homogeneous_elements(parity=pf))
+    g = data.draw(grassmann_elements())
+    sign = Scalar.from_int(-1 if field.parity and pf else 1)
+    want = field.apply(f) * g + (f * field.apply(g)) * sign
+    assert field.apply(f * g) == want
+    assert field.apply(gmono(1)) == field.image_t
+    for j in (1, 2, 3):
+        assert field.apply(gmono(0, (j,))) == field.image_theta[j]
+
+
 # ---------------------------------------------------------------------------
 # Grassmann algebra signs
 
