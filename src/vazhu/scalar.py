@@ -14,6 +14,12 @@ the gcd of its numerator and denominator (`_poly_gcd`), then made monic.
 Only the two polynomials and the parameter registry take part, so a
 Scalar's form does not depend on what was computed before it.
 
+Below Scalar, a polynomial is a dict {monomial: Fraction} with no zero
+coefficient.  Every sum of them goes through one in-place accumulate,
+`_poly_acc`, which drops zero sums; every split of one by its variables
+(the gcd's coefficients over unshared variables, the univariate views of
+the PRS and of `decompose`) goes through `_coeffs_over`.
+
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
 `is` and never compare `Fraction`s to find it.  `ONE` is likewise one
@@ -88,9 +94,6 @@ def parameter_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # raw polynomial layer: dict {monomial: Fraction}, monomial = ((var, exp), ...)
 
-_ZERO_POLY: dict = {}
-
-
 _MONO_KEY_CACHE: dict = {}
 
 
@@ -124,12 +127,7 @@ def _reduce_mono(exps: dict[int, int], coeff: Fraction) -> dict:
                 merged = dict(base)
                 for vv, ee in rm:
                     merged[vv] = merged.get(vv, 0) + ee
-                for m, c in _reduce_mono(merged, coeff * rc).items():
-                    nc = out.get(m, 0) + c
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
+                _poly_acc(out, _reduce_mono(merged, coeff * rc).items())
             return out
     mono = tuple(sorted((v, e) for v, e in exps.items() if e))
     return {mono: coeff}
@@ -153,44 +151,33 @@ def _mono_mul(m1, m2):
     return res
 
 
-def _poly_add(p, q):
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    out = dict(p)
-    for m, c in q.items():
-        nc = out.get(m, 0) + c
-        if nc:
-            out[m] = nc
+def _poly_acc(out, terms, f=None):
+    """Add f times each (monomial, coefficient) of terms into out in place.
+
+    terms is a dict-poly's items() or a Scalar's sorted tuple, free of zero
+    coefficients; f None adds them as they are, else f must be nonzero.  A
+    zero sum drops its monomial, so out stays a dict-poly.
+    """
+    get = out.get
+    for m, c in terms:
+        if f is not None:
+            c = c * f
+        cur = get(m)
+        if cur is None:
+            out[m] = c
         else:
-            out.pop(m, None)
-    return out
-
-
-def _poly_neg(p):
-    return {m: -c for m, c in p.items()}
-
-def _poly_scale(p, f):
-    if not f:
-        return {}
-    return {m: c * f for m, c in p.items()}
+            c = cur + c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
 
 
 def _poly_mul(p, q):
-    if not p or not q:
-        return {}
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            c = c1 * c2
-            piece = _mono_mul(m1, m2)
-            for m, pc in piece.items():
-                nc = out.get(m, 0) + c * pc
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
+            _poly_acc(out, _mono_mul(m1, m2).items(), c1 * c2)
     return out
 
 
@@ -227,7 +214,7 @@ def _poly_divexact(p, d):
         raise ZeroDivisionError("polynomial division by zero")
     rem = dict(p)
     out: dict = {}
-    lead_d = _poly_lead(d) if d else None
+    lead_d = _poly_lead(d)
     cd = d[lead_d]
     while rem:
         lead_r = _poly_lead(rem)
@@ -235,10 +222,9 @@ def _poly_divexact(p, d):
         if qm is None:
             raise ArithmeticError("inexact polynomial division")
         qc = rem[lead_r] / cd
-        out[qm] = out.get(qm, 0) + qc
-        piece = _poly_mul({qm: qc}, d)
-        rem = _poly_add(rem, _poly_neg(piece))
-    return {m: c for m, c in out.items() if c}
+        _poly_acc(out, ((qm, qc),))
+        _poly_acc(rem, _poly_mul({qm: qc}, d).items(), -1)
+    return out
 
 
 def _rat_content(p):
@@ -254,37 +240,31 @@ def _rat_content(p):
     return cont
 
 
-def _uni_view(p, v):
-    """View p as univariate in v with dict-poly coefficients."""
-    out: dict[int, dict] = {}
+def _coeffs_over(p, outer):
+    """Split p by its variables: {part in outer: dict-poly in the rest}.
+
+    Each monomial is its outer part times its inner part, and monomials are
+    unique, so no coefficient is ever summed.
+    """
+    out: dict = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for vv, ee in m:
-            if vv == v:
-                e = ee
-            else:
-                rest.append((vv, ee))
-        coeff = out.setdefault(e, {})
-        key = tuple(rest)
-        nc = coeff.get(key, 0) + c
-        if nc:
-            coeff[key] = nc
-        else:
-            coeff.pop(key, None)
-    return {e: c for e, c in out.items() if c}
+        part = tuple(ve for ve in m if ve[0] in outer)
+        out.setdefault(part, {})[tuple(ve for ve in m if ve[0] not in outer)] = c
+    return out
+
+
+def _uni_view(p, v):
+    """View p as univariate in v: {exponent: dict-poly coefficient}."""
+    return {part[0][1] if part else 0: c for part, c in _coeffs_over(p, {v}).items()}
 
 
 def _uni_build(u, v):
+    # inverse of _uni_view
     out: dict = {}
     for e, coeff in u.items():
         for m, c in coeff.items():
-            if e:
-                mono = tuple(sorted(list(m) + [(v, e)]))
-            else:
-                mono = m
-            out[mono] = out.get(mono, 0) + c
-    return {m: c for m, c in out.items() if c}
+            out[tuple(sorted(m + ((v, e),))) if e else m] = c
+    return out
 
 
 def _poly_gcd(p, q):
@@ -305,12 +285,13 @@ def _poly_gcd(p, q):
         return _make_primitive(p)
     vp, vq = _poly_vars(p), _poly_vars(q)
     if vp != vq:
-        shared = vp & vq
         g: dict = {}
-        for part in _coeffs_over(p, shared) + _coeffs_over(q, shared):
-            g = _poly_gcd(g, part)
-            if tuple() in g and len(g) == 1:
-                return g
+        outer = vp ^ vq
+        for h in (p, q):
+            for part in _coeffs_over(h, outer).values():
+                g = _poly_gcd(g, part)
+                if tuple() in g and len(g) == 1:
+                    return g
         return g
     if not vp:
         return {tuple(): Fraction(1)}
@@ -332,16 +313,6 @@ def _poly_gcd(p, q):
     gu = _uni_build(a, v)
     g = _poly_mul(cont, _make_primitive(gu))
     return _make_primitive(g)
-
-
-def _coeffs_over(p, keep):
-    """Coefficients of p, as dict-polys in `keep`, over the other variables."""
-    out: dict = {}
-    for m, c in p.items():
-        rest = tuple(ve for ve in m if ve[0] not in keep)
-        kept = tuple(ve for ve in m if ve[0] in keep)
-        out.setdefault(rest, {})[kept] = c
-    return list(out.values())
 
 
 def _uni_gcd(p, q, v):
@@ -410,9 +381,7 @@ def _uni_prem(a, b, v):
         for e, c in r.items():
             new[e] = _poly_mul(lb, c)
         for e, c in b.items():
-            t = _poly_mul(lr, c)
-            ee = e + dr - db
-            new[ee] = _poly_add(new.get(ee, {}), _poly_neg(t))
+            _poly_acc(new.setdefault(e + dr - db, {}), _poly_mul(lr, c).items(), -1)
         r = {e: c for e, c in new.items() if c}
     return r
 
@@ -517,28 +486,25 @@ class Scalar:
                 return Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
             # polynomial sum stays canonical: no new monomials appear
             merged = dict(sn)
-            for m, c in on:
-                cur = merged.get(m)
-                nc = c if cur is None else cur + c
-                if nc:
-                    merged[m] = nc
-                else:
-                    del merged[m]
+            _poly_acc(merged, on)
             if not merged:
                 return ZERO
             return Scalar(_items(merged), _ONE_ITEMS, _canonical=True)
-        n1, d1 = dict(self._num), dict(self._den)
-        n2, d2 = dict(other._num), dict(other._den)
         if self._den == other._den:
-            return Scalar(_poly_add(n1, n2), d1)
-        num = _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1))
+            num = dict(self._num)
+            _poly_acc(num, other._num)
+            return Scalar(num, self._den)
+        d1, d2 = dict(self._den), dict(other._den)
+        num = _poly_mul(dict(self._num), d2)
+        _poly_acc(num, _poly_mul(dict(other._num), d1).items())
         return Scalar(num, _poly_mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
+        # negation keeps the monomials and so their order
         return Scalar(
-            _items(_poly_neg(dict(self._num))), self._den, _canonical=True
+            tuple((m, -c) for m, c in self._num), self._den, _canonical=True
         )
 
     def __sub__(self, other):
@@ -561,25 +527,16 @@ class Scalar:
             return other
         if not self._num or not other._num:
             return ZERO
-        # scaling by a plain rational keeps the canonical form
-        sn, on = self._num, other._num
-        if other._den is _ONE_ITEMS and len(on) == 1 and not on[0][0]:
-            q = on[0][1]
-            if self._den is _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
-                return Scalar(
-                    ((tuple(), sn[0][1] * q),), _ONE_ITEMS, _canonical=True
-                )
+        # scaling x by a plain rational y keeps the canonical form
+        x, y = self, other
+        if x._den is _ONE_ITEMS and len(x._num) == 1 and not x._num[0][0]:
+            x, y = y, x
+        if y._den is _ONE_ITEMS and len(y._num) == 1 and not y._num[0][0]:
+            q = y._num[0][1]
             if q == 1:
-                return self
+                return x
             return Scalar(
-                tuple((m, c * q) for m, c in sn), self._den, _canonical=True
-            )
-        if self._den is _ONE_ITEMS and len(sn) == 1 and not sn[0][0]:
-            q = sn[0][1]
-            if q == 1:
-                return other
-            return Scalar(
-                tuple((m, c * q) for m, c in on), other._den, _canonical=True
+                tuple((m, c * q) for m, c in x._num), x._den, _canonical=True
             )
         num = _poly_mul(dict(self._num), dict(other._num))
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
@@ -714,18 +671,17 @@ def _normalize(num, den):
             conj = _conjugate_poly(den, v)
             num = _poly_mul(num, conj)
             den = _poly_mul(den, conj)
-    if len(den) == 1:
-        (m, c), = den.items()
-        if not m:
-            return _poly_scale(num, 1 / c), {tuple(): Fraction(1)}
-    g = _poly_gcd(num, den)
-    if g != {tuple(): Fraction(1)}:
-        num = _poly_divexact(num, g)
-        den = _poly_divexact(den, g)
+    # a constant denominator shares no factor and only needs the monic step
+    if len(den) > 1 or tuple() not in den:
+        g = _poly_gcd(num, den)
+        if g != {tuple(): Fraction(1)}:
+            num = _poly_divexact(num, g)
+            den = _poly_divexact(den, g)
     lc = den[_poly_lead(den)]
     if lc != 1:
-        num = _poly_scale(num, 1 / lc)
-        den = _poly_scale(den, 1 / lc)
+        inv = 1 / lc
+        num = {m: c * inv for m, c in num.items()}
+        den = {m: c * inv for m, c in den.items()}
     return num, den
 
 
@@ -788,11 +744,8 @@ def _tokenize(text: str):
     return toks
 
 
-def parse_scalar(text: str, extra: dict[str, Scalar] | None = None) -> Scalar:
-    """Parse an expression over declared parameters into a Scalar.
-
-    `extra` maps additional names (e.g. 'lambda' in bracket files) to values.
-    """
+def parse_scalar(text: str) -> Scalar:
+    """Parse an expression over declared parameters into a Scalar."""
     toks = _tokenize(text)
     pos = 0
 
@@ -853,8 +806,6 @@ def parse_scalar(text: str, extra: dict[str, Scalar] | None = None) -> Scalar:
         if isinstance(t, int):
             return Scalar.from_int(t)
         if isinstance(t, str):
-            if extra and t in extra:
-                return extra[t]
             return Scalar.param(t)
         raise ValueError(f"unexpected token {t!r}")
 
