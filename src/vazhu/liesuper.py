@@ -67,7 +67,6 @@ class LieSuperalgebra:
         matrices=None,
         modulo_matrices=(),
         embedding=None,
-        fields=None,
     ):
         self.names = list(names)
         self.parity = dict(parities)
@@ -77,22 +76,14 @@ class LieSuperalgebra:
         self.modulo_matrices = list(modulo_matrices)
         # coordinates of each basis vector in the parent algebra
         self.embedding = embedding
-        # contact vector field realizing each basis vector
-        self.fields = fields
-        # complete the table over both orientations
+        # fill in each missing orientation; validate() checks antisymmetry
         full = {}
         for (x, y), val in table.items():
             full[(x, y)] = _clean(val)
         for (x, y), val in list(full.items()):
-            sign = -1 if self.parity[x] and self.parity[y] else 1
-            flipped = {n: c * Scalar.from_int(-sign) for n, c in val.items()}
-            if (y, x) in full:
-                if full[(y, x)] != flipped:
-                    raise JacobiError(
-                        f"antisymmetry violated on pair ({x}, {y})"
-                    )
-            else:
-                full[(y, x)] = flipped
+            if (y, x) not in full:
+                sign = 1 if self.parity[x] and self.parity[y] else -1
+                full[(y, x)] = vec_scale(val, sign)
         for x in self.names:
             for y in self.names:
                 full.setdefault((x, y), {})
@@ -494,7 +485,7 @@ def _contact_r(n: int) -> LieSuperalgebra:
         {nm: fields[nm].flatten() for nm in names},
         lambda x, y: fields[x].bracket(fields[y]).flatten(),
     )
-    return LieSuperalgebra(names, parities, table, fields=fields)
+    return LieSuperalgebra(names, parities, table)
 
 
 # ---------------------------------------------------------------------------

@@ -286,24 +286,25 @@ class SuperMatrix:
 class GrassmannElement:
     """Element of C[t, t^-1] (x) Lambda(theta_1..theta_N).
 
-    Terms are keyed by (t_exponent, ascending tuple of theta indices).
+    Terms are keyed by (t_exponent, ascending tuple of theta indices).  The
+    constructor reads each key as the product t^te theta_i1 ... theta_im in
+    the order given: it sorts the thetas with the sign that costs, drops a
+    product with a repeated theta, and sums keys that meet.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        terms = terms or {}
-        self.terms = _clean(
-            {(te, tuple(sorted(subset))): c for (te, subset), c in terms.items()}
-        )
+        out: dict = {}
+        for (te, thetas), c in (terms or {}).items():
+            if len(set(thetas)) == len(thetas):
+                sign, ordered = _sort_sign(thetas)
+                key_acc(out, (te, ordered), _coerce(c) * sign)
+        self.terms = out
 
     @staticmethod
     def monomial(t_exp: int = 0, thetas=(), coeff=1) -> "GrassmannElement":
-        thetas = tuple(thetas)
-        if len(set(thetas)) != len(thetas):
-            return GrassmannElement({})
-        sign, ordered = _sort_sign(thetas)
-        return GrassmannElement({(t_exp, ordered): _coerce(coeff) * sign})
+        return GrassmannElement({(t_exp, tuple(thetas)): coeff})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -387,14 +388,9 @@ class GrassmannElement:
 
 
 def _sort_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return Scalar.from_int(sign), tuple(seq)
+    # (sign of the sorting permutation, sorted tuple) for distinct thetas
+    inv = sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y)
+    return Scalar.from_int(-1 if inv % 2 else 1), tuple(sorted(seq))
 
 
 def _merge_sign(s1, s2) -> Scalar:
@@ -419,24 +415,10 @@ class ContactDerivation:
         self.image_theta = {i: image_theta.get(i, GrassmannElement()) for i in range(1, n_theta + 1)}
 
     def apply(self, element: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement()
-        for (te, subset), c in element.terms.items():
-            # Leibniz over the factorisation t^te * theta_{j1} * ... * theta_{jm}
-            # t-part: D(t^k) = k t^(k-1) D(t)
-            if te:
-                piece = self.image_t.t_shift(te - 1) * Scalar.from_int(te)
-                piece = piece * GrassmannElement.monomial(0, subset)
-                out = out + piece * c
-            prefix_parity = 0
-            for pos, j in enumerate(subset):
-                sign = Scalar.from_int(
-                    (-1) ** (self.parity * prefix_parity)
-                )
-                left = GrassmannElement.monomial(te, subset[:pos])
-                right = GrassmannElement.monomial(0, subset[pos + 1 :])
-                piece = left * self.image_theta[j] * right
-                out = out + piece * (c * sign)
-                prefix_parity ^= 1
+        # D = D(t) d_t + sum_j D(theta_j) d_theta_j, left derivatives
+        out = self.image_t * element.t_derivative()
+        for j, image in self.image_theta.items():
+            out = out + image * element.theta_derivative(j)
         return out
 
     def bracket(self, other: "ContactDerivation") -> "ContactDerivation":

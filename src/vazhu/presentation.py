@@ -56,7 +56,11 @@ def _norm_terms(terms):
 
 
 class VaPresentation:
-    """Generators, weights, parities, and pairwise lambda brackets."""
+    """Generators, weights, parities, and pairwise lambda brackets.
+
+    The constructor checks structure only: declared names, declaration
+    order and no duplicate pair.  validate() checks the brackets.
+    """
 
     def __init__(
         self,
@@ -65,7 +69,6 @@ class VaPresentation:
         brackets,
         central_charge=None,
         conformal_name=None,
-        validate: bool = True,
     ):
         self.name = name
         self.generators = [
@@ -94,8 +97,6 @@ class VaPresentation:
             terms, central = val
             self._table[(x, y)] = (_norm_terms(terms), _clean(central or {}))
         self._pair_cache: dict = {}
-        if validate:
-            self.validate()
 
     # -- basic data ----------------------------------------------------------
 
@@ -378,22 +379,18 @@ def _virasoro() -> VaPresentation:
     c = Scalar.param("c")
     gens = [GeneratorSpec("L", 0, Fraction(2))]
     brackets = _conformal_rows(gens, c)
-    return VaPresentation("virasoro", gens, brackets, c, "L", validate=False)
+    return VaPresentation("virasoro", gens, brackets, c, "L")
 
 
 def _free_fermion() -> VaPresentation:
     gens = [GeneratorSpec("psi", 1, Fraction(1, 2))]
-    return VaPresentation(
-        "free_fermion", gens, {("psi", "psi"): ([], {0: ONE})}, validate=False
-    )
+    return VaPresentation("free_fermion", gens, {("psi", "psi"): ([], {0: ONE})})
 
 
 def _free_boson() -> VaPresentation:
     k = Scalar.param("k")
     gens = [GeneratorSpec("xi", 0, Fraction(1))]
-    return VaPresentation(
-        "free_boson_k", gens, {("xi", "xi"): ([], {1: k})}, validate=False
-    )
+    return VaPresentation("free_boson_k", gens, {("xi", "xi"): ([], {1: k})})
 
 
 def _four_fermions() -> VaPresentation:
@@ -408,7 +405,7 @@ def _four_fermions() -> VaPresentation:
         ("Spp", "Smm"): ([], {0: k}),
         ("Spm", "Smp"): ([], {0: k}),
     }
-    return VaPresentation("four_fermions_k", gens, brackets, validate=False)
+    return VaPresentation("four_fermions_k", gens, brackets)
 
 
 def _n1() -> VaPresentation:
@@ -419,7 +416,7 @@ def _n1() -> VaPresentation:
     ]
     brackets = _conformal_rows(gens, c)
     brackets[("G", "G")] = ([term(2, "L")], {2: c / 3})
-    return VaPresentation("N1", gens, brackets, c, "L", validate=False)
+    return VaPresentation("N1", gens, brackets, c, "L")
 
 
 def _n2() -> VaPresentation:
@@ -438,7 +435,7 @@ def _n2() -> VaPresentation:
         [term(1, "L"), term(Fraction(1, 2), "J", der=1), term(1, "J", lam=1)],
         {2: c / 6},
     )
-    return VaPresentation("N2", gens, brackets, c, "L", validate=False)
+    return VaPresentation("N2", gens, brackets, c, "L")
 
 
 def _n3() -> VaPresentation:
@@ -468,7 +465,7 @@ def _n3() -> VaPresentation:
         brackets[(f"G{i}", f"G{i}")] = ([term(2, "L")], {2: c / 3})
         brackets[(f"G{i}", "Phi")] = ([term(1, f"A{i}")], {})
     brackets[("Phi", "Phi")] = ([], {0: -c / 3})
-    return VaPresentation("N3", gens, brackets, c, "L", validate=False)
+    return VaPresentation("N3", gens, brackets, c, "L")
 
 
 def _n4() -> VaPresentation:
@@ -507,7 +504,7 @@ def _n4() -> VaPresentation:
         [term(1, "L"), term(-half, "J0", der=1), term(-1, "J0", lam=1)],
         {2: c / 6},
     )
-    return VaPresentation("N4", gens, brackets, c, "L", validate=False)
+    return VaPresentation("N4", gens, brackets, c, "L")
 
 
 def _big4_brackets(corrupt: str | None):
@@ -660,7 +657,7 @@ def _big4_brackets(corrupt: str | None):
 def _big4(corrupt: str | None = None) -> VaPresentation:
     gens, brackets, c = _big4_brackets(corrupt)
     name = "big4" if corrupt is None else f"big4_{corrupt}"
-    return VaPresentation(name, gens, brackets, c, "L", validate=False)
+    return VaPresentation(name, gens, brackets, c, "L")
 
 
 _BUILTINS = {

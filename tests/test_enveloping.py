@@ -293,8 +293,7 @@ def _n2_doubled_j_gp() -> VaPresentation:
     }
     brackets[("J", "Gp")] = ([term(2, "Gp")], {})
     return VaPresentation(
-        "N2_J2Gp", base.generators, brackets, base.central_charge, "L",
-        validate=False,
+        "N2_J2Gp", base.generators, brackets, base.central_charge, "L"
     )
 
 

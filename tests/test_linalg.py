@@ -295,6 +295,17 @@ def test_grassmann_basics():
     assert (gmono(0, (1,)) + gmono(0, (1, 2))).parity() is None
 
 
+def test_grassmann_constructor_reads_keys_as_ordered_products():
+    # a key is the product t^te theta_i1 ... theta_im in the order given
+    assert GrassmannElement({(0, (2, 1)): 1}) == gmono(0, (1, 2), -1)
+    assert GrassmannElement({(0, (1, 1)): 1}).is_zero()
+    assert GrassmannElement({(1, (1, 2)): 1, (1, (2, 1)): 1}).is_zero()
+    assert GrassmannElement({(0, (3, 1, 2)): 2, (0, (1, 2, 3)): -2}).is_zero()
+    assert GrassmannElement({(2, (3, 1)): Fraction(1, 2)}).terms == {
+        (2, (1, 3)): Scalar.from_fraction(Fraction(-1, 2))
+    }
+
+
 # ---------------------------------------------------------------------------
 # the accumulate pair
 

@@ -2,6 +2,7 @@
 
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +27,13 @@ def test_package_exports_nothing():
         if not n.startswith("__") and not isinstance(v, types.ModuleType)
     ]
     assert names == []
+
+
+def test_console_scripts_import():
+    # every [project.scripts] entry names a callable the package defines
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), target

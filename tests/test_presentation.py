@@ -113,7 +113,7 @@ def test_nth_products_of_free_fermion():
 def test_weight_inhomogeneity_rejected():
     gens = [GeneratorSpec("B", 0, Fraction(1))]
     with pytest.raises(PresentationError):
-        VaPresentation("bad", gens, {("B", "B"): ([], {2: ONE})})
+        VaPresentation("bad", gens, {("B", "B"): ([], {2: ONE})}).validate()
 
 
 def test_parity_mismatch_rejected():
@@ -123,7 +123,7 @@ def test_parity_mismatch_rejected():
     ]
     brackets = {("B", "F"): ([term(1, "B", lam=1)], {})}
     with pytest.raises(PresentationError):
-        VaPresentation("bad", gens, brackets)
+        VaPresentation("bad", gens, brackets).validate()
 
 
 def test_odd_central_rejected():
@@ -132,14 +132,14 @@ def test_odd_central_rejected():
         GeneratorSpec("F", 1, Fraction(1, 2)),
     ]
     with pytest.raises(PresentationError):
-        VaPresentation("bad", gens, {("B", "F"): ([], {0: ONE})})
+        VaPresentation("bad", gens, {("B", "F"): ([], {0: ONE})}).validate()
 
 
 def test_diagonal_skew_rejected():
     # [B_lam B] = B fails [x_lam x] = -[x_{-lam-d} x] for an even generator
     gens = [GeneratorSpec("B", 0, Fraction(1))]
     with pytest.raises(PresentationError):
-        VaPresentation("bad", gens, {("B", "B"): ([term(1, "B")], {})})
+        VaPresentation("bad", gens, {("B", "B"): ([term(1, "B")], {})}).validate()
 
 
 def test_wrong_orientation_rejected():
@@ -162,7 +162,7 @@ def test_non_primary_rejected():
         ("L", "B"): ([term(1, "B", der=1), term(2, "B", lam=1)], {}),
     }
     with pytest.raises(PresentationError):
-        VaPresentation("bad", gens, brackets, c, "L", validate=False).validate()
+        VaPresentation("bad", gens, brackets, c, "L").validate()
 
 
 # -- regression pins for the corrected central signs --------------------------
@@ -178,9 +178,7 @@ def test_displayed_diagonal_current_central_fails_jacobi():
         brackets[pair] = (terms, dict(central))
     for i in (1, 2, 3):
         brackets[(f"A{i}", f"A{i}")] = ([], {1: c / 3})
-    bad = VaPresentation(
-        "N3_displayed", base.generators, brackets, c, "L", validate=False
-    )
+    bad = VaPresentation("N3_displayed", base.generators, brackets, c, "L")
     witness = bad.jacobi_witness()
     assert witness is not None
     x, y, z, (res_terms, res_central) = witness
@@ -212,7 +210,7 @@ def test_displayed_diagonal_current_central_fails_jacobi():
 def test_big4_single_entry_perturbations_fail_jacobi(mutate):
     gens, brackets, c = _big4_brackets(None)
     mutate(brackets, Scalar.param("s"), Scalar.param("a"))
-    bad = VaPresentation("big4_perturbed", gens, brackets, c, "L", validate=False)
+    bad = VaPresentation("big4_perturbed", gens, brackets, c, "L")
     assert bad.jacobi_witness() is not None
 
 
@@ -240,7 +238,6 @@ def _doubled_first_off_diagonal(pres):
         brackets,
         pres.central_charge,
         pres.conformal_name,
-        validate=False,
     )
 
 
