@@ -287,9 +287,9 @@ class GrassmannElement:
     """Element of C[t, t^-1] (x) Lambda(theta_1..theta_N).
 
     Terms are keyed by (t_exponent, ascending tuple of theta indices).  The
-    constructor reads each key as the product t^te theta_i1 ... theta_im in
-    the order given: it sorts the thetas with the sign that costs, drops a
-    product with a repeated theta, and sums keys that meet.
+    constructor reads a key's thetas as a product in the order given: it
+    sorts them at the sign of the permutation, drops a product with a
+    repeated theta, and adds up keys that sort alike.
     """
 
     __slots__ = ("terms",)

@@ -222,7 +222,8 @@ def _poly_divexact(p, d):
         if qm is None:
             raise ArithmeticError("inexact polynomial division")
         qc = rem[lead_r] / cd
-        _poly_acc(out, ((qm, qc),))
+        # the lead of rem falls at every step, so qm is a new monomial
+        out[qm] = qc
         _poly_acc(rem, _poly_mul({qm: qc}, d).items(), -1)
     return out
 
@@ -536,7 +537,7 @@ class Scalar:
             if q == 1:
                 return x
             return Scalar(
-                tuple((m, c * q) for m, c in x._num), x._den, _canonical=True
+                tuple([(m, c * q) for m, c in x._num]), x._den, _canonical=True
             )
         num = _poly_mul(dict(self._num), dict(other._num))
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
