@@ -1,23 +1,38 @@
-"""The benchmark's trace hooks still name functions of the package.
+"""The benchmark's hooks and gates still hold against the package.
 
 bench/tracer.py wraps the functions listed in its TARGETS by owner and
 attribute name, and bench/worker.py records scalar._Q.__name__ as the
 backend; a rename in src/ would otherwise surface only when a traced
-benchmark run fails.  The tracer file is loaded, never edited.
+benchmark run fails.  bench/workloads.py pins the presentation verdicts
+its big4_verify workload gates on; a change of result shape would
+otherwise surface only as failed benchmark ops.  Both files are loaded,
+never edited.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pytest
+
+from vazhu import presentation
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    path = BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return _load("tracer").TARGETS
+
+
+WORKLOADS = _load("workloads")
 
 
 def test_tracer_targets_resolve():
@@ -39,3 +54,18 @@ def test_backend_name_resolves():
     from vazhu import scalar
 
     assert scalar._Q.__name__ == "Fraction"
+
+
+@pytest.mark.parametrize("pid", WORKLOADS.PRESENTATIONS)
+def test_workload_jacobi_witness_gate(pid):
+    witness = presentation.builtin_presentation(pid).jacobi_witness()
+    prefix = WORKLOADS.JACOBI_WITNESS.get(pid)
+    if prefix is None:
+        assert witness is None
+    else:
+        assert witness is not None and tuple(witness[: len(prefix)]) == prefix
+
+
+@pytest.mark.parametrize("tag", WORKLOADS.EMBEDDINGS)
+def test_workload_embedding_gate(tag):
+    assert presentation.check_embedding(*presentation.builtin_embedding(tag)) is None

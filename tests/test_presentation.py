@@ -1,5 +1,6 @@
 """Presentation-level checks: homogeneity, skew, Jacobi, embeddings."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -46,12 +47,84 @@ def test_builtin_ids_cover_corrupted_variants():
         builtin_presentation("nope")
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _flat(value):
+    """A bracket value as one vector, central keys moved onto the vacuum.
+
+    pair_bracket values and Jacobi residuals come as (terms, central) with
+    central keyed by lam powers, nth_products as {n: (terms, central)}; a
+    central key becomes (..., 0, "|0>").
+    """
+    if isinstance(value, dict):
+        return {n: _flat(v) for n, v in value.items()}
+    terms, central = value
+    out = dict(terms)
+    if isinstance(central, Scalar):
+        if not central.is_zero():
+            out[(0, "|0>")] = central
+        return out
+    for key, coeff in central.items():
+        out[(key if isinstance(key, tuple) else (key,)) + (0, "|0>")] = coeff
+    return out
+
+
+def _vector_digest(vec) -> str:
+    return _digest(repr(sorted((repr(k), str(c)) for k, c in vec.items())))
+
+
+# (first failing triple, digest of its full residual) per corrupted builtin
+JACOBI_WITNESSES = {
+    "big4_kwmiss1": (("J0", "Kp", "Gpm"), "d8a93707bf2e2ee1"),
+    "big4_kwmiss2": (("L", "Gpp", "Gpm"), "d1d89d1791a4eea8"),
+}
+
+
 def test_corrupted_variants_fail_jacobi():
-    for which in ("big4_kwmiss1", "big4_kwmiss2"):
+    for which, pin in JACOBI_WITNESSES.items():
         witness = builtin_presentation(which).jacobi_witness()
         assert witness is not None
-        res_terms, res_central = witness[3]
-        assert res_terms or res_central
+        residual = _flat(witness[3])
+        assert residual
+        assert (tuple(witness[:3]), _vector_digest(residual)) == pin, which
+
+
+def _bracket_digest(pres) -> tuple:
+    """Digests of pair_bracket and of nth_products over all ordered pairs."""
+    names = pres.names()
+    pairs = [(x, y) for x in names for y in names]
+    brackets = [
+        (x, y, _vector_digest(_flat(pres.pair_bracket(x, y)))) for x, y in pairs
+    ]
+    products = [
+        (x, y, sorted((n, _vector_digest(v)) for n, v in modes.items()))
+        for x, y in pairs
+        for modes in [_flat(pres.nth_products(x, y))]
+    ]
+    return _digest(repr(brackets)), _digest(repr(products))
+
+
+# (pair_bracket, nth_products) digests of every builtin, corrupted ones too
+BRACKET_DIGESTS = {
+    "N1": ("68bb5f5f0b4515c7", "f0dfdb9dda8c5a49"),
+    "N2": ("231654235e4a487c", "f960670e63c01cb5"),
+    "N3": ("2d4a60f539afa70e", "bbdc679efd28d382"),
+    "N4": ("4e07d0fcec73f2b4", "7272ae90b3f88e24"),
+    "big4": ("f570ec8b74b682a4", "846081ba0cd7965d"),
+    "big4_kwmiss1": ("d8364fd262584f2e", "feff6dc04c4b7d75"),
+    "big4_kwmiss2": ("f95fd291fb862f26", "979da4bde5407118"),
+    "four_fermions_k": ("7cbf67a6ab56059d", "7026a11661f0abc7"),
+    "free_boson_k": ("d1293082c0a07bf9", "53274425bf889d61"),
+    "free_fermion": ("fedbd541053953c9", "dc32508f7ec82336"),
+    "virasoro": ("92fde0529289d84a", "982bbc1d4a270126"),
+}
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_bracket_and_product_digests(pres_id):
+    assert _bracket_digest(builtin_presentation(pres_id)) == BRACKET_DIGESTS[pres_id]
 
 
 def test_clean_big4_has_no_witness():
@@ -112,7 +185,7 @@ def test_nth_products_of_free_fermion():
 
 def test_weight_inhomogeneity_rejected():
     gens = [GeneratorSpec("B", 0, Fraction(1))]
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"weight mismatch in \[B, B\]"):
         VaPresentation("bad", gens, {("B", "B"): ([], {2: ONE})}).validate()
 
 
@@ -138,7 +211,7 @@ def test_odd_central_rejected():
 def test_diagonal_skew_rejected():
     # [B_lam B] = B fails [x_lam x] = -[x_{-lam-d} x] for an even generator
     gens = [GeneratorSpec("B", 0, Fraction(1))]
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match="diagonal skew fails for B"):
         VaPresentation("bad", gens, {("B", "B"): ([term(1, "B")], {})}).validate()
 
 
@@ -161,7 +234,7 @@ def test_non_primary_rejected():
         ("L", "L"): ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12}),
         ("L", "B"): ([term(1, "B", der=1), term(2, "B", lam=1)], {}),
     }
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match="B is not primary of its weight"):
         VaPresentation("bad", gens, brackets, c, "L").validate()
 
 
