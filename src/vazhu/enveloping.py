@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import key_acc, vec_acc, vec_scale
+from .presentation import VACUUM
 from .scalar import Scalar, ONE
 
 __all__ = [
@@ -58,16 +59,17 @@ class VertexAlgebra:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.weights = [presentation.weight[n] for n in self.names]
         self.parities = [presentation.parity[n] for n in self.names]
+        # rows (der, target index, coeff) per mode; the vacuum's index is None
         self._products = {}
         for xi, x in enumerate(self.names):
             for yi, y in enumerate(self.names):
-                table = {}
-                for n, (terms, central) in presentation.nth_products(x, y).items():
-                    rows = [
-                        (d, self.index[t], coeff) for (d, t), coeff in terms.items()
+                self._products[(xi, yi)] = {
+                    n: [
+                        (d, None if t == VACUUM else self.index[t], coeff)
+                        for (d, t), coeff in vec.items()
                     ]
-                    table[n] = (rows, central)
-                self._products[(xi, yi)] = table
+                    for n, vec in presentation.nth_products(x, y).items()
+                }
         self._mode_memo: dict = {}
         self._prod_memo: dict = {}
         self._par_memo: dict = {}
@@ -168,19 +170,22 @@ class VertexAlgebra:
     def _bracket_action(self, i: int, n: int, j: int, mj: int, mono) -> dict:
         """[X_{i(n)}, X_{j(-mj)}] applied to a sorted monomial."""
         out: dict = {}
-        for k, (rows, central) in self._products[(i, j)].items():
+        for k, rows in self._products[(i, j)].items():
             binom = gbinom(n, k)
             if binom == 0:
                 continue
             q = n - mj - k
             for d, target, coeff in rows:
+                if target is None:
+                    # |0>_(q) is the identity at q = -1 and zero otherwise
+                    if q == -1:
+                        key_acc(out, mono, coeff * Scalar.from_int(binom))
+                    continue
                 fall = _falling(q, d)
                 if fall == 0:
                     continue
                 factor = coeff * Scalar.from_int(binom * (-fall if d & 1 else fall))
                 vec_acc(out, self._mode_mono(target, q - d, mono), factor)
-            if not central.is_zero() and q == -1:
-                key_acc(out, mono, central * Scalar.from_int(binom))
         return out
 
     # -- general products and translation ----------------------------------------

@@ -12,10 +12,10 @@ its structure constants from one routine, _structure_constants.
 The zero-mode algebras are derived from the lambda brackets of the
 presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
 algebra): [a, b] = sum_j binom(wt a - 1, j) [a_(j) b], with
-[d^k X] = (-1)^k wt X (wt X + 1) ... (wt X + k - 1) [X], central terms
-written as multiples of an even central Z, and the conformal vector
-shifted to L - (c/24) Z, which absorbs the central part of every bracket
-that has L in it.
+[d^k X] = (-1)^k wt X (wt X + 1) ... (wt X + k - 1) [X].  A central term is
+a term on the vacuum |0> of the bracket vector, and the class of |0> is an
+even central Z.  The conformal vector is shifted to L - (c/24) Z, which
+absorbs the central part of every bracket that has L in it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import partial
 from itertools import combinations
 
 from .enveloping import _falling
-from .presentation import _BUILTINS as _PRESENTATIONS
+from .presentation import VACUUM, _BUILTINS as _PRESENTATIONS
 from .scalar import Scalar, ONE, _coerce
 from .linalg import (
     SuperMatrix,
@@ -118,17 +118,15 @@ class LieSuperalgebra:
 
     def validate(self):
         """Super antisymmetry and Jacobi on all basis triples; matrix check."""
-        for x in self.names:
-            for y in self.names:
+        # both checks are symmetric in the pair, so y at or after x suffices
+        for i, x in enumerate(self.names):
+            for y in self.names[i:]:
                 px, py = self.parity[x], self.parity[y]
-                sign = Scalar.from_int(-1 if not (px and py) else 1)
                 lhs = self.table[(x, y)]
-                rhs = {n: c * sign for n, c in self.table[(y, x)].items()}
-                if lhs != {n: c for n, c in rhs.items() if not c.is_zero()}:
+                if lhs != vec_scale(self.table[(y, x)], 1 if px and py else -1):
                     raise JacobiError(f"antisymmetry fails at ({x}, {y})")
                 for n in lhs:
-                    pz = self.parity[n]
-                    if pz != (px + py) % 2:
+                    if self.parity[n] != (px + py) % 2:
                         raise JacobiError(f"parity fails at ({x}, {y}) -> {n}")
         for i, x in enumerate(self.names):
             for j in range(i, len(self.names)):
@@ -497,10 +495,10 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
 
     For generators a, b the bracket is [a, b] = sum_j binom(wt a - 1, j)
     [a_(j) b], and a derivative collapses as [d^k X] = (-1)^k wt X
-    (wt X + 1) ... (wt X + k - 1) [X].  Central terms become multiples of an
-    even Z; after the shift L -> L - (c/24) Z, Z joins the basis right after
-    the last even generator, and only if some bracket still has a central
-    term.
+    (wt X + 1) ... (wt X + k - 1) [X].  The class of the vacuum VACUUM is
+    the even central Z; after the shift L -> L - (c/24) Z, Z joins the basis
+    right after the last even generator, and only if some bracket still has
+    a term on it.
     """
     names = pres.names()
     table = {}
@@ -508,14 +506,16 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
         top = pres.weight[x] - 1
         for y in names[i:]:
             out: dict = {}
-            for j, (terms, central) in pres.nth_products(x, y).items():
+            for j, vec in pres.nth_products(x, y).items():
                 binom = _coerce(Fraction(_falling(top, j), math.factorial(j)))
                 if binom.is_zero():
                     continue
-                for (k, target), coeff in terms.items():
+                for (k, target), coeff in vec.items():
+                    if target == VACUUM:
+                        key_acc(out, "Z", coeff * binom)
+                        continue
                     der = _coerce(_falling(-pres.weight[target], k))
                     key_acc(out, target, coeff * binom * der)
-                key_acc(out, "Z", central * binom)
             table[(x, y)] = out
     shift = pres.central_charge / 24
     for out in table.values():

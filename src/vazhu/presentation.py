@@ -1,11 +1,14 @@
 """Vertex superalgebra presentations by generator lambda brackets.
 
 A presentation lists generating fields with parities and conformal weights
-together with the lambda brackets of generator pairs, each bracket a sum of
-terms coeff * lam^n * d^k(generator) plus a central polynomial in lam.  The
-module validates weight homogeneity, skew consistency, primary normalization
-against the conformal field, and the conformal-level Jacobi identity, and it
-serves the per-mode products that the enveloping engine consumes.
+together with the lambda brackets of generator pairs.  Each bracket is one
+vector of terms coeff * lam^n * d^k(target), the target a generator or the
+vacuum VACUUM: a central term c lam^n is the term (n, 0, VACUUM), as in a
+Lie conformal algebra with values in the generators plus C|0>.  Two rules
+cover the vacuum: d|0> = 0 and [|0>_lam X] = 0.  The module validates
+weight homogeneity, skew consistency, primary normalization against the
+conformal field, and the conformal-level Jacobi identity, and it serves the
+per-mode products that the enveloping engine consumes.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import _clean, key_acc, vec_acc
-from .scalar import Scalar, ZERO, ONE, _coerce
+from .scalar import Scalar, ONE, _coerce
 
 __all__ = [
     "GeneratorSpec",
     "VaPresentation",
     "PresentationError",
+    "VACUUM",
     "term",
     "builtin_presentation",
     "builtin_ids",
@@ -28,6 +32,9 @@ __all__ = [
     "builtin_embedding",
 ]
 
+
+# the vacuum as a bracket target: even, of weight 0
+VACUUM = "|0>"
 
 _MINUS_ONE = Scalar.from_int(-1)
 
@@ -48,18 +55,19 @@ def term(coeff, target: str, der: int = 0, lam: int = 0):
     return (lam, der, target, _coerce(coeff))
 
 
-def _norm_terms(terms):
-    out: dict = {}
-    for lam, der, target, coeff in terms:
-        key_acc(out, (lam, der, target), _coerce(coeff))
-    return out
+def _ders(target: str, top: int):
+    """Derivative orders 0..top that survive on target; d|0> = 0."""
+    return range(1 if target == VACUUM else top + 1)
 
 
 class VaPresentation:
     """Generators, weights, parities, and pairwise lambda brackets.
 
     The constructor checks structure only: declared names, declaration
-    order and no duplicate pair.  validate() checks the brackets.
+    order, no duplicate pair, and no derivative of the vacuum.  It takes
+    each bracket as (terms, central), central a {lam_power: coeff} dict, and
+    stores it as one vector with central terms on VACUUM.  validate()
+    checks the brackets.
     """
 
     def __init__(
@@ -78,6 +86,8 @@ class VaPresentation:
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
             raise PresentationError("duplicate generator name")
+        if VACUUM in self.index:
+            raise PresentationError(f"generator name {VACUUM} is the vacuum")
         self.parity = {g.name: g.parity for g in self.generators}
         self.weight = {g.name: Fraction(g.weight) for g in self.generators}
         self.central_charge = (
@@ -85,7 +95,7 @@ class VaPresentation:
         )
         self.conformal_name = conformal_name
         self._table = {}
-        for (x, y), val in brackets.items():
+        for (x, y), (terms, central) in brackets.items():
             if x not in self.index or y not in self.index:
                 raise PresentationError(f"bracket on undeclared pair ({x}, {y})")
             if self.index[x] > self.index[y]:
@@ -94,8 +104,21 @@ class VaPresentation:
                 )
             if (x, y) in self._table:
                 raise PresentationError(f"duplicate bracket for ({x}, {y})")
-            terms, central = val
-            self._table[(x, y)] = (_norm_terms(terms), _clean(central or {}))
+            value: dict = {}
+            for lam, der, target, coeff in terms:
+                if target == VACUUM:
+                    if der:
+                        raise PresentationError(
+                            f"derivative of the vacuum in [{x}, {y}]"
+                        )
+                elif target not in self.index:
+                    raise PresentationError(
+                        f"undeclared target {target} in [{x}, {y}]"
+                    )
+                key_acc(value, (lam, der, target), _coerce(coeff))
+            for lam, coeff in (central or {}).items():
+                key_acc(value, (lam, 0, VACUUM), _coerce(coeff))
+            self._table[(x, y)] = value
         self._pair_cache: dict = {}
 
     # -- basic data ----------------------------------------------------------
@@ -107,11 +130,11 @@ class VaPresentation:
         return -1 if self.parity[x] and self.parity[y] else 1
 
     def pair_bracket(self, x: str, y: str):
-        """Canonical bracket of an ordered generator pair.
+        """Canonical bracket of an ordered pair as one vector.
 
-        Returns (terms, central) with terms keyed (lam_power, der_order,
-        target) and central keyed lam_power.  Pairs stored in the other
-        orientation are completed by skew symmetry.
+        Keys are (lam_power, der_order, target), central terms on VACUUM.
+        Pairs stored in the other orientation are completed by skew
+        symmetry; a pair with the vacuum in it brackets to zero.
         """
         if (x, y) in self._pair_cache:
             return self._pair_cache[(x, y)]
@@ -120,44 +143,36 @@ class VaPresentation:
         elif (y, x) in self._table:
             out = self._skew(self._table[(y, x)], self.pair_sign(x, y))
         else:
-            out = ({}, {})
+            out = {}
         self._pair_cache[(x, y)] = out
         return out
 
     @staticmethod
     def _skew(value, sign: int):
-        # [y_lam x] = -p(x,y) [x_{-lam-d} y]; on central terms d acts as zero
-        terms, central = value
+        # [y_lam x] = -p(x,y) [x_{-lam-d} y]
         s = Scalar.from_int(-sign)
-        out_terms: dict = {}
-        for (n, k, target), coeff in terms.items():
+        out: dict = {}
+        for (n, k, target), coeff in value.items():
             base = coeff * s * Scalar.from_int((-1) ** n)
-            for j in range(n + 1):
+            for j in _ders(target, n):
                 key_acc(
-                    out_terms,
+                    out,
                     (n - j, k + j, target),
                     base * Scalar.from_int(math.comb(n, j)),
                 )
-        out_central = {
-            n: coeff * s * Scalar.from_int((-1) ** n) for n, coeff in central.items()
-        }
-        return out_terms, out_central
+        return out
 
     def nth_products(self, x: str, y: str):
-        """Modes x_(n) y for n >= 0 as {n: (derivative terms, central)}.
+        """Modes x_(n) y for n >= 0 as {n: {(der_order, target): coeff}}.
 
         The lambda expansion [x_lam y] = sum_n lam^n / n! x_(n) y fixes the
-        normalization: mode n collects n! times the lam^n coefficient.
+        normalization: mode n collects n! times the lam^n coefficient.  A
+        central term stays on VACUUM.
         """
-        terms, central = self.pair_bracket(x, y)
         out: dict = {}
-        for (n, k, target), coeff in terms.items():
+        for (n, k, target), coeff in self.pair_bracket(x, y).items():
             fact = Scalar.from_int(math.factorial(n))
-            slot = out.setdefault(n, ({}, ZERO))
-            key_acc(slot[0], (k, target), coeff * fact)
-        for n, coeff in central.items():
-            tdict, cval = out.get(n, ({}, ZERO))
-            out[n] = (tdict, cval + coeff * Scalar.from_int(math.factorial(n)))
+            key_acc(out.setdefault(n, {}), (k, target), coeff * fact)
         return out
 
     # -- validation -----------------------------------------------------------
@@ -176,34 +191,25 @@ class VaPresentation:
         return True
 
     def _check_homogeneity(self):
-        for (x, y), (terms, central) in self._table.items():
+        # the vacuum, the only target outside the weights, is even of weight 0
+        for (x, y), value in self._table.items():
             wsum = self.weight[x] + self.weight[y]
             psum = (self.parity[x] + self.parity[y]) % 2
-            for (n, k, target), _ in terms.items():
-                if self.parity[target] != psum:
+            for n, k, target in value:
+                if self.parity.get(target, 0) != psum:
                     raise PresentationError(
                         f"parity mismatch in [{x}, {y}] -> {target}"
                     )
-                if self.weight[target] + k + n + 1 != wsum:
+                if self.weight.get(target, 0) + k + n + 1 != wsum:
                     raise PresentationError(
                         f"weight mismatch in [{x}, {y}] -> lam^{n} d^{k} {target}"
-                    )
-            for n in central:
-                if psum != 0:
-                    raise PresentationError(
-                        f"odd central term in [{x}, {y}]"
-                    )
-                if n + 1 != wsum:
-                    raise PresentationError(
-                        f"central weight mismatch in [{x}, {y}] at lam^{n}"
                     )
 
     def _check_diagonal_skew(self):
         for g in self.generators:
             x = g.name
             stored = self.pair_bracket(x, x)
-            flipped = self._skew(stored, self.pair_sign(x, x))
-            if stored[0] != flipped[0] or stored[1] != flipped[1]:
+            if stored != self._skew(stored, self.pair_sign(x, x)):
                 raise PresentationError(f"diagonal skew fails for {x}")
 
     def _check_conformal(self):
@@ -212,101 +218,74 @@ class VaPresentation:
             raise PresentationError(f"conformal name {L} not declared")
         if self.weight[L] != 2 or self.parity[L] != 0:
             raise PresentationError("conformal generator must be even weight 2")
-        terms, central = self.pair_bracket(L, L)
         want = {(0, 1, L): ONE, (1, 0, L): Scalar.from_int(2)}
-        if terms != want:
-            raise PresentationError("conformal self-bracket is not (d + 2 lam) L")
         cc = self.central_charge
-        want_central = {} if cc is None or cc.is_zero() else {3: cc / 12}
-        if central != want_central:
-            raise PresentationError("conformal central term is not (c/12) lam^3")
+        if cc is not None and not cc.is_zero():
+            want[(3, 0, VACUUM)] = cc / 12
+        if self.pair_bracket(L, L) != want:
+            raise PresentationError(
+                "conformal self-bracket is not (d + 2 lam) L + (c/12) lam^3"
+            )
         for g in self.generators:
             if g.name == L:
                 continue
-            terms, central = self.pair_bracket(L, g.name)
             want = _clean({(0, 1, g.name): ONE, (1, 0, g.name): Fraction(g.weight)})
-            if terms != want or central:
+            if self.pair_bracket(L, g.name) != want:
                 raise PresentationError(f"{g.name} is not primary of its weight")
 
     # -- conformal-level Jacobi ------------------------------------------------
 
     def _nest_outer(self, outer: str, inner_value, outer_is_lambda: bool):
-        """[outer_nu (inner terms in the other variable)] as a bivariate value.
+        """[outer_nu (inner value in the other variable)] as a bivariate vector.
 
-        inner_value terms are keyed (m, k, X): m the power of the variable the
-        inner bracket was taken in, k the derivative order.  Sesquilinearity
-        gives [a_nu d^k X] = (nu + d)^k [a_nu X]; central parts of the inner
-        value are killed.  Keys out: (lam_pow, mu_pow, der, target) and central
-        (lam_pow, mu_pow).
+        inner_value is keyed (m, k, X): m the power of the variable the inner
+        bracket was taken in, k the derivative order.  Sesquilinearity gives
+        [a_nu d^k X] = (nu + d)^k [a_nu X]; a vacuum X brackets to zero, and
+        d kills a vacuum term of [a_nu X].  Keys out: (lam_pow, mu_pow, der,
+        target), central terms on VACUUM.
         """
-        terms_out: dict = {}
-        central_out: dict = {}
-        inner_terms, _inner_central = inner_value
-        for (m, k, target), coeff in inner_terms.items():
-            base_terms, base_central = self.pair_bracket(outer, target)
-            for t in range(k + 1):
-                shift = Scalar.from_int(math.comb(k, t))
-                for (p, q, y2), c2 in base_terms.items():
+        out: dict = {}
+        for (m, k, target), coeff in inner_value.items():
+            shifts = [Scalar.from_int(math.comb(k, t)) for t in range(k + 1)]
+            for (p, q, y2), c2 in self.pair_bracket(outer, target).items():
+                for t in _ders(y2, k):
                     nu_pow = p + k - t
                     key = (
                         (nu_pow, m, q + t, y2)
                         if outer_is_lambda
                         else (m, nu_pow, q + t, y2)
                     )
-                    key_acc(terms_out, key, coeff * c2 * shift)
-                if t == k:
-                    for p, c2 in base_central.items():
-                        nu_pow = p + k
-                        key = (nu_pow, m) if outer_is_lambda else (m, nu_pow)
-                        key_acc(central_out, key, coeff * c2)
-        return terms_out, central_out
+                    key_acc(out, key, coeff * c2 * shifts[t])
+        return out
 
     def _nest_middle(self, ab_value, cgen: str):
         """[[a_lam b]_{lam+mu} c] from the expansion of [a_lam b]."""
-        terms_out: dict = {}
-        central_out: dict = {}
-        ab_terms, _ab_central = ab_value
-        for (n, k, target), coeff in ab_terms.items():
-            base_terms, base_central = self.pair_bracket(target, cgen)
+        out: dict = {}
+        for (n, k, target), coeff in ab_value.items():
             sign = Scalar.from_int((-1) ** k)
-            for (p, q, y2), c2 in base_terms.items():
+            for (p, q, y2), c2 in self.pair_bracket(target, cgen).items():
                 tot = k + p
                 for i in range(tot + 1):
                     key_acc(
-                        terms_out,
+                        out,
                         (n + i, tot - i, q, y2),
                         coeff * c2 * sign * Scalar.from_int(math.comb(tot, i)),
                     )
-            for p, c2 in base_central.items():
-                tot = k + p
-                for i in range(tot + 1):
-                    key_acc(
-                        central_out,
-                        (n + i, tot - i),
-                        coeff * c2 * sign * Scalar.from_int(math.comb(tot, i)),
-                    )
-        return terms_out, central_out
+        return out
 
     def jacobi_residual(self, x: str, y: str, z: str):
         """Residual of [x_lam [y_mu z]] - [[x_lam y]_{lam+mu} z] - p [y_mu [x_lam z]]."""
-        t1_terms, t1_central = self._nest_outer(
-            x, self.pair_bracket(y, z), outer_is_lambda=True
+        res = self._nest_outer(x, self.pair_bracket(y, z), outer_is_lambda=True)
+        vec_acc(res, self._nest_middle(self.pair_bracket(x, y), z), _MINUS_ONE)
+        vec_acc(
+            res,
+            self._nest_outer(y, self.pair_bracket(x, z), outer_is_lambda=False),
+            Scalar.from_int(-self.pair_sign(x, y)),
         )
-        t2_terms, t2_central = self._nest_middle(self.pair_bracket(x, y), z)
-        t3_terms, t3_central = self._nest_outer(
-            y, self.pair_bracket(x, z), outer_is_lambda=False
-        )
-        sign = Scalar.from_int(-self.pair_sign(x, y))
-        res_terms = dict(t1_terms)
-        vec_acc(res_terms, t2_terms, _MINUS_ONE)
-        vec_acc(res_terms, t3_terms, sign)
-        res_central = dict(t1_central)
-        vec_acc(res_central, t2_central, _MINUS_ONE)
-        vec_acc(res_central, t3_central, sign)
-        return res_terms, res_central
+        return res
 
     def jacobi_witness(self):
-        """First failing triple with its residual, or None.
+        """First failing triple with its residual vector, or None.
 
         Only y at or after x is tried: pair_bracket completes each pair by
         skew symmetry, so residual(y, x, z)(lam, mu) = -p(x, y)
@@ -317,9 +296,9 @@ class VaPresentation:
         for i, x in enumerate(names):
             for y in names[i:]:
                 for z in names:
-                    res_terms, res_central = self.jacobi_residual(x, y, z)
-                    if res_terms or res_central:
-                        return (x, y, z, (res_terms, res_central))
+                    residual = self.jacobi_residual(x, y, z)
+                    if residual:
+                        return (x, y, z, residual)
         return None
 
 
@@ -328,32 +307,28 @@ class VaPresentation:
 
 
 def check_embedding(source: VaPresentation, target: VaPresentation, images: dict):
-    """None when images preserve all lambda brackets, else a witness pair.
+    """None when images preserve all lambda brackets, else (x, y, got, want).
 
     images maps each source generator to a coordinate dict over target
-    generators; weights and parities must line up termwise, so the check is
-    plain bilinear expansion and exact comparison.
+    generators, and VACUUM maps to itself; weights and parities must line
+    up termwise, so the check is plain bilinear expansion and exact
+    comparison.
     """
+    images = {**images, VACUUM: {VACUUM: ONE}}
     names = source.names()
     for i, x in enumerate(names):
         for y in names[i:]:
-            want_terms: dict = {}
-            want_central: dict = {}
-            src_terms, src_central = source.pair_bracket(x, y)
-            for (n, k, tgt), coeff in src_terms.items():
+            want: dict = {}
+            for (n, k, tgt), coeff in source.pair_bracket(x, y).items():
                 for tname, tcoeff in images[tgt].items():
-                    key_acc(want_terms, (n, k, tname), coeff * _coerce(tcoeff))
-            vec_acc(want_central, src_central)
-            got_terms: dict = {}
-            got_central: dict = {}
+                    key_acc(want, (n, k, tname), coeff * _coerce(tcoeff))
+            got: dict = {}
             for xg, xc in images[x].items():
                 for yg, yc in images[y].items():
                     factor = _coerce(xc) * _coerce(yc)
-                    tterms, tcentral = target.pair_bracket(xg, yg)
-                    vec_acc(got_terms, tterms, factor)
-                    vec_acc(got_central, tcentral, factor)
-            if got_terms != want_terms or got_central != want_central:
-                return (x, y, (got_terms, got_central), (want_terms, want_central))
+                    vec_acc(got, target.pair_bracket(xg, yg), factor)
+            if got != want:
+                return (x, y, got, want)
     return None
 
 

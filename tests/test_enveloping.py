@@ -288,8 +288,8 @@ def _n2_doubled_j_gp() -> VaPresentation:
     """N2 with [J_lam Gp] = 2 Gp, unvalidated: only the axiom checks see it."""
     base = builtin_presentation("N2")
     brackets = {
-        pair: ([(n, k, x, co) for (n, k, x), co in terms.items()], dict(central))
-        for pair, (terms, central) in base._table.items()
+        pair: ([(n, k, x, co) for (n, k, x), co in value.items()], {})
+        for pair, value in base._table.items()
     }
     brackets[("J", "Gp")] = ([term(2, "Gp")], {})
     return VaPresentation(

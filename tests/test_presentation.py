@@ -8,6 +8,7 @@ import pytest
 from vazhu.presentation import (
     GeneratorSpec,
     PresentationError,
+    VACUUM,
     VaPresentation,
     builtin_embedding,
     builtin_ids,
@@ -16,7 +17,7 @@ from vazhu.presentation import (
     term,
     _big4_brackets,
 )
-from vazhu.scalar import Scalar, ONE, ZERO
+from vazhu.scalar import Scalar, ONE
 
 C = Scalar.param("c")
 
@@ -52,23 +53,9 @@ def _digest(text: str) -> str:
 
 
 def _flat(value):
-    """A bracket value as one vector, central keys moved onto the vacuum.
-
-    pair_bracket values and Jacobi residuals come as (terms, central) with
-    central keyed by lam powers, nth_products as {n: (terms, central)}; a
-    central key becomes (..., 0, "|0>").
-    """
-    if isinstance(value, dict):
-        return {n: _flat(v) for n, v in value.items()}
-    terms, central = value
-    out = dict(terms)
-    if isinstance(central, Scalar):
-        if not central.is_zero():
-            out[(0, "|0>")] = central
-        return out
-    for key, coeff in central.items():
-        out[(key if isinstance(key, tuple) else (key,)) + (0, "|0>")] = coeff
-    return out
+    """A bracket value as one vector: pair_bracket, nth_products and Jacobi
+    residuals already keep central terms on the vacuum "|0>"."""
+    return value
 
 
 def _vector_digest(vec) -> str:
@@ -137,32 +124,27 @@ def test_clean_big4_has_no_witness():
 def test_skew_completion_weight_32_pair():
     # [Gm_lam Gp] = L - (1/2) dJ - lam J + (c/6) lam^2 from the stored pair
     pres = builtin_presentation("N2")
-    terms, central = pres.pair_bracket("Gm", "Gp")
-    assert terms == {
+    assert pres.pair_bracket("Gm", "Gp") == {
         (0, 0, "L"): ONE,
         (0, 1, "J"): Scalar.from_fraction(Fraction(-1, 2)),
         (1, 0, "J"): -ONE,
+        (2, 0, VACUUM): C / 6,
     }
-    assert central == {2: C / 6}
 
 
 def test_skew_completion_against_conformal():
     # [G_lam L] = (1/2) dG + (3/2) lam G
     pres = builtin_presentation("N1")
-    terms, central = pres.pair_bracket("G", "L")
-    assert terms == {
+    assert pres.pair_bracket("G", "L") == {
         (0, 1, "G"): Scalar.from_fraction(Fraction(1, 2)),
         (1, 0, "G"): Scalar.from_fraction(Fraction(3, 2)),
     }
-    assert central == {}
 
 
 def test_skew_on_central_only_pair():
     # constant centrals of odd pairs are symmetric under skew
     pres = builtin_presentation("big4")
-    terms, central = pres.pair_bracket("Smm", "Spp")
-    assert terms == {}
-    assert central == {0: -C / 6}
+    assert pres.pair_bracket("Smm", "Spp") == {(0, 0, VACUUM): -C / 6}
 
 
 def test_nth_products_normalization():
@@ -170,14 +152,14 @@ def test_nth_products_normalization():
     pres = builtin_presentation("N1")
     prods = pres.nth_products("G", "G")
     assert set(prods) == {0, 2}
-    assert prods[0] == ({(0, "L"): Scalar.from_int(2)}, ZERO)
-    assert prods[2] == ({}, 2 * C / 3)
+    assert prods[0] == {(0, "L"): Scalar.from_int(2)}
+    assert prods[2] == {(0, VACUUM): 2 * C / 3}
 
 
 def test_nth_products_of_free_fermion():
     pres = builtin_presentation("free_fermion")
     prods = pres.nth_products("psi", "psi")
-    assert prods == {0: ({}, ONE)}
+    assert prods == {0: {(0, VACUUM): ONE}}
 
 
 # -- validation rejections ----------------------------------------------------
@@ -195,7 +177,7 @@ def test_parity_mismatch_rejected():
         GeneratorSpec("F", 1, Fraction(1)),
     ]
     brackets = {("B", "F"): ([term(1, "B", lam=1)], {})}
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"parity mismatch in \[B, F\] -> B$"):
         VaPresentation("bad", gens, brackets).validate()
 
 
@@ -204,7 +186,7 @@ def test_odd_central_rejected():
         GeneratorSpec("B", 0, Fraction(1, 2)),
         GeneratorSpec("F", 1, Fraction(1, 2)),
     ]
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"parity mismatch in \[B, F\] -> \|0>"):
         VaPresentation("bad", gens, {("B", "F"): ([], {0: ONE})}).validate()
 
 
@@ -220,8 +202,38 @@ def test_wrong_orientation_rejected():
         GeneratorSpec("X", 0, Fraction(1)),
         GeneratorSpec("Y", 0, Fraction(1)),
     ]
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match=r"flip \(Y, X\)"):
         VaPresentation("bad", gens, {("Y", "X"): ([], {1: ONE})})
+
+
+def test_undeclared_target_rejected():
+    gens = [GeneratorSpec("B", 0, Fraction(1))]
+    with pytest.raises(PresentationError, match=r"undeclared target X in \[B, B\]"):
+        VaPresentation("bad", gens, {("B", "B"): ([term(1, "X")], {})})
+
+
+def test_vacuum_derivative_rejected():
+    gens = [GeneratorSpec("B", 0, Fraction(1))]
+    brackets = {("B", "B"): ([term(1, VACUUM, der=1)], {})}
+    with pytest.raises(
+        PresentationError, match=r"derivative of the vacuum in \[B, B\]"
+    ):
+        VaPresentation("bad", gens, brackets)
+
+
+def test_vacuum_generator_name_rejected():
+    gens = [GeneratorSpec(VACUUM, 0, Fraction(0))]
+    with pytest.raises(PresentationError, match=r"generator name \|0> is the vacuum"):
+        VaPresentation("bad", gens, {})
+
+
+def test_central_terms_fold_onto_the_vacuum():
+    # a central lam power and a term on VACUUM are the same bracket entry
+    gens = [GeneratorSpec("B", 0, Fraction(1))]
+    central = VaPresentation("c", gens, {("B", "B"): ([], {1: ONE})})
+    on_vacuum = VaPresentation("v", gens, {("B", "B"): ([term(1, VACUUM, lam=1)], {})})
+    assert central._table == on_vacuum._table == {("B", "B"): {(1, 0, VACUUM): ONE}}
+    assert central.validate() and on_vacuum.validate()
 
 
 def test_non_primary_rejected():
@@ -246,17 +258,16 @@ def test_displayed_diagonal_current_central_fails_jacobi():
     c = Scalar.param("c")
     base = builtin_presentation("N3")
     brackets = {}
-    for pair, (terms, central) in base._table.items():
-        terms = [(n, k, x, co) for (n, k, x), co in terms.items()]
-        brackets[pair] = (terms, dict(central))
+    for pair, value in base._table.items():
+        brackets[pair] = ([(n, k, x, co) for (n, k, x), co in value.items()], {})
     for i in (1, 2, 3):
         brackets[(f"A{i}", f"A{i}")] = ([], {1: c / 3})
     bad = VaPresentation("N3_displayed", base.generators, brackets, c, "L")
     witness = bad.jacobi_witness()
     assert witness is not None
-    x, y, z, (res_terms, res_central) = witness
+    x, y, z, residual = witness
     assert {x, y, z} <= {"A1", "A2", "A3", "G1", "G2", "G3", "Phi"}
-    assert res_central
+    assert any(target == VACUUM for *_, target in residual)
 
 
 @pytest.mark.parametrize(
@@ -288,23 +299,27 @@ def test_big4_single_entry_perturbations_fail_jacobi(mutate):
 
 
 def _swap_lam_mu(residual, sign):
-    terms, central = residual
     s = Scalar.from_int(-sign)
-    return (
-        {(m, l, k, t): c * s for (l, m, k, t), c in terms.items()},
-        {(m, l): c * s for (l, m), c in central.items()},
-    )
+    return {(m, l, k, t): c * s for (l, m, k, t), c in residual.items()}
 
 
 def _doubled_first_off_diagonal(pres):
-    # a copy whose first stored off-diagonal bracket is doubled, so that
-    # some residuals are nonzero
+    # a copy whose first stored off-diagonal bracket with a non-central term
+    # has those terms doubled, so that some residuals are nonzero
+    def noncentral(value):
+        return any(target != VACUUM for _, _, target in value)
+
+    pair = next(p for p, v in pres._table.items() if p[0] != p[1] and noncentral(v))
     brackets = {}
-    for pair, (terms, central) in pres._table.items():
-        brackets[pair] = ([(n, k, x, co) for (n, k, x), co in terms.items()], central)
-    pair = next(p for p in pres._table if p[0] != p[1] and pres._table[p][0])
-    terms, central = brackets[pair]
-    brackets[pair] = ([(n, k, x, 2 * co) for n, k, x, co in terms], central)
+    for p, value in pres._table.items():
+        scale = 2 if p == pair else 1
+        brackets[p] = (
+            [
+                (n, k, x, co if x == VACUUM else scale * co)
+                for (n, k, x), co in value.items()
+            ],
+            {},
+        )
     return VaPresentation(
         f"{pres.name}_doubled",
         pres.generators,
