@@ -79,6 +79,9 @@ class LieSuperalgebra:
         # fill in each missing orientation; validate() checks antisymmetry
         full = {}
         for (x, y), val in table.items():
+            outside = {x, y, *val} - self.index.keys()
+            if outside:
+                raise ValueError(f"table entry ({x}, {y}) uses {sorted(outside)}")
             full[(x, y)] = _clean(val)
         for (x, y), val in list(full.items()):
             if (y, x) not in full:
@@ -211,6 +214,13 @@ class LieMorphism:
     """Linear map on basis elements, checkable for bracket preservation."""
 
     def __init__(self, source: LieSuperalgebra, target, images: dict):
+        missing = [n for n in source.names if n not in images]
+        if missing:
+            raise ValueError(f"no image for source names {missing}")
+        for n, v in images.items():
+            outside = v.keys() - target.index.keys()
+            if outside:
+                raise ValueError(f"image of {n} uses {sorted(outside)}")
         self.source = source
         self.target = target
         self.images = {n: _clean(v) for n, v in images.items()}

@@ -312,10 +312,18 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     images maps each source generator to a coordinate dict over target
     generators, and VACUUM maps to itself; weights and parities must line
     up termwise, so the check is plain bilinear expansion and exact
-    comparison.
+    comparison.  PresentationError when images leaves a source generator
+    out or puts one on a name the target does not declare.
     """
-    images = {**images, VACUUM: {VACUUM: ONE}}
     names = source.names()
+    missing = [x for x in names if x not in images]
+    if missing:
+        raise PresentationError(f"no image for source generators {missing}")
+    declared = set(target.names())
+    unknown = sorted({g for x in names for g in images[x]} - declared)
+    if unknown:
+        raise PresentationError(f"images use unknown target generators {unknown}")
+    images = {**images, VACUUM: {VACUUM: ONE}}
     for i, x in enumerate(names):
         for y in names[i:]:
             want: dict = {}

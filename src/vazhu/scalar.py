@@ -24,11 +24,24 @@ The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
 `is` and never compare `Fraction`s to find it.  `ONE` is likewise one
 object, and multiplying by it returns the other operand unchanged.
+
+The operations that normalize are memoized: a sum past both polynomial
+fast paths, a product with a denominator other than 1, and every nonzero
+quotient all go through `_reduced`, an `lru_cache` keyed by the operator
+and the two operands.  Parametric structure constants such as the big
+N=4 family's, with denominators a, a+1 and their products, repeat the
+same few hundred operand pairs thousands of times per check.  Sharing a
+cached result is exact, because a Scalar's form depends only on its
+operands and Scalars are immutable.  The cache holds at most
+`_REDUCED_MEMO_SIZE` entries, a fixed bound, and `declare_parameter`
+empties it together with the monomial caches.  The plain-rational and
+unit-denominator paths are not cached: their operands rarely repeat.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 # the rational type; benchmark records report its name as the backend
@@ -82,9 +95,11 @@ def declare_parameter(name: str, square=None) -> None:
                 if v >= idx:
                     raise ValueError("square rule may only use earlier parameters")
         _SQUARE_RULES[idx] = rule
-    # cached keys embed the registry size, cached products its square rules
+    # cached keys embed the registry size, cached products and normalized
+    # results its square rules
     _MONO_KEY_CACHE.clear()
     _MONO_MUL_CACHE.clear()
+    _reduced.cache_clear()
 
 
 def parameter_names() -> tuple[str, ...]:
@@ -407,6 +422,8 @@ def _items(p) -> tuple:
 
 _ONE_ITEMS = ((tuple(), Fraction(1)),)
 _INT_CACHE: dict = {}
+# about 6x the most distinct normalizing operand pairs a big4 pass makes (647)
+_REDUCED_MEMO_SIZE = 4096
 
 
 class Scalar:
@@ -491,14 +508,7 @@ class Scalar:
             if not merged:
                 return ZERO
             return Scalar(_items(merged), _ONE_ITEMS, _canonical=True)
-        if self._den == other._den:
-            num = dict(self._num)
-            _poly_acc(num, other._num)
-            return Scalar(num, self._den)
-        d1, d2 = dict(self._den), dict(other._den)
-        num = _poly_mul(dict(self._num), d2)
-        _poly_acc(num, _poly_mul(dict(other._num), d1).items())
-        return Scalar(num, _poly_mul(d1, d2))
+        return _reduced("+", self, other)
 
     __radd__ = __add__
 
@@ -539,14 +549,13 @@ class Scalar:
             return Scalar(
                 tuple([(m, c * q) for m, c in x._num]), x._den, _canonical=True
             )
-        num = _poly_mul(dict(self._num), dict(other._num))
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             # product of canonical polynomials is canonical (unit denominator)
+            num = _poly_mul(dict(self._num), dict(other._num))
             if not num:
                 return ZERO
             return Scalar(_items(num), _ONE_ITEMS, _canonical=True)
-        den = _poly_mul(dict(self._den), dict(other._den))
-        return Scalar(num, den)
+        return _reduced("*", self, other)
 
     __rmul__ = __mul__
 
@@ -558,9 +567,7 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_zero():
             return ZERO
-        num = _poly_mul(dict(self._num), dict(other._den))
-        den = _poly_mul(dict(self._den), dict(other._num))
-        return Scalar(num, den)
+        return _reduced("/", self, other)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -632,6 +639,26 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+@lru_cache(maxsize=_REDUCED_MEMO_SIZE)
+def _reduced(op, x, y):
+    """x + y, x * y or x / y (op "+", "*", "/") through gcd normalization.
+
+    The three Scalar operations that normalize end here once their fast
+    paths are passed; both operands are nonzero.
+    """
+    xn, xd, yn, yd = dict(x._num), dict(x._den), dict(y._num), dict(y._den)
+    if op == "+":
+        if x._den == y._den:
+            _poly_acc(xn, y._num)
+            return Scalar(xn, xd)
+        num = _poly_mul(xn, yd)
+        _poly_acc(num, _poly_mul(yn, xd).items())
+        return Scalar(num, _poly_mul(xd, yd))
+    if op == "*":
+        return Scalar(_poly_mul(xn, yn), _poly_mul(xd, yd))
+    return Scalar(_poly_mul(xn, yd), _poly_mul(xd, yn))
 
 
 def _coerce(x):

@@ -186,6 +186,21 @@ def test_antisymmetry_completion_and_check():
         )
 
 
+def test_table_outside_the_basis_rejected():
+    with pytest.raises(ValueError, match=r"table entry \(h, x\) uses \['x'\]"):
+        LieSuperalgebra(["h"], {"h": 0}, {("h", "x"): {"h": ONE}})
+    with pytest.raises(ValueError, match=r"table entry \(h, h\) uses \['y'\]"):
+        LieSuperalgebra(["h"], {"h": 0}, {("h", "h"): {"y": ONE}})
+
+
+def test_morphism_needs_every_image_on_target_names():
+    r = build_algebra("R_N1")
+    with pytest.raises(ValueError, match=r"no image for source names \['G'\]"):
+        LieMorphism(r, r, {"L": {"L": ONE}})
+    with pytest.raises(ValueError, match=r"image of G uses \['X'\]"):
+        LieMorphism(r, r, {"L": {"L": ONE}, "G": {"X": ONE}})
+
+
 # ---------------------------------------------------------------------------
 # the exceptional family: root-vector brackets and invariants
 

@@ -365,6 +365,19 @@ def test_embedding_with_wrong_sign_fails():
     assert witness[0] == witness[1] == "G"
 
 
+def test_embedding_without_every_source_image_rejected():
+    src, tgt, _ = builtin_embedding("N1_in_N2")
+    with pytest.raises(PresentationError, match=r"source generators \['G'\]"):
+        check_embedding(src, tgt, {"L": {"L": ONE}})
+
+
+def test_embedding_onto_undeclared_target_rejected():
+    src, tgt, images = builtin_embedding("N1_in_N2")
+    images = dict(images, G={"Gp": ONE, "Q": ONE})
+    with pytest.raises(PresentationError, match=r"unknown target generators \['Q'\]"):
+        check_embedding(src, tgt, images)
+
+
 def test_unknown_embedding_tag_rejected():
     with pytest.raises(ValueError):
         builtin_embedding("N4_in_big4")

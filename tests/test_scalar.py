@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from fractions import Fraction
 
@@ -16,7 +17,14 @@ from vazhu.scalar import (
     parameter_names,
     parse_scalar,
 )
-from vazhu.scalar import _ONE_ITEMS, _mono_key
+from vazhu import presentation
+from vazhu.scalar import (
+    _MONO_KEY_CACHE,
+    _MONO_MUL_CACHE,
+    _ONE_ITEMS,
+    _mono_key,
+    _reduced,
+)
 
 
 def S(text):
@@ -90,10 +98,63 @@ def test_to_fraction():
 
 
 def test_declare_parameter_conflicts():
+    assert "tmp_level" not in parameter_names()
+    ONE / (Scalar.param("c") + 1)
+    assert _reduced.cache_info().currsize and _MONO_KEY_CACHE and _MONO_MUL_CACHE
     declare_parameter("tmp_level")
+    # a new parameter empties every memo that the registry feeds
+    assert _reduced.cache_info().currsize == 0
+    assert not _MONO_KEY_CACHE and not _MONO_MUL_CACHE
     declare_parameter("tmp_level")  # same declaration is fine
     with pytest.raises(ValueError):
         declare_parameter("tmp_level", square=ONE)
+
+
+# ---------------------------------------------------------------------------
+# the memo of normalizing operations
+
+
+def _memo_pool():
+    """big4 and N4 bracket coefficients, plus fractions in a, I and s."""
+    pool = set()
+    for pres_id in ("big4", "N4"):
+        for vec in presentation.builtin_presentation(pres_id)._table.values():
+            pool.update(vec.values())
+    extra = ("I/(a + 1)", "(a + I)/(a - 1)", "s/(a + 2)", "(s + 1)/a", "I/(a + I)")
+    pool.update(S(text) for text in extra)
+    return sorted(pool, key=lambda v: repr((v._num, v._den)))
+
+
+def _reaches_memo(op, x, y):
+    # the fast paths: plain-rational scaling and unit-denominator polynomials
+    if op == "/":
+        return True
+    if op == "*" and any(v.is_polynomial() and not v.parameters() for v in (x, y)):
+        return False
+    return not (x.is_polynomial() and y.is_polynomial())
+
+
+def test_memoized_operations_match_uncached_normalization():
+    ops = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
+    pool = _memo_pool()
+    assert sum(not v.is_polynomial() for v in pool) >= 20
+    for x in pool:
+        for y in pool:
+            for op, fn in ops.items():
+                got = fn(x, y)
+                want = _reduced.__wrapped__(op, x, y)
+                assert (got._num, got._den) == (want._num, want._den), (op, x, y)
+                if _reaches_memo(op, x, y):
+                    assert fn(x, y) is got, (op, x, y)
+
+
+def test_memo_serves_the_big4_jacobi_pass():
+    # a refactor that routes the gcd path around the memo fails here
+    pres = presentation._BUILTINS["big4"]()
+    _reduced.cache_clear()
+    assert pres.jacobi_witness() is None
+    info = _reduced.cache_info()
+    assert info.misses and info.hits >= 8 * info.misses, info
 
 
 small_frac = st.fractions(
