@@ -51,9 +51,13 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 
 
 class VertexAlgebra:
-    """The enveloping vertex algebra of a validated presentation."""
+    """The enveloping vertex algebra of a validated presentation.
 
-    def __init__(self, presentation):
+    memo_term_budget bounds the memoized terms: past it, trim_caches drops
+    every memo between top-level operations.
+    """
+
+    def __init__(self, presentation, *, memo_term_budget: int = 3_000_000):
         self.pres = presentation
         self.names = presentation.names()
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -78,7 +82,7 @@ class VertexAlgebra:
         self._wt2_memo: dict = {(): 0}
         # stored memo terms, trimmed at safe points to bound memory
         self._memo_terms = 0
-        self.memo_term_budget = 3_000_000
+        self.memo_term_budget = memo_term_budget
 
     # -- states ----------------------------------------------------------------
 

@@ -217,6 +217,9 @@ class LieMorphism:
         missing = [n for n in source.names if n not in images]
         if missing:
             raise ValueError(f"no image for source names {missing}")
+        extra = sorted(images.keys() - set(source.names))
+        if extra:
+            raise ValueError(f"images of unknown source names {extra}")
         for n, v in images.items():
             outside = v.keys() - target.index.keys()
             if outside:

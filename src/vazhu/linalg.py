@@ -302,6 +302,13 @@ class GrassmannElement:
                 key_acc(out, (te, ordered), _coerce(c) * sign)
         self.terms = out
 
+    @classmethod
+    def _from_clean(cls, terms: dict) -> "GrassmannElement":
+        """An element on terms that are already zero-free Scalars on sorted keys."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     @staticmethod
     def monomial(t_exp: int = 0, thetas=(), coeff=1) -> "GrassmannElement":
         return GrassmannElement({(t_exp, tuple(thetas)): coeff})
@@ -309,10 +316,10 @@ class GrassmannElement:
     def __add__(self, other):
         out = dict(self.terms)
         vec_acc(out, other.terms)
-        return GrassmannElement(out)
+        return GrassmannElement._from_clean(out)
 
     def __neg__(self):
-        return GrassmannElement({k: -c for k, c in self.terms.items()})
+        return GrassmannElement._from_clean({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -327,9 +334,11 @@ class GrassmannElement:
                     sign = _merge_sign(s1, s2)
                     key = (t1 + t2, tuple(sorted(s1 + s2)))
                     key_acc(out, key, c1 * c2 * sign)
-            return GrassmannElement(out)
+            return GrassmannElement._from_clean(out)
         f = _coerce(other)
-        return GrassmannElement({k: c * f for k, c in self.terms.items()})
+        if not f._num:
+            return GrassmannElement()
+        return GrassmannElement._from_clean({k: c * f for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -351,17 +360,17 @@ class GrassmannElement:
             pos = subset.index(i)
             rest = subset[:pos] + subset[pos + 1 :]
             key_acc(out, (te, rest), c * Scalar.from_int((-1) ** pos))
-        return GrassmannElement(out)
+        return GrassmannElement._from_clean(out)
 
     def t_derivative(self) -> "GrassmannElement":
         out = {}
         for (te, subset), c in self.terms.items():
             if te:
                 out[(te - 1, subset)] = c * Scalar.from_int(te)
-        return GrassmannElement(out)
+        return GrassmannElement._from_clean(out)
 
     def t_shift(self, k: int) -> "GrassmannElement":
-        return GrassmannElement(
+        return GrassmannElement._from_clean(
             {(te + k, subset): c for (te, subset), c in self.terms.items()}
         )
 

@@ -313,12 +313,16 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     generators, and VACUUM maps to itself; weights and parities must line
     up termwise, so the check is plain bilinear expansion and exact
     comparison.  PresentationError when images leaves a source generator
-    out or puts one on a name the target does not declare.
+    out, keys an image by a name that is not one, or puts one on a name the
+    target does not declare.
     """
     names = source.names()
     missing = [x for x in names if x not in images]
     if missing:
         raise PresentationError(f"no image for source generators {missing}")
+    extra = sorted(images.keys() - set(names))
+    if extra:
+        raise PresentationError(f"images of unknown source generators {extra}")
     declared = set(target.names())
     unknown = sorted({g for x in names for g in images[x]} - declared)
     if unknown:

@@ -36,6 +36,20 @@ operands and Scalars are immutable.  The cache holds at most
 `_REDUCED_MEMO_SIZE` entries, a fixed bound, and `declare_parameter`
 empties it together with the monomial caches.  The plain-rational and
 unit-denominator paths are not cached: their operands rarely repeat.
+
+Those paths run on an integer kernel instead.  Nearly every coefficient
+the engine meets is an integer, and `Fraction` arithmetic on two of them
+costs several times the int operation.  `_q_add` and `_q_mul` combine two
+coefficients of denominator 1 as Python ints and return a `Fraction`
+again; any other pair falls through to `Fraction` arithmetic.  A result
+with |n| <= `_SMALL_INT` is one shared object of `_SMALL_Q`.  Sharing is
+exact: a `Fraction` is immutable and compares by value, never by identity.
+`_poly_acc`, the sum of two constants and the scaling by a plain rational
+all go through the kernel, and a constant that is a small int comes back
+as its `_INT_CACHE` Scalar.  A polynomial sum merges the two term tuples,
+which are already sorted by `_mono_key`.  A sum creates no monomial, and
+the key orders distinct monomials strictly, so the merge yields the order
+a sort would.
 """
 
 from __future__ import annotations
@@ -109,6 +123,29 @@ def parameter_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # raw polynomial layer: dict {monomial: Fraction}, monomial = ((var, exp), ...)
 
+# integer-valued coefficients with |n| <= _SMALL_INT are shared objects
+_SMALL_INT = 256
+_SMALL_Q = {n: Fraction(n) for n in range(-_SMALL_INT, _SMALL_INT + 1)}
+
+
+def _q_add(x, y):
+    """x + y for a Fraction x and a Fraction or int y, as a Fraction."""
+    if x.denominator == 1 and y.denominator == 1:
+        n = x.numerator + y.numerator
+        q = _SMALL_Q.get(n)
+        return Fraction(n) if q is None else q
+    return x + y
+
+
+def _q_mul(x, y):
+    """x * y for a Fraction x and a Fraction or int y, as a Fraction."""
+    if x.denominator == 1 and y.denominator == 1:
+        n = x.numerator * y.numerator
+        q = _SMALL_Q.get(n)
+        return Fraction(n) if q is None else q
+    return x * y
+
+
 _MONO_KEY_CACHE: dict = {}
 
 
@@ -161,7 +198,7 @@ def _mono_mul(m1, m2):
         exps[v] = exps.get(v, 0) + e
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    res = _reduce_mono(exps, Fraction(1))
+    res = _reduce_mono(exps, _SMALL_Q[1])
     _MONO_MUL_CACHE[(m1, m2)] = res
     return res
 
@@ -176,12 +213,12 @@ def _poly_acc(out, terms, f=None):
     get = out.get
     for m, c in terms:
         if f is not None:
-            c = c * f
+            c = _q_mul(c, f)
         cur = get(m)
         if cur is None:
             out[m] = c
         else:
-            c = cur + c
+            c = _q_add(cur, c)
             if c:
                 out[m] = c
             else:
@@ -192,7 +229,7 @@ def _poly_mul(p, q):
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            _poly_acc(out, _mono_mul(m1, m2).items(), c1 * c2)
+            _poly_acc(out, _mono_mul(m1, m2).items(), _q_mul(c1, c2))
     return out
 
 
@@ -420,7 +457,32 @@ def _items(p) -> tuple:
     return tuple(sorted(p.items(), key=lambda mc: _mono_key(mc[0])))
 
 
-_ONE_ITEMS = ((tuple(), Fraction(1)),)
+def _merge(xs, ys) -> tuple:
+    """The sum of two Scalar term tuples, in their common _mono_key order."""
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        mx, cx = xs[i]
+        my, cy = ys[j]
+        if mx == my:
+            c = _q_add(cx, cy)
+            if c:
+                out.append((mx, c))
+            i += 1
+            j += 1
+        elif _mono_key(mx) < _mono_key(my):
+            out.append(xs[i])
+            i += 1
+        else:
+            out.append(ys[j])
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    return tuple(out)
+
+
+_ONE_ITEMS = ((tuple(), _SMALL_Q[1]),)
 _INT_CACHE: dict = {}
 # about 6x the most distinct normalizing operand pairs a big4 pass makes (647)
 _REDUCED_MEMO_SIZE = 4096
@@ -498,16 +560,12 @@ class Scalar:
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             sn, on = self._num, other._num
             if len(sn) == 1 and len(on) == 1 and not sn[0][0] and not on[0][0]:
-                q = sn[0][1] + on[0][1]
-                if not q:
-                    return ZERO
-                return Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
+                return _constant(_q_add(sn[0][1], on[0][1]))
             # polynomial sum stays canonical: no new monomials appear
-            merged = dict(sn)
-            _poly_acc(merged, on)
+            merged = _merge(sn, on)
             if not merged:
                 return ZERO
-            return Scalar(_items(merged), _ONE_ITEMS, _canonical=True)
+            return Scalar(merged, _ONE_ITEMS, _canonical=True)
         return _reduced("+", self, other)
 
     __radd__ = __add__
@@ -544,10 +602,11 @@ class Scalar:
             x, y = y, x
         if y._den is _ONE_ITEMS and len(y._num) == 1 and not y._num[0][0]:
             q = y._num[0][1]
-            if q == 1:
-                return x
+            xn = x._num
+            if x._den is _ONE_ITEMS and len(xn) == 1 and not xn[0][0]:
+                return _constant(_q_mul(xn[0][1], q))
             return Scalar(
-                tuple([(m, c * q) for m, c in x._num]), x._den, _canonical=True
+                tuple([(m, _q_mul(c, q)) for m, c in xn]), x._den, _canonical=True
             )
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             # product of canonical polynomials is canonical (unit denominator)
@@ -639,6 +698,15 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _constant(q) -> Scalar:
+    """The Scalar of the Fraction q; a small int is the _INT_CACHE one."""
+    if q.denominator == 1:
+        hit = _INT_CACHE.get(q.numerator)
+        if hit is not None:
+            return hit
+    return Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
 
 
 @lru_cache(maxsize=_REDUCED_MEMO_SIZE)
@@ -858,9 +926,10 @@ declare_parameter("gamma")
 declare_parameter("k")
 
 ZERO = Scalar({})
-ONE = Scalar({tuple(): Fraction(1)})
+ONE = Scalar(_ONE_ITEMS, _ONE_ITEMS, _canonical=True)
 _INT_CACHE.update(
-    {n: Scalar({tuple(): Fraction(n)}) for n in range(-64, 65) if n}
+    {n: Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
+     for n, q in _SMALL_Q.items() if n not in (0, 1)}
 )
 _INT_CACHE[0] = ZERO
 _INT_CACHE[1] = ONE

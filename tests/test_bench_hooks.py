@@ -5,7 +5,9 @@ attribute name, and bench/worker.py records scalar._Q.__name__ as the
 backend; a rename in src/ would otherwise surface only when a traced
 benchmark run fails.  bench/workloads.py pins the presentation verdicts
 its big4_verify workload gates on; a change of result shape would
-otherwise surface only as failed benchmark ops.  Both files are loaded,
+otherwise surface only as failed benchmark ops, and every workload runs at
+toy size through its own gate, so a drift of canonical forms against its
+ladder digests or suite counts fails here too.  The files are loaded,
 never edited.
 """
 
@@ -69,3 +71,17 @@ def test_workload_jacobi_witness_gate(pid):
 @pytest.mark.parametrize("tag", WORKLOADS.EMBEDDINGS)
 def test_workload_embedding_gate(tag):
     assert presentation.check_embedding(*presentation.builtin_embedding(tag)) is None
+
+
+class _StubPace:
+    """The one attribute a Gate reads of the host pace: no interrupts."""
+
+    paused = 0.0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_passes_its_gate_at_toy_size(name):
+    gate = WORKLOADS.Gate(_StubPace())
+    for _stage, run in WORKLOADS.WORKLOADS[name](True):
+        run(gate)
+    assert gate.attempted and gate.failures == []

@@ -214,12 +214,15 @@ def test_state_parity_rejects_mixed():
 
 
 def test_trim_caches_preserves_results():
-    eng = VertexAlgebra(builtin_presentation("N1"))
-    G = eng.generator("G")
-    before = eng.nth_product(G, -1, G)
+    pres = builtin_presentation("N1")
+    roomy = VertexAlgebra(pres)
+    G = roomy.generator("G")
+    before = roomy.nth_product(G, -1, G)
+    assert roomy._memo_terms > 0
+    assert roomy.trim_caches() is False  # under budget: no-op
+    eng = VertexAlgebra(pres, memo_term_budget=0)
+    assert eng.nth_product(G, -1, G) == before
     assert eng._memo_terms > 0
-    assert eng.trim_caches() is False  # under budget: no-op
-    eng.memo_term_budget = 0
     assert eng.trim_caches() is True
     assert eng._memo_terms == 0 and not eng._prod_memo
     assert eng.nth_product(G, -1, G) == before

@@ -371,6 +371,14 @@ def test_embedding_without_every_source_image_rejected():
         check_embedding(src, tgt, {"L": {"L": ONE}})
 
 
+def test_embedding_from_unknown_source_name_rejected():
+    # a misspelt source name must not pass beside the real one
+    src, tgt, images = builtin_embedding("N1_in_N2")
+    images = dict(images, Q={"L": ONE})
+    with pytest.raises(PresentationError, match=r"unknown source generators \['Q'\]"):
+        check_embedding(src, tgt, images)
+
+
 def test_embedding_onto_undeclared_target_rejected():
     src, tgt, images = builtin_embedding("N1_in_N2")
     images = dict(images, G={"Gp": ONE, "Q": ONE})

@@ -22,7 +22,10 @@ from vazhu.scalar import (
     _MONO_KEY_CACHE,
     _MONO_MUL_CACHE,
     _ONE_ITEMS,
+    _SMALL_INT,
     _mono_key,
+    _mono_mul,
+    _poly_acc,
     _reduced,
 )
 
@@ -254,6 +257,99 @@ def test_unit_denominator_is_interned(values):
         assert (x._den is _ONE_ITEMS) == (x._den == _ONE_ITEMS)
         assert x * ONE is x
         assert ONE * x is x
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of unit-denominator arithmetic
+
+
+def _kernel_operands(rng, count):
+    """Unit-denominator Scalars built by the normalizing constructor alone.
+
+    Constants are ints inside and past the interned range and non-integer
+    rationals; polynomials are in c, a and k, or in a and the square-ruled
+    s and I.
+    """
+    index = {n: i for i, n in enumerate(parameter_names())}
+
+    def coeff():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Fraction(rng.randint(-_SMALL_INT, _SMALL_INT))
+        if kind == 1:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(_SMALL_INT - 2, 10**6))
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+
+    def poly(names, top):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            used = rng.sample(names, rng.randint(0, len(names)))
+            mono = tuple(sorted((index[n], rng.randint(1, top)) for n in used))
+            terms[mono] = coeff()
+        return Scalar(terms)
+
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            out.append(Scalar({(): coeff()}))
+        elif i % 3 == 1:
+            out.append(poly(["c", "a", "k"], 3))
+        else:
+            out.append(poly(["a", "s", "I"], 1))
+    return out
+
+
+def _plain(terms):
+    """The normalizing constructor on (monomial, Fraction) pairs summed plainly."""
+    num: dict = {}
+    for m, c in terms:
+        num[m] = num.get(m, 0) + c
+    return Scalar(num)
+
+
+def _form(v):
+    return repr((v._num, v._den))
+
+
+def test_integer_kernel_matches_plain_fractions():
+    rng = random.Random(20)
+    pool = _kernel_operands(rng, 90)
+    for _ in range(300):
+        x, y = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.1:
+            y = -x
+        f = rng.choice((-1, 3, -_SMALL_INT - 5))
+        want_sum = _plain(x._num + y._num)
+        want_product = _plain(
+            (m, c1 * c2 * c)
+            for m1, c1 in x._num
+            for m2, c2 in y._num
+            for m, c in _mono_mul(m1, m2).items()
+        )
+        acc = dict(x._num)
+        _poly_acc(acc, y._num, f)
+        assert all(type(c) is Fraction and c for c in acc.values())
+        want_acc = _plain(x._num + tuple((m, c * f) for m, c in y._num))
+        assert _form(Scalar(acc)) == _form(want_acc), (x, y, f)
+        # a zero operand returns the other one as it is
+        constants = x and y and not x.parameters() and not y.parameters()
+        for got, want in ((x + y, want_sum), (x * y, want_product)):
+            assert _form(got) == _form(want), (x, y)
+            assert got._den is _ONE_ITEMS
+            assert all(type(c) is Fraction for _, c in got._num)
+            q = got.to_fraction() if constants else None
+            if q is not None and q.denominator == 1 and abs(q) <= _SMALL_INT:
+                # a small int result of constants is the shared one
+                assert got is Scalar.from_int(q.numerator), (x, y)
+    # every interned int and the first ones past either end, from nonzero
+    # operands; from_fraction(1) equals ONE but is not ONE, so the product
+    # takes the scaling path
+    big, one = Scalar.from_fraction(1000), Scalar.from_fraction(1)
+    for n in range(-_SMALL_INT - 2, _SMALL_INT + 3):
+        total = Scalar.from_fraction(n - 1000) + big
+        for got in (total, Scalar.from_fraction(n) * one):
+            assert got.to_fraction() == n and type(got.to_fraction()) is Fraction
+            assert (got is Scalar.from_int(n)) == (abs(n) <= _SMALL_INT), n
 
 
 # ---------------------------------------------------------------------------
