@@ -336,6 +336,8 @@ class GrassmannElement:
                     key_acc(out, key, c1 * c2 * sign)
             return GrassmannElement._from_clean(out)
         f = _coerce(other)
+        if f is NotImplemented:
+            return NotImplemented
         if not f._num:
             return GrassmannElement()
         return GrassmannElement._from_clean({k: c * f for k, c in self.terms.items()})
