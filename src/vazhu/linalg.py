@@ -8,7 +8,8 @@ Sparse vectors are {key: Scalar} dicts with no zero values: echelon rows,
 Lie elements, Grassmann terms and SuperMatrix entries (keyed by (i, j))
 all take this form.  Every sum of them in the package goes through one
 accumulate pair: vec_acc adds a scaled vector and key_acc adds one
-coefficient, both in place and never storing a zero.  _clean is the
+coefficient, both in place and never storing a zero.  vec_sum adds many
+int-scaled vectors at once and builds each key's Scalar once.  _clean is the
 boundary: it turns outside input (ints, Fractions, strings, zeros) into
 such a vector before anything accumulates.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Scalar, ZERO, ONE, _coerce
+from .scalar import Scalar, ZERO, ONE, _coerce, _raw_acc, _raw_scalar
 
 __all__ = [
     "SuperMatrix",
@@ -70,6 +71,28 @@ def vec_acc(out: dict, vec: dict, coeff=None) -> None:
             out[k] = nv
         else:
             del out[k]
+
+
+def vec_sum(terms) -> dict:
+    """The sum of f * c * vec over the (int f, Scalar c, vector vec) of terms.
+
+    It equals one vec_acc per term, but builds each key's Scalar once: the
+    products with denominator 1 are summed raw (scalar._raw_acc) and built
+    at the end (scalar._raw_scalar).  Any other product goes through
+    key_acc into a side vector, added last.  The result is a new dict.
+    """
+    sums: dict = {}
+    side: dict = {}
+    for f, c, vec in terms:
+        for k in _raw_acc(sums, f, c, vec):
+            key_acc(side, k, vec[k] * c * Scalar.from_int(f))
+    out = {}
+    for k, raw in sums.items():
+        s = _raw_scalar(raw)
+        if s._num:
+            out[k] = s
+    vec_acc(out, side)
+    return out
 
 
 def key_acc(out: dict, key, coeff) -> None:

@@ -50,6 +50,22 @@ as its `_INT_CACHE` Scalar.  A polynomial sum merges the two term tuples,
 which are already sorted by `_mono_key`.  A sum creates no monomial, and
 the key orders distinct monomials strictly, so the merge yields the order
 a sort would.
+
+Long sums of products skip the per-term Scalars altogether.  The
+enveloping engine adds up hundreds of thousands of products f * c * v (an
+int f, two Scalars) per pass, most of them onto a key that already holds
+a value, and a Scalar product and sum per term would allocate two
+Scalars each time.  `_raw_acc` adds each product whose factors have
+denominator 1 into a raw sum {monomial: int | Fraction}: an integer
+coefficient is taken as its int, so integer terms add as Python ints, and
+only a non-integer rational stays a `Fraction`.  `_raw_scalar` then builds
+the result once: it drops the zero sums, turns each int back into a
+`Fraction` (a `_SMALL_Q` one when small), sorts by `_mono_key`, and gives
+a constant as its `_constant` Scalar.  This is exact.  Ints and Fractions
+add and multiply exactly, a scale that is not an int is refused (so no
+float enters), and nothing divides the raw ints.  Monomials multiply
+through `_mono_mul` and its square rules.  So the result has the
+canonical form that term-by-term `*` and `+` reach.
 """
 
 from __future__ import annotations
@@ -707,6 +723,66 @@ def _constant(q) -> Scalar:
         if hit is not None:
             return hit
     return Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
+
+
+def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
+    """Add f * c * vec into sums, {key: raw sum}, in place.
+
+    A raw sum is a dict {monomial: int | Fraction}; vec is a vector of
+    Scalars and f an int.  Only products with denominator 1 are added: the
+    keys left out are returned, all of vec's unless c has denominator 1.
+    An integer coefficient is taken as its int, so integer terms sum as
+    ints; a sum may reach zero, which `_raw_scalar` drops.
+    """
+    if type(f) is not int:
+        raise TypeError(f"raw sums take int scales, not {type(f).__name__}")
+    if c._den is not _ONE_ITEMS:
+        return list(vec)
+    cs = [(m, f * (q.numerator if q.denominator == 1 else q)) for m, q in c._num]
+    # a constant c, the common case, scales each coefficient of vec
+    scale = cs[0][1] if len(cs) == 1 and not cs[0][0] else None
+    left = []
+    get = sums.get
+    for k, v in vec.items():
+        if v._den is not _ONE_ITEMS:
+            left.append(k)
+            continue
+        raw = get(k)
+        if raw is None:
+            raw = sums[k] = {}
+        rget = raw.get
+        for my, cy in v._num:
+            cy = cy.numerator if cy.denominator == 1 else cy
+            if scale is not None:
+                raw[my] = rget(my, 0) + scale * cy
+                continue
+            for mx, cx in cs:
+                if not mx or not my:
+                    m = my or mx
+                    raw[m] = rget(m, 0) + cx * cy
+                    continue
+                for m, cm in _mono_mul(mx, my).items():
+                    raw[m] = rget(m, 0) + cx * cy * (
+                        cm.numerator if cm.denominator == 1 else cm
+                    )
+    return left
+
+
+def _raw_scalar(raw: dict) -> Scalar:
+    """The canonical Scalar of a raw sum: zeros dropped, _mono_key order."""
+    items = []
+    for m, c in raw.items():
+        if c:
+            if type(c) is int:
+                q = _SMALL_Q.get(c)
+                c = Fraction(c) if q is None else q
+            items.append((m, c))
+    if not items:
+        return ZERO
+    if len(items) == 1 and not items[0][0]:
+        return _constant(items[0][1])
+    items.sort(key=lambda mc: _mono_key(mc[0]))
+    return Scalar(tuple(items), _ONE_ITEMS, _canonical=True)
 
 
 @lru_cache(maxsize=_REDUCED_MEMO_SIZE)

@@ -316,7 +316,7 @@ def test_corrupted_sampled_suite_pinned():
 
 
 # sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),
-# row k = 1..4, column n = -1..3
+# row k = 1..5, column n = -1..3; the k = 5 row holds the deepest products
 VIR_LADDER = [
     ["eb05122c36626ba7", "afb54656a8b3c48b", "63193e50f457d5a3",
      "5feceb66ffc86f38", "7992408151fdfffa"],
@@ -326,6 +326,8 @@ VIR_LADDER = [
      "3ceaceff82601f95", "38b4e0d28f887905"],
     ["c3b86bf52ad394b8", "2879baea8ecce0f6", "06baa2577bac2348",
      "b6e4d5c00eada683", "b25eef347c6ea70e"],
+    ["5fa785e77f8c9121", "65123aaf9c548dfc", "b9c37822560d96a1",
+     "5fa3e5731d7dc817", "1766dc530b8568ee"],
 ]
 
 
@@ -340,6 +342,38 @@ def test_virasoro_ladder_products_pinned():
              for n in range(-1, 4)]
         )
     assert got == VIR_LADDER
+    # a product that vanishes by weight is never stored
+    wt2 = eng._mono_wt2
+    assert eng._prod_memo
+    assert all(2 * n <= wt2(ma) + wt2(mb) - 2 for ma, n, mb in eng._prod_memo)
+
+
+def test_results_are_the_callers_to_change():
+    # a caller that edits a result must not reach a memo entry
+    eng = VertexAlgebra(builtin_presentation("N1"))
+    L, G = eng.generator("L"), eng.generator("G")
+    two = eng.nth_product(L, -1, L)
+    two[((1, 2), (1, 1))] = ONE  # a second monomial: the summed path
+    calls = [
+        lambda: eng.apply_mode(0, -2, L),
+        lambda: eng.apply_mode(1, -1, G),
+        lambda: eng.nth_product(L, -1, L),
+        lambda: eng.nth_product(G, 0, G),
+        lambda: eng.nth_product(two, 1, two),
+        lambda: eng.translation(G),
+        lambda: eng.translation(two),
+    ]
+    for call in calls:
+        first = call()
+        want = dict(first)
+        assert want
+        first.clear()
+        first[((0, 9),)] = ONE
+        assert call() == want
+        again = call()
+        for key in list(again):
+            again[key] = HALF
+        assert call() == want
 
 
 # (A, B) = (:x1 y1:, :x2 y2:); per n = -1..3, digests of A_(n)B and B_(n)A
@@ -463,6 +497,8 @@ def test_shared_commutator_memo_matches_fresh(pres_id, data):
         m, n, k = data.draw(st.tuples(modes, modes, modes))
         shared = _borcherds_holds(eng, a, b, c, m, n, k, memo)
         assert shared == _borcherds_holds(eng, a, b, c, m, n, k, {})
+        assert _skew_holds(eng, a, b, n, memo) == _skew_holds(eng, a, b, n, {})
+    assert _skew_holds(eng, a, b, -1, memo)  # stores b_(i)a from i = -1 on
     pa, pb = eng.state_parity(a), eng.state_parity(b)
     recompute = {
         "pair": lambda: (
@@ -472,9 +508,11 @@ def test_shared_commutator_memo_matches_fresh(pres_id, data):
         "bc": lambda i: eng.nth_product(b, i, c),
         "ac": lambda i: eng.nth_product(a, i, c),
         "ab": lambda i: eng.nth_product(a, i, b),
+        "ba": lambda i: eng.nth_product(b, i, a),
         "abc": lambda i, j: eng.nth_product(eng.nth_product(a, i, b), j, c),
     }
     assert {"pair", "wc2"} <= set(memo)
+    assert any(isinstance(key, tuple) and key[0] == "ba" for key in memo)
     for key, value in memo.items():
         kind, *modes_ = key if isinstance(key, tuple) else (key,)
         assert value == recompute[kind](*modes_)

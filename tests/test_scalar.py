@@ -18,6 +18,7 @@ from vazhu.scalar import (
     parse_scalar,
 )
 from vazhu import presentation
+from vazhu.linalg import vec_acc, vec_sum
 from vazhu.scalar import (
     _MONO_KEY_CACHE,
     _MONO_MUL_CACHE,
@@ -350,6 +351,45 @@ def test_integer_kernel_matches_plain_fractions():
         for got in (total, Scalar.from_fraction(n) * one):
             assert got.to_fraction() == n and type(got.to_fraction()) is Fraction
             assert (got is Scalar.from_int(n)) == (abs(n) <= _SMALL_INT), n
+
+
+def test_raw_vector_sum_matches_vec_acc():
+    # vec_sum builds each key's Scalar once from raw int and Fraction sums;
+    # one vec_acc per term must give the same canonical forms
+    rng = random.Random(12)
+    a = Scalar.param("a")
+    pool = _kernel_operands(rng, 60) + [ONE / (a + 1), (a - 1) / (a + 1)]
+    scales = (0, -1, 1, 2, 3, _SMALL_INT + 1, -_SMALL_INT - 5)
+    small = [Scalar.from_int(n) for n in (-2, -1, 2, 3)]
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            vec = {k: rng.choice(pool) for k in rng.sample(range(6), rng.randint(1, 4))}
+            terms.append((rng.choice(scales), rng.choice(pool), vec))
+            if rng.random() < 0.3:
+                # a term that cancels one before it
+                f, c, vec = rng.choice(terms)
+                terms.append((-f, c, vec))
+        # small constants whose sums include 0, 1 and other interned ints
+        terms.append((1, rng.choice(small), {6: rng.choice(small)}))
+        terms.append((rng.choice((-1, 1)), rng.choice(small), {6: ONE}))
+        want: dict = {}
+        for f, c, vec in terms:
+            vec_acc(want, vec, c * Scalar.from_int(f))
+        got = vec_sum(iter(terms))
+        assert sorted(got) == sorted(want)
+        for k, v in got.items():
+            assert v._num, (k, terms)
+            assert _form(v) == _form(want[k]), (k, terms)
+            if v.is_polynomial() and not v.parameters():
+                q = v.to_fraction()
+                if q.denominator == 1 and abs(q) <= _SMALL_INT:
+                    assert v is Scalar.from_int(q.numerator), (k, v)
+    one = vec_sum([(3, ONE, {0: ONE}), (-2, ONE, {0: ONE}), (1, ONE, {1: ONE})])
+    assert one[0] is ONE and one[1] is ONE
+    assert vec_sum([(2, ONE, {0: ONE}), (-1, Scalar.from_int(2), {0: ONE})]) == {}
+    with pytest.raises(TypeError):
+        vec_sum([(-1.0, ONE, {0: ONE})])
 
 
 # ---------------------------------------------------------------------------
