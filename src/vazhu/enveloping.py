@@ -222,13 +222,8 @@ class VertexAlgebra:
         hit = self._prod_memo.get(memo_key)
         if hit is not None:
             return hit
-        # a_(n)b has weight wt(a) + wt(b) - n - 1, and only |0> has weight 0;
-        # the weights are read from their memo first, since big4's suites
-        # ask for tens of thousands of vanishing products
-        get = self._wt2_memo.get
-        wa2, wb2 = get(ma), get(mb)
-        if wa2 is None or wb2 is None:
-            wa2, wb2 = self._mono_wt2(ma), self._mono_wt2(mb)
+        # a_(n)b has weight wt(a) + wt(b) - n - 1, and only |0> has weight 0
+        wa2, wb2 = self._mono_wt2(ma), self._mono_wt2(mb)
         if 2 * n > wa2 + wb2 - 2:
             return {}
         if not ma:

@@ -60,12 +60,12 @@ denominator 1 into a raw sum {monomial: int | Fraction}: an integer
 coefficient is taken as its int, so integer terms add as Python ints, and
 only a non-integer rational stays a `Fraction`.  `_raw_scalar` then builds
 the result once: it drops the zero sums, turns each int back into a
-`Fraction` (a `_SMALL_Q` one when small), sorts by `_mono_key`, and gives
-a constant as its `_constant` Scalar.  This is exact.  Ints and Fractions
-add and multiply exactly, a scale that is not an int is refused (so no
-float enters), and nothing divides the raw ints.  Monomials multiply
-through `_mono_mul` and its square rules.  So the result has the
-canonical form that term-by-term `*` and `+` reach.
+`Fraction` (a `_SMALL_Q` one when small), orders the terms through
+`_items`, and gives a constant as its `_constant` Scalar.  This is exact.
+Ints and Fractions add and multiply exactly, a scale that is not an int
+is refused (so no float enters), and nothing divides the raw ints.
+Monomials multiply through `_mono_mul` and its square rules.  So the
+result has the canonical form that term-by-term `*` and `+` reach.
 """
 
 from __future__ import annotations
@@ -770,19 +770,18 @@ def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
 
 def _raw_scalar(raw: dict) -> Scalar:
     """The canonical Scalar of a raw sum: zeros dropped, _mono_key order."""
-    items = []
+    num = {}
     for m, c in raw.items():
         if c:
             if type(c) is int:
                 q = _SMALL_Q.get(c)
                 c = Fraction(c) if q is None else q
-            items.append((m, c))
-    if not items:
+            num[m] = c
+    if not num:
         return ZERO
-    if len(items) == 1 and not items[0][0]:
-        return _constant(items[0][1])
-    items.sort(key=lambda mc: _mono_key(mc[0]))
-    return Scalar(tuple(items), _ONE_ITEMS, _canonical=True)
+    if len(num) == 1 and () in num:
+        return _constant(num[()])
+    return Scalar(_items(num), _ONE_ITEMS, _canonical=True)
 
 
 @lru_cache(maxsize=_REDUCED_MEMO_SIZE)
