@@ -178,7 +178,7 @@ class VaPresentation:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
-        self._check_homogeneity()
+        self.check_homogeneity()
         self._check_diagonal_skew()
         if self.conformal_name is not None:
             self._check_conformal()
@@ -190,7 +190,10 @@ class VaPresentation:
             )
         return True
 
-    def _check_homogeneity(self):
+    def check_homogeneity(self):
+        """PresentationError unless every bracket term has its pair's weight
+        and parity; the engine relies on this, so it runs without validate().
+        """
         # the vacuum, the only target outside the weights, is even of weight 0
         for (x, y), value in self._table.items():
             wsum = self.weight[x] + self.weight[y]

@@ -534,6 +534,9 @@ class Scalar:
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
+        # a float or Fraction equal to a cached int would find its Scalar
+        if type(n) is not int:
+            raise TypeError(f"from_int takes an int, not {type(n).__name__}")
         cached = _INT_CACHE.get(n)
         if cached is not None:
             return cached

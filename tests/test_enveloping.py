@@ -13,8 +13,15 @@ from vazhu.enveloping import (
     gbinom,
     _borcherds_holds,
     _skew_holds,
+    _vanishes_by_weight,
 )
-from vazhu.presentation import VaPresentation, builtin_presentation, term
+from vazhu import enveloping
+from vazhu.presentation import (
+    PresentationError,
+    VaPresentation,
+    builtin_presentation,
+    term,
+)
 from vazhu.scalar import ONE, Scalar
 
 C = Scalar.param("c")
@@ -237,6 +244,7 @@ def test_axiom_suite_passes_small(pres_id):
     assert rep.passed, rep.failures[:3]
     assert rep.checks > 0
     assert "PASS" in rep.summary_line()
+    assert f"({rep.by_weight} zero by weight)" in rep.summary_line()
     assert set(rep.phase_s) == {"generators", "sampled"}
     assert min(rep.phase_s.values()) >= 0
 
@@ -249,11 +257,14 @@ def test_axiom_suite_passes_n3():
 def test_axiom_suite_passes_n4():
     rep = axiom_suite(engine("N4"), weight_bound=3, triples=2, seed=1)
     assert rep.passed, rep.failures[:3]
+    assert (rep.checks, rep.by_weight) == (8670, 5243)
 
 
 def test_axiom_suite_passes_big4_generators():
     rep = axiom_suite(engine("big4"), weight_bound=2, triples=0, seed=1)
     assert rep.passed, rep.failures[:3]
+    # 52,626 of the 65,536 commutator checks vanish by weight
+    assert (rep.checks, rep.by_weight) == (67328, 52626)
 
 
 def test_corrupted_tables_fail_with_witness():
@@ -272,6 +283,7 @@ def test_corrupted_tables_fail_with_witness():
     )
     assert not rep2.passed
     assert rep2.failures[0] == ("commutator", ("L", "Gpp", "Gpm", 2, 0))
+    assert rep1.by_weight == rep2.by_weight == 52626
     # the whole failure lists, not just their heads
     assert (len(rep1.failures), _digest(repr(rep1.failures))) == (
         159,
@@ -313,6 +325,82 @@ def test_corrupted_sampled_suite_pinned():
         48,
         "a5b1817952e17412",
     )
+
+
+def test_virasoro_deep_suite_counts_pinned():
+    # few of a sampled suite's checks vanish by weight
+    rep = axiom_suite(engine("virasoro"), weight_bound=6, triples=20, seed=1)
+    assert rep.passed, rep.failures[:3]
+    assert (rep.checks, rep.by_weight) == (323, 3)
+
+
+def test_engine_rejects_inhomogeneous_table():
+    # N1 with [L_lam G] = d^2 G + ...: the weight bounds would be unsound
+    base = builtin_presentation("N1")
+    brackets = {
+        pair: ([(n, k, x, co) for (n, k, x), co in value.items()], {})
+        for pair, value in base._table.items()
+    }
+    terms = brackets[("L", "G")][0]
+    brackets[("L", "G")] = (
+        [(n, 2 if (n, k) == (0, 1) else k, x, co) for n, k, x, co in terms],
+        {},
+    )
+    pres = VaPresentation(
+        "N1_d2G", base.generators, brackets, base.central_charge, "L"
+    )
+    with pytest.raises(PresentationError, match=r"weight mismatch in \[L, G\]"):
+        VertexAlgebra(pres)
+
+
+@pytest.mark.parametrize(
+    "pres_id",
+    ["N1", "N2", "N3", "N4", "virasoro", "big4", "big4_kwmiss1", "N2_J2Gp"],
+)
+def test_weight_rule_is_sound(pres_id, monkeypatch):
+    # every check the grading decides holds in full, and each term of its
+    # Borcherds sums is {}; the generator phase of each builtin, and both
+    # phases of a corrupted table's sampled suite
+    if pres_id == "N2_J2Gp":
+        eng = VertexAlgebra(_n2_doubled_j_gp())
+        suite = dict(weight_bound=3, triples=4, seed=1)
+    else:
+        eng, suite = engine(pres_id), dict(weight_bound=2, triples=0)
+    prod = eng.nth_product
+    inner: dict = {}
+
+    def shared(x, i, y):
+        # the suite's states are single monomials, so they key the cache
+        key = (*x, i, *y)
+        if key not in inner:
+            inner[key] = prod(x, i, y)
+        return inner[key]
+
+    decided = []
+
+    def spy(engine_, a, b, c, m, n, k, memo):
+        if not _vanishes_by_weight(engine_, a, b, c, m, n, k, memo):
+            return False
+        decided.append((m, n, k))
+        assert _borcherds_holds(engine_, a, b, c, m, n, k, memo)
+        # the doubled max weights, as the memo test above checks
+        (_, wa2, wb2), wc2 = memo["pair"], memo["wc2"]
+        terms = []
+        for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
+            if gbinom(n, j):
+                terms.append((a, m + n - j, shared(b, k + j, c)))
+                terms.append((b, n + k - j, shared(a, m + j, c)))
+        for j in range((wa2 + wb2 - 2 * n) // 2):
+            if gbinom(m, j):
+                terms.append((shared(a, n + j, b), m + k - j, c))
+        assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
+        return True
+
+    monkeypatch.setattr(enveloping, "_vanishes_by_weight", spy)
+    # the checks the grading leaves are the suite tests' business
+    monkeypatch.setattr(enveloping, "_borcherds_holds", lambda *args: True)
+    rep = axiom_suite(eng, **suite)
+    assert rep.by_weight == len(decided) > 0
 
 
 # sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),

@@ -101,6 +101,13 @@ def test_to_fraction():
         Scalar.param("c").to_fraction()
 
 
+@pytest.mark.parametrize("value", [-1.0, 2.5, Fraction(3)])
+def test_from_int_rejects_non_ints(value):
+    # -1.0 and Fraction(3) compare equal to cached ints, 2.5 to none
+    with pytest.raises(TypeError):
+        Scalar.from_int(value)
+
+
 def test_declare_parameter_conflicts():
     assert "tmp_level" not in parameter_names()
     ONE / (Scalar.param("c") + 1)
