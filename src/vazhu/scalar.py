@@ -342,8 +342,12 @@ def _poly_gcd(p, q):
     A common factor lives in the variables p and q share.  So when their
     variable sets differ, the gcd is that of every coefficient of p and of q
     over that side's unshared variables, and it stops at the first constant.
-    One variable runs Euclid on dense coefficient lists; more run a primitive
-    euclidean PRS, whose content recursion reaches both rules again.
+    One variable runs Euclid on dense coefficient lists.  More try the
+    heuristic gcd `_heu_gcd` on integer images first, and when it gives up
+    run a primitive euclidean PRS, whose content recursion reaches every
+    rule again.  The PRS alone is exact but its coefficients can grow
+    without bound (a few fractions cost it a minute); the heuristic's
+    answer is confirmed by exact division, so either way the gcd is exact.
     Algebraic variables (square-ruled) never reach here with exponent > 1
     and are treated like ordinary variables; callers keep denominators free
     of them.
@@ -367,6 +371,9 @@ def _poly_gcd(p, q):
     if len(vp) == 1:
         (v,) = vp
         return _uni_gcd(p, q, v)
+    g = _heu_gcd(_int_poly(p), _int_poly(q))
+    if g is not None:
+        return _make_primitive({m: Fraction(c) for m, c in g.items()})
     v = max(vp)
     pu, qu = _uni_view(p, v), _uni_view(q, v)
     cont_p, pp_p = _uni_content_pp(pu)
@@ -382,6 +389,129 @@ def _poly_gcd(p, q):
     gu = _uni_build(a, v)
     g = _poly_mul(cont, _make_primitive(gu))
     return _make_primitive(g)
+
+
+# evaluation points `_heu_gcd` tries before it gives up
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f, g):
+    """gcd of two nonzero integer polynomials by GCDHEU, or None.
+
+    Polynomials here are dicts {monomial: int}.  GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 1989) evaluates one variable v at an
+    integer xi, takes the gcd of the two images, which have one variable
+    less (an integer gcd at the bottom), and reads a candidate back from
+    the balanced base-xi digits of its coefficients.  For primitive f and g
+    and xi >= 2*min(|f|, |g|) + 2 (|.| the largest coefficient), a candidate
+    whose primitive part divides both f and g is their gcd.  Every xi here
+    meets that bound, and every candidate is checked by exact division, so
+    an answer is exact; after `_HEU_TRIES` points that fail, or when an
+    image's gcd fails, it returns None.
+    """
+    cf, cg = _int_content(f), _int_content(g)
+    cont = _int_gcd(cf, cg)
+    vs = _poly_vars(f) | _poly_vars(g)
+    if not vs:
+        return {tuple(): cont}
+    f = {m: c // cf for m, c in f.items()}
+    g = {m: c // cg for m, c in g.items()}
+    v = max(vs)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        fe, ge = _int_eval(f, v, xi), _int_eval(g, v, xi)
+        if fe and ge:
+            h = _heu_gcd(fe, ge)
+            if h is None:
+                return None
+            cand = _int_digits(h, v, xi)
+            ch = _int_content(cand)
+            cand = {m: c // ch for m, c in cand.items()}
+            if _int_divides(cand, f) and _int_divides(cand, g):
+                return {m: c * cont for m, c in cand.items()}
+        # the step Char, Geddes and Gonnet use, to avoid a periodic pattern
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _int_poly(p):
+    # p times the lcm of its denominators, as {monomial: int}
+    den = 1
+    for c in p.values():
+        den = den * c.denominator // _int_gcd(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}
+
+
+def _int_content(p):
+    n = 0
+    for c in p.values():
+        n = _int_gcd(n, c)
+    return n
+
+
+def _int_eval(p, v, xi):
+    """p with the variable v set to the integer xi."""
+    out: dict = {}
+    for m, c in p.items():
+        e = 0
+        rest = m
+        for i, (w, x) in enumerate(m):
+            if w == v:
+                e, rest = x, m[:i] + m[i + 1 :]
+                break
+        c = out.get(rest, 0) + c * xi**e
+        if c:
+            out[rest] = c
+        else:
+            del out[rest]
+    return out
+
+
+def _int_digits(h, v, xi):
+    """The polynomial in v whose balanced base-xi digits are h's coefficients."""
+    out: dict = {}
+    half = xi // 2
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[tuple(sorted(m + ((v, e),))) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _int_divides(d, p):
+    """Whether the integer polynomial d divides p, over free variables.
+
+    Long division by d's lead; an inexact integer quotient ends it, since
+    for a primitive d any quotient over Q has integer coefficients.
+    """
+    rem = dict(p)
+    lead_d = _poly_lead(d)
+    cd = d[lead_d]
+    while rem:
+        lead_r = _poly_lead(rem)
+        qm = _mono_divide(lead_r, lead_d)
+        if qm is None:
+            return False
+        qc, r = divmod(rem[lead_r], cd)
+        if r:
+            return False
+        for m, c in d.items():
+            e = dict(qm)
+            for w, x in m:
+                e[w] = e.get(w, 0) + x
+            mm = tuple(sorted(e.items()))
+            c = rem.get(mm, 0) - qc * c
+            if c:
+                rem[mm] = c
+            else:
+                del rem[mm]
+    return True
 
 
 def _uni_gcd(p, q, v):

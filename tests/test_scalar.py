@@ -18,15 +18,21 @@ from vazhu.scalar import (
     parse_scalar,
 )
 from vazhu import presentation
+from vazhu import scalar as scalar_module
 from vazhu.linalg import vec_acc, vec_sum
 from vazhu.scalar import (
     _MONO_KEY_CACHE,
     _MONO_MUL_CACHE,
     _ONE_ITEMS,
     _SMALL_INT,
+    _heu_gcd,
+    _int_poly,
     _mono_key,
     _mono_mul,
     _poly_acc,
+    _poly_divexact,
+    _poly_gcd,
+    _poly_mul,
     _reduced,
 )
 
@@ -210,6 +216,42 @@ def test_gcd_reduction_matches_sympy(x, y, z):
         return sympy.nsimplify(sympy.sympify(str(v), locals=env), rational=True)
 
     assert sympy.simplify(to_sympy(mine) - to_sympy(x) / to_sympy(y)) == 0
+
+
+def _gcd_pairs(count, seed):
+    """Seeded (a*f, b*f, f): polynomials in c, a and k with a common factor f.
+
+    Every factor holds all three variables, so each pair takes the
+    multivariate path of `_poly_gcd` rather than its split by variables.
+    """
+    rng = random.Random(seed)
+
+    def poly():
+        out = Scalar.from_int(rng.randint(-4, 4))
+        for name in ("c", "a", "k"):
+            coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            out = out + Scalar.from_fraction(coeff) * S(name) ** rng.randint(1, 3)
+        u, v = rng.sample(["c", "a", "k"], 2)
+        out = out + Scalar.from_int(rng.randint(-2, 2)) * S(u) * S(v)
+        return dict(out._num)
+
+    pairs = []
+    for _ in range(count):
+        a, b, f = poly(), poly(), poly()
+        pairs.append((_poly_mul(a, f), _poly_mul(b, f), f))
+    return pairs
+
+
+def test_heuristic_gcd_matches_prs(monkeypatch):
+    # GCDHEU answers every pair, and the PRS it falls back on agrees
+    pairs = _gcd_pairs(30, seed=3)
+    for p, q, _ in pairs:
+        assert _heu_gcd(_int_poly(p), _int_poly(q)) is not None
+    heuristic = [_poly_gcd(p, q) for p, q, _ in pairs]
+    for g, (_, _, f) in zip(heuristic, pairs):
+        _poly_divexact(g, f)
+    monkeypatch.setattr(scalar_module, "_HEU_TRIES", 0)
+    assert [_poly_gcd(p, q) for p, q, _ in pairs] == heuristic
 
 
 # ---------------------------------------------------------------------------
