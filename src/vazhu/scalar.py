@@ -296,17 +296,14 @@ def _poly_divexact(p, d):
     return out
 
 
-def _rat_content(p):
-    """Positive rational making p integer-primitive; sign of leading term."""
+def _rat_content(coeffs):
+    """The positive rational that divides coeffs into integers with gcd 1."""
     num_gcd = 0
     den_lcm = 1
-    for c in p.values():
+    for c in coeffs:
         num_gcd = _int_gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    cont = Fraction(num_gcd, den_lcm)
-    if p[_poly_lead(p)] < 0:
-        cont = -cont
-    return cont
+    return Fraction(num_gcd, den_lcm)
 
 
 def _coeffs_over(p, outer):
@@ -551,18 +548,30 @@ def _dense_rem(a, b):
 
 
 def _make_primitive(p):
+    # p over its rational content, with positive leading coefficient
     if not p:
         return {}
-    cont = _rat_content(p)
+    cont = _rat_content(p.values())
+    if p[_poly_lead(p)] < 0:
+        cont = -cont
     return {m: c / cont for m, c in p.items()}
 
 
 def _uni_content_pp(u):
+    """(content, primitive part) of a univariate view u, u = content * part.
+
+    The content is the gcd of u's coefficients times the rational content
+    left after dividing by it, so the part's coefficients are integer
+    polynomials with gcd 1.  Without the rational factor a pseudo-remainder
+    sequence over these parts would grow its coefficients exponentially.
+    """
     cont: dict = {}
     for coeff in u.values():
         cont = _poly_gcd(cont, coeff)
     pp = {e: _poly_divexact(c, cont) for e, c in u.items()}
-    return cont, pp
+    q = _rat_content(x for c in pp.values() for x in c.values())
+    cont = {m: c * q for m, c in cont.items()}
+    return cont, {e: {m: x / q for m, x in c.items()} for e, c in pp.items()}
 
 
 def _uni_prem(a, b, v):

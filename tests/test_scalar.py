@@ -4,6 +4,8 @@ import hashlib
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 import sympy
@@ -34,6 +36,9 @@ from vazhu.scalar import (
     _poly_gcd,
     _poly_mul,
     _reduced,
+    _uni_build,
+    _uni_content_pp,
+    _uni_view,
 )
 
 
@@ -252,6 +257,27 @@ def test_heuristic_gcd_matches_prs(monkeypatch):
         _poly_divexact(g, f)
     monkeypatch.setattr(scalar_module, "_HEU_TRIES", 0)
     assert [_poly_gcd(p, q) for p, q, _ in pairs] == heuristic
+
+
+@pytest.mark.parametrize(
+    "text, var",
+    [
+        ("2/3*a^2 + 4/3", "a"),
+        ("2/3*c*a^2 + 2/3*a^2 - 4/9*c - 4/9", "a"),
+        ("6/5*c^2*k + 3/5*c*k^2 + 9/5*c", "c"),
+    ],
+)
+def test_prs_primitive_part_is_integer_primitive(text, var):
+    # the PRS divides out the rational content too, not only the gcd of
+    # the coefficient polynomials
+    p = dict(S(text)._num)
+    v = parameter_names().index(var)
+    cont, pp = _uni_content_pp(_uni_view(p, v))
+    coeffs = [x for c in pp.values() for x in c.values()]
+    assert all(x.denominator == 1 for x in coeffs)
+    assert reduce(gcd, (x.numerator for x in coeffs)) == 1
+    product = {e: _poly_mul(cont, c) for e, c in pp.items()}
+    assert _uni_build(product, v) == p
 
 
 # ---------------------------------------------------------------------------
