@@ -11,14 +11,15 @@ guarantee downstream relies on.
 
 Normalization has one rule: after conjugation, a fraction is divided by
 the gcd of its numerator and denominator (`_poly_gcd`), then made monic.
-Only the two polynomials and the parameter registry take part, so a
-Scalar's form does not depend on what was computed before it.
+That gcd takes one path for every pair: GCDHEU on integer images, with a
+primitive PRS as its exact fallback.  Only the two polynomials and the
+parameter registry take part, so a Scalar's form does not depend on what
+was computed before it.
 
 Below Scalar, a polynomial is a dict {monomial: Fraction} with no zero
 coefficient.  Every sum of them goes through one in-place accumulate,
-`_poly_acc`, which drops zero sums; every split of one by its variables
-(the gcd's coefficients over unshared variables, the univariate views of
-the PRS and of `decompose`) goes through `_coeffs_over`.
+`_poly_acc`, which drops zero sums; every view of one as univariate in a
+variable (the gcd's PRS and `decompose`) goes through `_uni_view`.
 
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
@@ -306,22 +307,17 @@ def _rat_content(coeffs):
     return Fraction(num_gcd, den_lcm)
 
 
-def _coeffs_over(p, outer):
-    """Split p by its variables: {part in outer: dict-poly in the rest}.
+def _uni_view(p, v):
+    """View p as univariate in v: {exponent: dict-poly coefficient}.
 
-    Each monomial is its outer part times its inner part, and monomials are
+    Each monomial is a power of v times a v-free part, and monomials are
     unique, so no coefficient is ever summed.
     """
     out: dict = {}
     for m, c in p.items():
-        part = tuple(ve for ve in m if ve[0] in outer)
-        out.setdefault(part, {})[tuple(ve for ve in m if ve[0] not in outer)] = c
+        rest = tuple(ve for ve in m if ve[0] != v)
+        out.setdefault(dict(m).get(v, 0), {})[rest] = c
     return out
-
-
-def _uni_view(p, v):
-    """View p as univariate in v: {exponent: dict-poly coefficient}."""
-    return {part[0][1] if part else 0: c for part, c in _coeffs_over(p, {v}).items()}
 
 
 def _uni_build(u, v):
@@ -334,18 +330,16 @@ def _uni_build(u, v):
 
 
 def _poly_gcd(p, q):
-    """Multivariate gcd over Q, primitive with positive leading coefficient.
+    """Gcd over Q, integer-primitive with positive leading coefficient.
 
-    A common factor lives in the variables p and q share.  So when their
-    variable sets differ, the gcd is that of every coefficient of p and of q
-    over that side's unshared variables, and it stops at the first constant.
-    One variable runs Euclid on dense coefficient lists.  More try the
-    heuristic gcd `_heu_gcd` on integer images first, and when it gives up
-    run a primitive euclidean PRS, whose content recursion reaches every
-    rule again.  The PRS alone is exact but its coefficients can grow
-    without bound (a few fractions cost it a minute); the heuristic's
-    answer is confirmed by exact division, so either way the gcd is exact.
-    Algebraic variables (square-ruled) never reach here with exponent > 1
+    Every pair with a variable takes one path, whatever its variables: the
+    heuristic gcd `_heu_gcd` on integer images first, which handles any
+    number of variables and any overlap of the two sets, and when it gives
+    up a primitive euclidean PRS in the highest variable of either
+    polynomial, whose content recursion comes back here with one variable
+    less.  The PRS alone is exact but its coefficients can grow large; the
+    heuristic's answer is confirmed by exact division, so either way the
+    gcd is exact.  Algebraic variables (square-ruled) never reach here with exponent > 1
     and are treated like ordinary variables; callers keep denominators free
     of them.
     """
@@ -353,25 +347,13 @@ def _poly_gcd(p, q):
         return _make_primitive(q)
     if not q:
         return _make_primitive(p)
-    vp, vq = _poly_vars(p), _poly_vars(q)
-    if vp != vq:
-        g: dict = {}
-        outer = vp ^ vq
-        for h in (p, q):
-            for part in _coeffs_over(h, outer).values():
-                g = _poly_gcd(g, part)
-                if tuple() in g and len(g) == 1:
-                    return g
-        return g
-    if not vp:
+    vs = _poly_vars(p) | _poly_vars(q)
+    if not vs:
         return {tuple(): Fraction(1)}
-    if len(vp) == 1:
-        (v,) = vp
-        return _uni_gcd(p, q, v)
     g = _heu_gcd(_int_poly(p), _int_poly(q))
     if g is not None:
         return _make_primitive({m: Fraction(c) for m, c in g.items()})
-    v = max(vp)
+    v = max(vs)
     pu, qu = _uni_view(p, v), _uni_view(q, v)
     cont_p, pp_p = _uni_content_pp(pu)
     cont_q, pp_q = _uni_content_pp(qu)
@@ -509,42 +491,6 @@ def _int_divides(d, p):
             else:
                 del rem[mm]
     return True
-
-
-def _uni_gcd(p, q, v):
-    """Euclid over Q for p, q in the one variable v, remainders kept monic."""
-    a, b = _dense(p), _dense(q)
-    while b:
-        a, b = b, _dense_rem(a, b)
-    return _make_primitive(
-        {((v, e),) if e else tuple(): c for e, c in enumerate(a) if c}
-    )
-
-
-def _dense(p):
-    # monic coefficient list, constant term first; every monomial is v^e or 1
-    out = [Fraction(0)] * (1 + max(m[0][1] if m else 0 for m in p))
-    for m, c in p.items():
-        out[m[0][1] if m else 0] = c
-    inv = 1 / out[-1]
-    return [c * inv for c in out]
-
-
-def _dense_rem(a, b):
-    # remainder of a by the monic b, made monic
-    a = list(a)
-    while len(a) >= len(b):
-        f = a[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
 
 
 def _make_primitive(p):

@@ -29,6 +29,7 @@ from vazhu.scalar import (
     _SMALL_INT,
     _heu_gcd,
     _int_poly,
+    _items,
     _mono_key,
     _mono_mul,
     _poly_acc,
@@ -223,38 +224,56 @@ def test_gcd_reduction_matches_sympy(x, y, z):
     assert sympy.simplify(to_sympy(mine) - to_sympy(x) / to_sympy(y)) == 0
 
 
-def _gcd_pairs(count, seed):
-    """Seeded (a*f, b*f, f): polynomials in c, a and k with a common factor f.
+# (variables of a, variables of b) for the pairs a*f, b*f: all three, one
+# variable, a strict subset and a partial overlap
+_GCD_SHAPES = (
+    (("c", "a", "k"), ("c", "a", "k")),
+    (("c",), ("c",)),
+    (("c", "a", "k"), ("a", "k")),
+    (("c", "a"), ("a", "k")),
+)
 
-    Every factor holds all three variables, so each pair takes the
-    multivariate path of `_poly_gcd` rather than its split by variables.
+
+def _gcd_pairs(count, seed, p_vars=("c", "a", "k"), q_vars=("c", "a", "k")):
+    """Seeded (a*f, b*f, f): a in p_vars, b in q_vars, f in the ones they share.
+
+    By default every factor holds c, a and k, so no variable is unshared
+    and each pair's gcd is a genuinely multivariate one.
     """
     rng = random.Random(seed)
 
-    def poly():
+    def poly(names):
         out = Scalar.from_int(rng.randint(-4, 4))
-        for name in ("c", "a", "k"):
+        for name in names:
             coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
             out = out + Scalar.from_fraction(coeff) * S(name) ** rng.randint(1, 3)
-        u, v = rng.sample(["c", "a", "k"], 2)
-        out = out + Scalar.from_int(rng.randint(-2, 2)) * S(u) * S(v)
+        if len(names) > 1:
+            u, v = rng.sample(list(names), 2)
+            out = out + Scalar.from_int(rng.randint(-2, 2)) * S(u) * S(v)
         return dict(out._num)
 
+    shared = [n for n in p_vars if n in q_vars]
     pairs = []
     for _ in range(count):
-        a, b, f = poly(), poly(), poly()
+        a, b, f = poly(p_vars), poly(q_vars), poly(shared)
         pairs.append((_poly_mul(a, f), _poly_mul(b, f), f))
     return pairs
 
 
 def test_heuristic_gcd_matches_prs(monkeypatch):
-    # GCDHEU answers every pair, and the PRS it falls back on agrees
+    # GCDHEU answers every pair of every shape, and the PRS it falls back
+    # on agrees; the digest pins the gcds that the one-variable Euclid and
+    # the split by unshared variables gave before GCDHEU took every pair
     pairs = _gcd_pairs(30, seed=3)
+    for idx, (p_vars, q_vars) in enumerate(_GCD_SHAPES[1:]):
+        pairs += _gcd_pairs(10, 4 + idx, p_vars, q_vars)
     for p, q, _ in pairs:
         assert _heu_gcd(_int_poly(p), _int_poly(q)) is not None
     heuristic = [_poly_gcd(p, q) for p, q, _ in pairs]
     for g, (_, _, f) in zip(heuristic, pairs):
         _poly_divexact(g, f)
+    digest = hashlib.sha256(repr([_items(g) for g in heuristic]).encode())
+    assert digest.hexdigest()[:16] == "8a1829332a3805d3"
     monkeypatch.setattr(scalar_module, "_HEU_TRIES", 0)
     assert [_poly_gcd(p, q) for p, q, _ in pairs] == heuristic
 
