@@ -137,6 +137,14 @@ def parameter_names() -> tuple[str, ...]:
     return tuple(_PARAMS)
 
 
+def _param_index(name: str) -> int:
+    """The registry index of a declared parameter name."""
+    idx = _PARAM_INDEX.get(name)
+    if idx is None:
+        raise KeyError(f"undeclared parameter {name!r}")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # raw polynomial layer: dict {monomial: Fraction}, monomial = ((var, exp), ...)
 
@@ -629,9 +637,7 @@ class Scalar:
 
     @staticmethod
     def param(name: str) -> "Scalar":
-        if name not in _PARAM_INDEX:
-            raise KeyError(f"undeclared parameter {name!r}")
-        return Scalar({((_PARAM_INDEX[name], 1),): Fraction(1)})
+        return Scalar({((_param_index(name), 1),): Fraction(1)})
 
     # -- views -------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -687,7 +693,10 @@ class Scalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if other is ONE:
@@ -733,7 +742,10 @@ class Scalar:
         return _reduced("/", self, other)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -752,7 +764,7 @@ class Scalar:
         """Evaluate with parameters replaced by scalars; others kept."""
         repl = {}
         for name, val in assignment.items():
-            repl[_PARAM_INDEX[name]] = _coerce(val)
+            repl[_param_index(name)] = _coerce(val)
         num = _eval_poly(dict(self._num), repl)
         den = _eval_poly(dict(self._den), repl)
         if den.is_zero():
@@ -761,7 +773,7 @@ class Scalar:
 
     def decompose(self, name: str) -> dict[int, "Scalar"]:
         """Split by powers of a parameter the denominator must not contain."""
-        v = _PARAM_INDEX[name]
+        v = _param_index(name)
         if v in _poly_vars(dict(self._den)):
             raise ValueError(f"denominator involves {name}")
         den = dict(self._den)
@@ -1013,6 +1025,8 @@ def parse_scalar(text: str) -> Scalar:
 
     def take():
         nonlocal pos
+        if pos == len(toks):
+            raise ValueError(f"unexpected end of {text!r}")
         t = toks[pos]
         pos += 1
         return t
@@ -1064,9 +1078,9 @@ def parse_scalar(text: str) -> Scalar:
             return -parse_base()
         if isinstance(t, int):
             return Scalar.from_int(t)
-        if isinstance(t, str):
+        if isinstance(t, str) and t not in _TOKEN_CHARS:
             return Scalar.param(t)
-        raise ValueError(f"unexpected token {t!r}")
+        raise ValueError(f"unexpected token {t!r} in {text!r}")
 
     node = parse_expr()
     if pos != len(toks):

@@ -84,6 +84,34 @@ def test_parse_round_trip():
         assert S(str(v)) == v
 
 
+@pytest.mark.parametrize("text", ["", "1 +", "(c", "c^", "c ^ -", "c +* a", "(c))"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        S(text)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv]
+)
+def test_float_operands_are_refused(op):
+    # both operand orders refuse a float; no reflected operator recurses
+    c = Scalar.param("c")
+    for x, y in ((c, 1.5), (1.5, c)):
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
+def test_undeclared_parameter_names_raise():
+    c = Scalar.param("c")
+    for call in (
+        lambda: Scalar.param("zz"),
+        lambda: c.substitute({"zz": 1}),
+        lambda: c.decompose("zz"),
+    ):
+        with pytest.raises(KeyError, match="undeclared parameter 'zz'"):
+            call()
+
+
 def test_algebraic_square_rules():
     s, a, i = Scalar.param("s"), Scalar.param("a"), Scalar.param("I")
     assert s * s == a / 2
