@@ -347,9 +347,9 @@ def _poly_gcd(p, q):
     polynomial, whose content recursion comes back here with one variable
     less.  The PRS alone is exact but its coefficients can grow large; the
     heuristic's answer is confirmed by exact division, so either way the
-    gcd is exact.  Algebraic variables (square-ruled) never reach here with exponent > 1
-    and are treated like ordinary variables; callers keep denominators free
-    of them.
+    gcd is exact.  Algebraic variables (square-ruled) never reach here with
+    exponent > 1 and are treated like ordinary variables; callers keep
+    denominators free of them.
     """
     if not p:
         return _make_primitive(q)
