@@ -702,7 +702,11 @@ def _digest_values(count, seed):
     return values
 
 
-def test_seeded_canonical_form_digest():
+@pytest.mark.parametrize("tries", [6, 0])
+def test_seeded_canonical_form_digest(monkeypatch, tries):
+    # with no evaluation point every gcd takes the PRS, and the forms agree
+    monkeypatch.setattr(scalar_module, "_HEU_TRIES", tries)
+    _reduced.cache_clear()
     h = hashlib.sha256()
     for v in _digest_values(200, seed=8):
         h.update(repr((v._num, v._den)).encode())
