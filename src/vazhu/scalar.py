@@ -9,17 +9,24 @@ order and free of algebraic variables (cleared by conjugation).  Equality
 of canonical forms is therefore literal equality, which every exactness
 guarantee downstream relies on.
 
-Normalization has one rule: after conjugation, a fraction is divided by
-the gcd of its numerator and denominator (`_poly_gcd`), then made monic.
-That gcd takes one path for every pair: GCDHEU on integer images, with a
-primitive PRS as its exact fallback.  Only the two polynomials and the
-parameter registry take part, so a Scalar's form does not depend on what
-was computed before it.
+Normalization has one rule: after conjugation, numerator and denominator
+are each split once into a positive rational content times a primitive
+integer polynomial (`_int_poly`), the two integer parts are divided by
+their gcd (`_poly_gcd`), and only the last step turns coefficients back
+into Fractions, over a monic denominator.  That gcd takes one path for
+every pair: GCDHEU on integer images, with a primitive PRS as its exact
+fallback.  Only the two polynomials and the parameter registry take part,
+so a Scalar's form does not depend on what was computed before it.
 
 Below Scalar, a polynomial is a dict {monomial: Fraction} with no zero
 coefficient.  Every sum of them goes through one in-place accumulate,
-`_poly_acc`, which drops zero sums; every view of one as univariate in a
-variable (the gcd's PRS and `decompose`) goes through `_uni_view`.
+`_poly_acc`, which drops zero sums.  Below that, the gcd runs on integer
+polynomials, dicts {monomial: int}: they sum through `_int_acc`, multiply
+through `_int_mul`, which adds exponents and applies no square rule, and
+divide through `_int_quo`, the one exact division, which serves GCDHEU's
+check, the PRS's content and the final cancellation.  Every view of a
+polynomial as univariate in a variable (the gcd's PRS and `decompose`)
+goes through `_uni_view`.
 
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
@@ -73,7 +80,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 # the rational type; benchmark records report its name as the backend
 _Q = Fraction
@@ -285,36 +292,6 @@ def _mono_divide(m1, m2):
     return tuple(out)
 
 
-def _poly_divexact(p, d):
-    """Exact multivariate division; raises if not exact."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(p)
-    out: dict = {}
-    lead_d = _poly_lead(d)
-    cd = d[lead_d]
-    while rem:
-        lead_r = _poly_lead(rem)
-        qm = _mono_divide(lead_r, lead_d)
-        if qm is None:
-            raise ArithmeticError("inexact polynomial division")
-        qc = rem[lead_r] / cd
-        # the lead of rem falls at every step, so qm is a new monomial
-        out[qm] = qc
-        _poly_acc(rem, _poly_mul({qm: qc}, d).items(), -1)
-    return out
-
-
-def _rat_content(coeffs):
-    """The positive rational that divides coeffs into integers with gcd 1."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm)
-
-
 def _uni_view(p, v):
     """View p as univariate in v: {exponent: dict-poly coefficient}.
 
@@ -337,45 +314,119 @@ def _uni_build(u, v):
     return out
 
 
-def _poly_gcd(p, q):
-    """Gcd over Q, integer-primitive with positive leading coefficient.
+# ---------------------------------------------------------------------------
+# the gcd's integer polynomial layer: dict {monomial: int}, no square rules
 
-    Every pair with a variable takes one path, whatever its variables: the
-    heuristic gcd `_heu_gcd` on integer images first, which handles any
-    number of variables and any overlap of the two sets, and when it gives
-    up a primitive euclidean PRS in the highest variable of either
-    polynomial, whose content recursion comes back here with one variable
-    less.  The PRS alone is exact but its coefficients can grow large; the
-    heuristic's answer is confirmed by exact division, so either way the
-    gcd is exact.  Algebraic variables (square-ruled) never reach here with
-    exponent > 1 and are treated like ordinary variables; callers keep
-    denominators free of them.
+
+def _int_poly(p):
+    """(content, part) of a dict-poly p: p = content * part.
+
+    The content is a positive Fraction and the part a primitive integer
+    polynomial, its coefficients ints with gcd 1.
     """
-    if not p:
-        return _make_primitive(q)
-    if not q:
-        return _make_primitive(p)
-    vs = _poly_vars(p) | _poly_vars(q)
-    if not vs:
-        return {tuple(): Fraction(1)}
-    g = _heu_gcd(_int_poly(p), _int_poly(q))
-    if g is not None:
-        return _make_primitive({m: Fraction(c) for m, c in g.items()})
-    v = max(vs)
-    pu, qu = _uni_view(p, v), _uni_view(q, v)
-    cont_p, pp_p = _uni_content_pp(pu)
-    cont_q, pp_q = _uni_content_pp(qu)
-    cont = _poly_gcd(cont_p, cont_q)
-    a, b = pp_p, pp_q
-    while b:
-        r = _uni_prem(a, b, v)
-        a = b
+    n = _int_gcd(*[c.numerator for c in p.values()])
+    d = _int_lcm(*[c.denominator for c in p.values()])
+    if n == 1 and d == 1:
+        return _SMALL_Q[1], {m: c.numerator for m, c in p.items()}
+    return Fraction(n, d), {m: c.numerator * (d // c.denominator) // n for m, c in p.items()}
+
+
+def _q_poly(p, q):
+    """The dict-poly of the integer polynomial p times the Fraction q."""
+    if q == 1:
+        get = _SMALL_Q.get
+        return {m: get(c) or Fraction(c) for m, c in p.items()}
+    n, d = q.numerator, q.denominator
+    return {m: Fraction(c * n, d) for m, c in p.items()}
+
+
+def _int_acc(out, terms, f=1):
+    """Add f times each (monomial, int) of terms into out; zero sums drop."""
+    get = out.get
+    for m, c in terms:
+        c = get(m, 0) + f * c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+
+
+def _mono_add(m1, m2):
+    # the monomial m1 * m2 with no square rule
+    e = dict(m1)
+    for v, x in m2:
+        e[v] = e.get(v, 0) + x
+    return tuple(sorted(e.items()))
+
+
+def _int_mul(p, q):
+    """The product of two integer polynomials, exponents simply added."""
+    out: dict = {}
+    _int_acc(
+        out,
+        ((_mono_add(m1, m2), c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()),
+    )
+    return out
+
+
+def _int_quo(p, d):
+    """The integer polynomial p / d, or None when d does not divide p.
+
+    Long division by d's lead; an inexact integer quotient ends it, since
+    for a primitive d any quotient over Q has integer coefficients.
+    """
+    rem = dict(p)
+    out: dict = {}
+    lead_d = _poly_lead(d)
+    cd = d[lead_d]
+    while rem:
+        lead_r = _poly_lead(rem)
+        qm = _mono_divide(lead_r, lead_d)
+        if qm is None:
+            return None
+        qc, r = divmod(rem[lead_r], cd)
         if r:
-            _, r = _uni_content_pp(r)
-        b = r
-    gu = _uni_build(a, v)
-    g = _poly_mul(cont, _make_primitive(gu))
-    return _make_primitive(g)
+            return None
+        # the lead of rem falls at every step, so qm is a new monomial
+        out[qm] = qc
+        for m, c in d.items():
+            m = _mono_add(qm, m)
+            c = rem.get(m, 0) - qc * c
+            if c:
+                rem[m] = c
+            else:
+                del rem[m]
+    return out
+
+
+def _poly_gcd(p, q):
+    """Gcd in Z[x] of two nonzero integer polynomials, positive leading term.
+
+    The integer contents take part, so the gcd of two primitive
+    polynomials is primitive.  Every pair takes one path, whatever its
+    variables: the heuristic gcd `_heu_gcd` on integer images first, which
+    handles any number of variables and any overlap of the two sets, and
+    when it gives up a primitive euclidean PRS in the highest variable of
+    either polynomial, whose content recursion comes back here with one
+    variable less.  The PRS alone is exact but its coefficients can grow
+    large; the heuristic's answer is confirmed by exact division, so either
+    way the gcd is exact.  Products here add exponents and apply no square
+    rule: algebraic variables never reach here with exponent > 1 and are
+    treated like ordinary variables; callers keep denominators free of them.
+    """
+    g = _heu_gcd(p, q)
+    if g is None:
+        v = max(_poly_vars(p) | _poly_vars(q))
+        cont_p, a = _uni_content_pp(_uni_view(p, v))
+        cont_q, b = _uni_content_pp(_uni_view(q, v))
+        while b:
+            r = _uni_prem(a, b, v)
+            a = b
+            if r:
+                _, r = _uni_content_pp(r)
+            b = r
+        g = _int_mul(_poly_gcd(cont_p, cont_q), _uni_build(a, v))
+    return g if g[_poly_lead(g)] > 0 else {m: -c for m, c in g.items()}
 
 
 # evaluation points `_heu_gcd` tries before it gives up
@@ -385,18 +436,17 @@ _HEU_TRIES = 6
 def _heu_gcd(f, g):
     """gcd of two nonzero integer polynomials by GCDHEU, or None.
 
-    Polynomials here are dicts {monomial: int}.  GCDHEU (Char, Geddes and
-    Gonnet, J. Symbolic Comput. 1989) evaluates one variable v at an
-    integer xi, takes the gcd of the two images, which have one variable
-    less (an integer gcd at the bottom), and reads a candidate back from
-    the balanced base-xi digits of its coefficients.  For primitive f and g
-    and xi >= 2*min(|f|, |g|) + 2 (|.| the largest coefficient), a candidate
-    whose primitive part divides both f and g is their gcd.  Every xi here
-    meets that bound, and every candidate is checked by exact division, so
-    an answer is exact; after `_HEU_TRIES` points that fail, or when an
-    image's gcd fails, it returns None.
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) evaluates
+    one variable v at an integer xi, takes the gcd of the two images, which
+    have one variable less (an integer gcd at the bottom), and reads a
+    candidate back from the balanced base-xi digits of its coefficients.
+    For primitive f and g and xi >= 2*min(|f|, |g|) + 2 (|.| the largest
+    coefficient), a candidate whose primitive part divides both f and g is
+    their gcd.  Every xi here meets that bound, and every candidate is
+    checked by exact division, so an answer is exact; after `_HEU_TRIES`
+    points that fail, or when an image's gcd fails, it returns None.
     """
-    cf, cg = _int_content(f), _int_content(g)
+    cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
     cont = _int_gcd(cf, cg)
     vs = _poly_vars(f) | _poly_vars(g)
     if not vs:
@@ -412,28 +462,13 @@ def _heu_gcd(f, g):
             if h is None:
                 return None
             cand = _int_digits(h, v, xi)
-            ch = _int_content(cand)
+            ch = _int_gcd(*cand.values())
             cand = {m: c // ch for m, c in cand.items()}
-            if _int_divides(cand, f) and _int_divides(cand, g):
+            if _int_quo(f, cand) is not None and _int_quo(g, cand) is not None:
                 return {m: c * cont for m, c in cand.items()}
         # the step Char, Geddes and Gonnet use, to avoid a periodic pattern
         xi = xi * 73794 // 27011
     return None
-
-
-def _int_poly(p):
-    # p times the lcm of its denominators, as {monomial: int}
-    den = 1
-    for c in p.values():
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}
-
-
-def _int_content(p):
-    n = 0
-    for c in p.values():
-        n = _int_gcd(n, c)
-    return n
 
 
 def _int_eval(p, v, xi):
@@ -471,79 +506,33 @@ def _int_digits(h, v, xi):
     return out
 
 
-def _int_divides(d, p):
-    """Whether the integer polynomial d divides p, over free variables.
-
-    Long division by d's lead; an inexact integer quotient ends it, since
-    for a primitive d any quotient over Q has integer coefficients.
-    """
-    rem = dict(p)
-    lead_d = _poly_lead(d)
-    cd = d[lead_d]
-    while rem:
-        lead_r = _poly_lead(rem)
-        qm = _mono_divide(lead_r, lead_d)
-        if qm is None:
-            return False
-        qc, r = divmod(rem[lead_r], cd)
-        if r:
-            return False
-        for m, c in d.items():
-            e = dict(qm)
-            for w, x in m:
-                e[w] = e.get(w, 0) + x
-            mm = tuple(sorted(e.items()))
-            c = rem.get(mm, 0) - qc * c
-            if c:
-                rem[mm] = c
-            else:
-                del rem[mm]
-    return True
-
-
-def _make_primitive(p):
-    # p over its rational content, with positive leading coefficient
-    if not p:
-        return {}
-    cont = _rat_content(p.values())
-    if p[_poly_lead(p)] < 0:
-        cont = -cont
-    return {m: c / cont for m, c in p.items()}
-
-
 def _uni_content_pp(u):
     """(content, primitive part) of a univariate view u, u = content * part.
 
-    The content is the gcd of u's coefficients times the rational content
-    left after dividing by it, so the part's coefficients are integer
-    polynomials with gcd 1.  Without the rational factor a pseudo-remainder
-    sequence over these parts would grow its coefficients exponentially.
+    The content is the gcd in Z[x] of u's coefficients, so the part's
+    coefficients are integer polynomials with no common factor, not even an
+    integer; a pseudo-remainder sequence over these parts stays small.
     """
-    cont: dict = {}
+    cont = None
     for coeff in u.values():
-        cont = _poly_gcd(cont, coeff)
-    pp = {e: _poly_divexact(c, cont) for e, c in u.items()}
-    q = _rat_content(x for c in pp.values() for x in c.values())
-    cont = {m: c * q for m, c in cont.items()}
-    return cont, {e: {m: x / q for m, x in c.items()} for e, c in pp.items()}
+        cont = coeff if cont is None else _poly_gcd(cont, coeff)
+    return cont, {e: _int_quo(c, cont) for e, c in u.items()}
 
 
 def _uni_prem(a, b, v):
-    """Pseudo-remainder of univariate views (dict-poly coefficients)."""
-    da, db = max(a), max(b)
+    """Pseudo-remainder of univariate views with integer coefficients."""
+    db = max(b)
     lb = b[db]
-    r = {e: dict(c) for e, c in a.items()}
+    r = a
     while r:
         dr = max(r)
         if dr < db:
             break
         lr = r[dr]
         # r <- lb*r - lr * v^(dr-db) * b
-        new: dict[int, dict] = {}
-        for e, c in r.items():
-            new[e] = _poly_mul(lb, c)
+        new = {e: _int_mul(lb, c) for e, c in r.items()}
         for e, c in b.items():
-            _poly_acc(new.setdefault(e + dr - db, {}), _poly_mul(lr, c).items(), -1)
+            _int_acc(new.setdefault(e + dr - db, {}), _int_mul(lr, c).items(), -1)
         r = {e: c for e, c in new.items() if c}
     return r
 
@@ -942,18 +931,15 @@ def _normalize(num, den):
             conj = _conjugate_poly(den, v)
             num = _poly_mul(num, conj)
             den = _poly_mul(den, conj)
+    qn, num = _int_poly(num)
+    qd, den = _int_poly(den)
     # a constant denominator shares no factor and only needs the monic step
     if len(den) > 1 or tuple() not in den:
         g = _poly_gcd(num, den)
-        if g != {tuple(): Fraction(1)}:
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
+        if len(g) > 1 or tuple() not in g:
+            num, den = _int_quo(num, g), _int_quo(den, g)
     lc = den[_poly_lead(den)]
-    if lc != 1:
-        inv = 1 / lc
-        num = {m: c * inv for m, c in num.items()}
-        den = {m: c * inv for m, c in den.items()}
-    return num, den
+    return _q_poly(num, qn / (qd * lc)), _q_poly(den, Fraction(1, lc))
 
 
 def _is_plain_term(item):

@@ -5,7 +5,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -28,12 +28,13 @@ from vazhu.scalar import (
     _ONE_ITEMS,
     _SMALL_INT,
     _heu_gcd,
+    _int_mul,
     _int_poly,
     _items,
     _mono_key,
     _mono_mul,
+    _int_quo,
     _poly_acc,
-    _poly_divexact,
     _poly_gcd,
     _poly_mul,
     _reduced,
@@ -293,12 +294,15 @@ def test_heuristic_gcd_matches_prs(monkeypatch):
     pairs = _gcd_pairs(30, seed=3)
     for seed, (p_vars, q_vars) in enumerate(_GCD_SHAPES, start=4):
         pairs += _gcd_pairs(10, seed, p_vars, q_vars)
+    # the gcd layer takes the primitive integer parts
+    pairs = [tuple(_int_poly(x)[1] for x in pair) for pair in pairs]
     for p, q, _ in pairs:
-        assert _heu_gcd(_int_poly(p), _int_poly(q)) is not None
+        assert _heu_gcd(p, q) is not None
     heuristic = [_poly_gcd(p, q) for p, q, _ in pairs]
     for g, (_, _, f) in zip(heuristic, pairs):
-        _poly_divexact(g, f)
-    digest = hashlib.sha256(repr([_items(g) for g in heuristic]).encode())
+        assert _int_quo(g, f) is not None
+    forms = [_items({m: Fraction(c) for m, c in g.items()}) for g in heuristic]
+    digest = hashlib.sha256(repr(forms).encode())
     assert digest.hexdigest()[:16] == "8a1829332a3805d3"
     monkeypatch.setattr(scalar_module, "_HEU_TRIES", 0)
     assert [_poly_gcd(p, q) for p, q, _ in pairs] == heuristic
@@ -313,15 +317,18 @@ def test_heuristic_gcd_matches_prs(monkeypatch):
     ],
 )
 def test_prs_primitive_part_is_integer_primitive(text, var):
-    # the PRS divides out the rational content too, not only the gcd of
-    # the coefficient polynomials
-    p = dict(S(text)._num)
+    # the PRS divides out the integer content too, not only the gcd of
+    # the coefficient polynomials: p times its denominators' lcm keeps one
+    q = dict(S(text)._num)
+    den = reduce(lcm, (x.denominator for x in q.values()))
+    p = {m: int(x * den) for m, x in q.items()}
+    assert reduce(gcd, p.values()) > 1
     v = parameter_names().index(var)
     cont, pp = _uni_content_pp(_uni_view(p, v))
     coeffs = [x for c in pp.values() for x in c.values()]
-    assert all(x.denominator == 1 for x in coeffs)
-    assert reduce(gcd, (x.numerator for x in coeffs)) == 1
-    product = {e: _poly_mul(cont, c) for e, c in pp.items()}
+    assert all(type(x) is int for x in coeffs)
+    assert reduce(gcd, coeffs) == 1
+    product = {e: _int_mul(cont, c) for e, c in pp.items()}
     assert _uni_build(product, v) == p
 
 
