@@ -1,5 +1,6 @@
 """Every module's exports resolve, so a deletion cannot leave a stale name."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -37,3 +38,52 @@ def test_console_scripts_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr, None)), target
+
+
+# bench/worker.py reads scalar._Q, the backend it reports
+_READ_FROM_OUTSIDE = {"scalar.py:_Q"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_defs(tree):
+    """(name, node) of each module-level private name and private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((n, node) for n in names if _private(n))
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and _private(m.name):
+                    yield m.name, m
+
+
+def test_no_unreferenced_private_code():
+    # a private helper that nothing in the package uses besides its own
+    # definition is dead, even when a test still calls it
+    src = Path(__file__).resolve().parents[1] / "src" / "vazhu"
+    defs, refs = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += [(name, path.name, node) for name, node in _private_defs(tree)]
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                refs.setdefault(name, []).append((path.name, n.lineno))
+    unused = {
+        f"{file}:{name}"
+        for name, file, node in defs
+        if all(
+            f == file and node.lineno <= line <= node.end_lineno
+            for f, line in refs.get(name, ())
+        )
+    }
+    assert unused == _READ_FROM_OUTSIDE
