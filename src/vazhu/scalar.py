@@ -328,7 +328,8 @@ def _int_poly(p):
     d = _int_lcm(*[c.denominator for c in p.values()])
     if n == 1 and d == 1:
         return _SMALL_Q[1], {m: c.numerator for m, c in p.items()}
-    return Fraction(n, d), {m: c.numerator * (d // c.denominator) // n for m, c in p.items()}
+    part = {m: c.numerator * (d // c.denominator) // n for m, c in p.items()}
+    return Fraction(n, d), part
 
 
 def _q_poly(p, q):
@@ -609,6 +610,10 @@ class Scalar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_fraction(f) -> "Scalar":
+        # Fraction(0.1) is a binary float's value, not one tenth
+        if not isinstance(f, (int, Fraction)):
+            name = type(f).__name__
+            raise TypeError(f"from_fraction takes an int or a Fraction, not {name}")
         f = Fraction(f)
         if not f:
             return ZERO
@@ -773,15 +778,22 @@ class Scalar:
 
     # -- comparisons / hashing ----------------------------------------------
     def __eq__(self, other):
+        # a Scalar equals only Scalars, ints and Fractions, the values a
+        # constant hashes like
         if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = Scalar.from_fraction(other)
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._num, self._den))
+            num = self._num
+            # a constant hashes as the Fraction it equals
+            if self._den is _ONE_ITEMS and (not num or len(num) == 1 and not num[0][0]):
+                self._hash = hash(num[0][1] if num else 0)
+            else:
+                self._hash = hash((num, self._den))
         return self._hash
 
     def __bool__(self):

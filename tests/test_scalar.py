@@ -142,11 +142,33 @@ def test_to_fraction():
         Scalar.param("c").to_fraction()
 
 
-@pytest.mark.parametrize("value", [-1.0, 2.5, Fraction(3)])
+@pytest.mark.parametrize("value", [-1.0, 2.5, Fraction(3), 0.1])
 def test_from_int_rejects_non_ints(value):
     # -1.0 and Fraction(3) compare equal to cached ints, 2.5 to none
     with pytest.raises(TypeError):
         Scalar.from_int(value)
+
+
+@pytest.mark.parametrize("value", [0.1, -1.0, "1/2"])
+def test_from_fraction_rejects_non_rationals(value):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Scalar.from_fraction(value)
+    assert Scalar.from_fraction(Fraction(1, 10)) == Fraction(1, 10)
+
+
+def test_equal_scalars_hash_equal():
+    # a constant hashes as the int or Fraction it equals
+    half, c = Scalar.from_fraction(Fraction(1, 2)), Scalar.param("c")
+    pairs = ((ONE, 1), (ZERO, 0), (Scalar.from_int(-7), -7), (half, Fraction(1, 2)))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert {x: "x"}.get(y) == "x" and {y: "y"}.get(x) == "y"
+    assert {ONE, 1, Fraction(1), c / c} == {1}
+    # anything else is unequal, and comparing never parses or raises
+    for x in (ONE, c):
+        for other in ("c", "1", "zz", "!", 1.0, None):
+            assert x != other and not x == other
 
 
 def test_declare_parameter_conflicts():
