@@ -486,6 +486,10 @@ def axiom_suite(
     start = time.perf_counter()
     rng = random.Random(seed)
     pool = [m for m in engine.basis(weight_bound) if m]
+    if triples > 0 and not pool:
+        raise ValueError(
+            f"no basis monomial within weight_bound={weight_bound} to sample"
+        )
     report = AxiomReport(engine.pres.name, Fraction(weight_bound), triples)
     gens = [{((i, 1),): ONE} for i in range(len(engine.names))]
 

@@ -249,6 +249,14 @@ def test_axiom_suite_passes_small(pres_id):
     assert min(rep.phase_s.values()) >= 0
 
 
+def test_axiom_suite_empty_sample_pool():
+    # no N=1 basis monomial has weight <= 1, so there is nothing to sample
+    with pytest.raises(ValueError, match="weight_bound=1"):
+        axiom_suite(engine("N1"), weight_bound=1, triples=1)
+    rep = axiom_suite(engine("N1"), weight_bound=1, triples=0)
+    assert rep.passed and rep.checks == 156
+
+
 def test_axiom_suite_passes_n3():
     rep = axiom_suite(engine("N3"), weight_bound=3, triples=2, seed=1)
     assert rep.passed, rep.failures[:3]
