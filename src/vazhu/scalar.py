@@ -390,13 +390,7 @@ def _int_quo(p, d):
             return None
         # the lead of rem falls at every step, so qm is a new monomial
         out[qm] = qc
-        for m, c in d.items():
-            m = _mono_add(qm, m)
-            c = rem.get(m, 0) - qc * c
-            if c:
-                rem[m] = c
-            else:
-                del rem[m]
+        _int_acc(rem, [(_mono_add(qm, m), c) for m, c in d.items()], -qc)
     return out
 
 
@@ -437,15 +431,16 @@ _HEU_TRIES = 6
 def _heu_gcd(f, g):
     """gcd of two nonzero integer polynomials by GCDHEU, or None.
 
-    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) evaluates
-    one variable v at an integer xi, takes the gcd of the two images, which
-    have one variable less (an integer gcd at the bottom), and reads a
-    candidate back from the balanced base-xi digits of its coefficients.
-    For primitive f and g and xi >= 2*min(|f|, |g|) + 2 (|.| the largest
-    coefficient), a candidate whose primitive part divides both f and g is
-    their gcd.  Every xi here meets that bound, and every candidate is
-    checked by exact division, so an answer is exact; after `_HEU_TRIES`
-    points that fail, or when an image's gcd fails, it returns None.
+    Polynomials here are dicts {monomial: int}.  GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 1989) evaluates one variable v at an
+    integer xi, takes the gcd of the two images, which have one variable
+    less (an integer gcd at the bottom), and reads a candidate back from
+    the balanced base-xi digits of its coefficients.  For primitive f and g
+    and xi >= 2*min(|f|, |g|) + 2 (|.| the largest coefficient), a candidate
+    whose primitive part divides both f and g is their gcd.  Every xi here
+    meets that bound, and every candidate is checked by exact division, so
+    an answer is exact; after `_HEU_TRIES` points that fail, or when an
+    image's gcd fails, it returns None.
     """
     cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
     cont = _int_gcd(cf, cg)
