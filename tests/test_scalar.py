@@ -30,10 +30,10 @@ from vazhu.scalar import (
     _heu_gcd,
     _int_mul,
     _int_poly,
+    _int_quo,
     _items,
     _mono_key,
     _mono_mul,
-    _int_quo,
     _poly_acc,
     _poly_gcd,
     _poly_mul,
