@@ -507,11 +507,14 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
     """Zero-mode Lie superalgebra of the H-twisted Zhu algebra of pres.
 
     For generators a, b the bracket is [a, b] = sum_j binom(wt a - 1, j)
-    [a_(j) b], and a derivative collapses as [d^k X] = (-1)^k wt X
-    (wt X + 1) ... (wt X + k - 1) [X].  The class of the vacuum VACUUM is
-    the even central Z; after the shift L -> L - (c/24) Z, Z joins the basis
-    right after the last even generator, and only if some bracket still has
-    a term on it.
+    [a_(j) b], a derivative collapses as [d^k X] = (-1)^k wt X (wt X + 1)
+    ... (wt X + k - 1) [X] = falling(-wt X, k) [X], and a_(j) b is j! times
+    the lam^j coefficient of [a_lam b].  With binom(w, j) j! = falling(w, j),
+    a term c lam^j d^k X of [a_lam b] adds c falling(wt a - 1, j)
+    falling(-wt X, k) [X].  The class of the vacuum VACUUM is the even
+    central Z; after the shift L -> L - (c/24) Z, Z joins the basis right
+    after the last even generator, and only if some bracket still has a
+    term on it.
     """
     names = pres.names()
     table = {}
@@ -519,16 +522,15 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
         top = pres.weight[x] - 1
         for y in names[i:]:
             out: dict = {}
-            for j, vec in pres.nth_products(x, y).items():
-                binom = _coerce(Fraction(_falling(top, j), math.factorial(j)))
-                if binom.is_zero():
+            for (j, k, target), coeff in pres.pair_bracket(x, y).items():
+                factor = _falling(top, j)
+                if not factor:
                     continue
-                for (k, target), coeff in vec.items():
-                    if target == VACUUM:
-                        key_acc(out, "Z", coeff * binom)
-                        continue
-                    der = _coerce(_falling(-pres.weight[target], k))
-                    key_acc(out, target, coeff * binom * der)
+                if target == VACUUM:
+                    key_acc(out, "Z", coeff * _coerce(factor))
+                    continue
+                factor *= _falling(-pres.weight[target], k)
+                key_acc(out, target, coeff * _coerce(factor))
             table[(x, y)] = out
     shift = pres.central_charge / 24
     for out in table.values():

@@ -1,14 +1,15 @@
 """Vertex superalgebra presentations by generator lambda brackets.
 
 A presentation lists generating fields with parities and conformal weights
-together with the lambda brackets of generator pairs.  Each bracket is one
-vector of terms coeff * lam^n * d^k(target), the target a generator or the
-vacuum VACUUM: a central term c lam^n is the term (n, 0, VACUUM), as in a
-Lie conformal algebra with values in the generators plus C|0>.  Two rules
-cover the vacuum: d|0> = 0 and [|0>_lam X] = 0.  The module validates
-weight homogeneity, skew consistency, primary normalization against the
-conformal field, and the conformal-level Jacobi identity, and it serves the
-per-mode products that the enveloping engine consumes.
+together with the lambda brackets of generator pairs.  Each bracket is
+given and stored as one vector {(n, k, target): coeff} of terms
+coeff * lam^n * d^k(target), the target a generator or the vacuum VACUUM:
+a central term c lam^n is the term (n, 0, VACUUM), as in a Lie conformal
+algebra with values in the generators plus C|0>.  Two rules cover the
+vacuum: d|0> = 0 and [|0>_lam X] = 0.  The module validates weight
+homogeneity, skew consistency, primary normalization against the conformal
+field, and the conformal-level Jacobi identity, and it serves the per-mode
+products that the enveloping engine consumes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "VaPresentation",
     "PresentationError",
     "VACUUM",
-    "term",
     "builtin_presentation",
     "builtin_ids",
     "check_embedding",
@@ -50,11 +50,6 @@ class GeneratorSpec:
     weight: Fraction
 
 
-def term(coeff, target: str, der: int = 0, lam: int = 0):
-    """One bracket term coeff * lam^lam * d^der target."""
-    return (lam, der, target, _coerce(coeff))
-
-
 def _ders(target: str, top: int):
     """Derivative orders 0..top that survive on target; d|0> = 0."""
     return range(1 if target == VACUUM else top + 1)
@@ -63,11 +58,12 @@ def _ders(target: str, top: int):
 class VaPresentation:
     """Generators, weights, parities, and pairwise lambda brackets.
 
+    brackets maps each pair (x, y), x declared no later than y, to the
+    vector {(lam, der, target): coeff} of [x_lam y], central terms on
+    VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text.
     The constructor checks structure only: declared names, declaration
-    order, no duplicate pair, and no derivative of the vacuum.  It takes
-    each bracket as (terms, central), central a {lam_power: coeff} dict, and
-    stores it as one vector with central terms on VACUUM.  validate()
-    checks the brackets.
+    order, no duplicate pair, declared targets and no derivative of the
+    vacuum.  validate() checks the brackets.
     """
 
     def __init__(
@@ -79,10 +75,7 @@ class VaPresentation:
         conformal_name=None,
     ):
         self.name = name
-        self.generators = [
-            g if isinstance(g, GeneratorSpec) else GeneratorSpec(*g)
-            for g in generators
-        ]
+        self.generators = list(generators)
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
             raise PresentationError("duplicate generator name")
@@ -95,7 +88,7 @@ class VaPresentation:
         )
         self.conformal_name = conformal_name
         self._table = {}
-        for (x, y), (terms, central) in brackets.items():
+        for (x, y), value in brackets.items():
             if x not in self.index or y not in self.index:
                 raise PresentationError(f"bracket on undeclared pair ({x}, {y})")
             if self.index[x] > self.index[y]:
@@ -104,8 +97,12 @@ class VaPresentation:
                 )
             if (x, y) in self._table:
                 raise PresentationError(f"duplicate bracket for ({x}, {y})")
-            value: dict = {}
-            for lam, der, target, coeff in terms:
+            if not isinstance(value, dict):
+                raise PresentationError(
+                    f"bracket of ({x}, {y}) is not a "
+                    "{(lam, der, target): coeff} dict"
+                )
+            for _, der, target in value:
                 if target == VACUUM:
                     if der:
                         raise PresentationError(
@@ -115,10 +112,7 @@ class VaPresentation:
                     raise PresentationError(
                         f"undeclared target {target} in [{x}, {y}]"
                     )
-                key_acc(value, (lam, der, target), _coerce(coeff))
-            for lam, coeff in (central or {}).items():
-                key_acc(value, (lam, 0, VACUUM), _coerce(coeff))
-            self._table[(x, y)] = value
+            self._table[(x, y)] = _clean(value)
         self._pair_cache: dict = {}
 
     # -- basic data ----------------------------------------------------------
@@ -221,20 +215,14 @@ class VaPresentation:
             raise PresentationError(f"conformal name {L} not declared")
         if self.weight[L] != 2 or self.parity[L] != 0:
             raise PresentationError("conformal generator must be even weight 2")
-        want = {(0, 1, L): ONE, (1, 0, L): Scalar.from_int(2)}
-        cc = self.central_charge
-        if cc is not None and not cc.is_zero():
-            want[(3, 0, VACUUM)] = cc / 12
-        if self.pair_bracket(L, L) != want:
+        rows = _conformal_rows(L, self.generators, self.central_charge)
+        if self.pair_bracket(L, L) != rows.pop((L, L)):
             raise PresentationError(
                 "conformal self-bracket is not (d + 2 lam) L + (c/12) lam^3"
             )
-        for g in self.generators:
-            if g.name == L:
-                continue
-            want = _clean({(0, 1, g.name): ONE, (1, 0, g.name): Fraction(g.weight)})
-            if self.pair_bracket(L, g.name) != want:
-                raise PresentationError(f"{g.name} is not primary of its weight")
+        for (_, x), row in rows.items():
+            if self.pair_bracket(L, x) != row:
+                raise PresentationError(f"{x} is not primary of its weight")
 
     # -- conformal-level Jacobi ------------------------------------------------
 
@@ -330,18 +318,18 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     unknown = sorted({g for x in names for g in images[x]} - declared)
     if unknown:
         raise PresentationError(f"images use unknown target generators {unknown}")
-    images = {**images, VACUUM: {VACUUM: ONE}}
+    images = {x: _clean(images[x]) for x in names}
+    images[VACUUM] = {VACUUM: ONE}
     for i, x in enumerate(names):
         for y in names[i:]:
             want: dict = {}
             for (n, k, tgt), coeff in source.pair_bracket(x, y).items():
                 for tname, tcoeff in images[tgt].items():
-                    key_acc(want, (n, k, tname), coeff * _coerce(tcoeff))
+                    key_acc(want, (n, k, tname), coeff * tcoeff)
             got: dict = {}
             for xg, xc in images[x].items():
                 for yg, yc in images[y].items():
-                    factor = _coerce(xc) * _coerce(yc)
-                    vec_acc(got, target.pair_bracket(xg, yg), factor)
+                    vec_acc(got, target.pair_bracket(xg, yg), xc * yc)
             if got != want:
                 return (x, y, got, want)
     return None
@@ -351,36 +339,36 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
 # builtin presentations
 
 
-def _conformal_rows(gens, c):
-    """The rows [L_lam X] = (d + wt lam) X for every generator X.
+def _conformal_rows(L: str, gens, c):
+    """The rows [L_lam X] = (d + wt X lam) X for every generator X.
 
-    [L_lam L] = (d + 2 lam) L also gets its central term (c/12) lam^3.
+    [L_lam L] also gets its central term (c/12) lam^3 unless c is None.
     """
     rows = {}
     for g in gens:
-        rows[("L", g.name)] = (
-            [term(1, g.name, der=1), term(Fraction(g.weight), g.name, lam=1)],
-            {3: c / 12} if g.name == "L" else {},
-        )
+        row = {(0, 1, g.name): 1, (1, 0, g.name): Fraction(g.weight)}
+        if g.name == L and c is not None:
+            row[(3, 0, VACUUM)] = c / 12
+        rows[(L, g.name)] = _clean(row)
     return rows
 
 
 def _virasoro() -> VaPresentation:
     c = Scalar.param("c")
     gens = [GeneratorSpec("L", 0, Fraction(2))]
-    brackets = _conformal_rows(gens, c)
+    brackets = _conformal_rows("L", gens, c)
     return VaPresentation("virasoro", gens, brackets, c, "L")
 
 
 def _free_fermion() -> VaPresentation:
     gens = [GeneratorSpec("psi", 1, Fraction(1, 2))]
-    return VaPresentation("free_fermion", gens, {("psi", "psi"): ([], {0: ONE})})
+    return VaPresentation("free_fermion", gens, {("psi", "psi"): {(0, 0, VACUUM): 1}})
 
 
 def _free_boson() -> VaPresentation:
     k = Scalar.param("k")
     gens = [GeneratorSpec("xi", 0, Fraction(1))]
-    return VaPresentation("free_boson_k", gens, {("xi", "xi"): ([], {1: k})})
+    return VaPresentation("free_boson_k", gens, {("xi", "xi"): {(1, 0, VACUUM): k}})
 
 
 def _four_fermions() -> VaPresentation:
@@ -392,8 +380,8 @@ def _four_fermions() -> VaPresentation:
         GeneratorSpec("Smm", 1, Fraction(1, 2)),
     ]
     brackets = {
-        ("Spp", "Smm"): ([], {0: k}),
-        ("Spm", "Smp"): ([], {0: k}),
+        ("Spp", "Smm"): {(0, 0, VACUUM): k},
+        ("Spm", "Smp"): {(0, 0, VACUUM): k},
     }
     return VaPresentation("four_fermions_k", gens, brackets)
 
@@ -404,8 +392,8 @@ def _n1() -> VaPresentation:
         GeneratorSpec("L", 0, Fraction(2)),
         GeneratorSpec("G", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens, c)
-    brackets[("G", "G")] = ([term(2, "L")], {2: c / 3})
+    brackets = _conformal_rows("L", gens, c)
+    brackets[("G", "G")] = {(0, 0, "L"): 2, (2, 0, VACUUM): c / 3}
     return VaPresentation("N1", gens, brackets, c, "L")
 
 
@@ -417,14 +405,16 @@ def _n2() -> VaPresentation:
         GeneratorSpec("Gp", 1, Fraction(3, 2)),
         GeneratorSpec("Gm", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens, c)
-    brackets[("J", "J")] = ([], {1: c / 3})
-    brackets[("J", "Gp")] = ([term(1, "Gp")], {})
-    brackets[("J", "Gm")] = ([term(-1, "Gm")], {})
-    brackets[("Gp", "Gm")] = (
-        [term(1, "L"), term(Fraction(1, 2), "J", der=1), term(1, "J", lam=1)],
-        {2: c / 6},
-    )
+    brackets = _conformal_rows("L", gens, c)
+    brackets[("J", "J")] = {(1, 0, VACUUM): c / 3}
+    brackets[("J", "Gp")] = {(0, 0, "Gp"): 1}
+    brackets[("J", "Gm")] = {(0, 0, "Gm"): -1}
+    brackets[("Gp", "Gm")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J"): Fraction(1, 2),
+        (1, 0, "J"): 1,
+        (2, 0, VACUUM): c / 6,
+    }
     return VaPresentation("N2", gens, brackets, c, "L")
 
 
@@ -434,27 +424,27 @@ def _n3() -> VaPresentation:
     gens += [GeneratorSpec(f"A{i}", 0, Fraction(1)) for i in (1, 2, 3)]
     gens += [GeneratorSpec(f"G{i}", 1, Fraction(3, 2)) for i in (1, 2, 3)]
     gens += [GeneratorSpec("Phi", 1, Fraction(1, 2))]
-    brackets = _conformal_rows(gens, c)
+    brackets = _conformal_rows("L", gens, c)
     eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
     for (i, j), k in eps.items():
         lo, hi = min(i, j), max(i, j)
         sign = 1 if (i, j) == (lo, hi) else -1
-        brackets[(f"A{lo}", f"A{hi}")] = ([term(sign, f"A{k}")], {})
-        brackets[(f"A{lo}", f"G{hi}")] = ([term(sign, f"G{k}")], {})
-        brackets[(f"A{hi}", f"G{lo}")] = ([term(-sign, f"G{k}")], {})
-        brackets[(f"G{lo}", f"G{hi}")] = (
-            [term(-sign, f"A{k}", der=1), term(-2 * sign, f"A{k}", lam=1)],
-            {},
-        )
+        brackets[(f"A{lo}", f"A{hi}")] = {(0, 0, f"A{k}"): sign}
+        brackets[(f"A{lo}", f"G{hi}")] = {(0, 0, f"G{k}"): sign}
+        brackets[(f"A{hi}", f"G{lo}")] = {(0, 0, f"G{k}"): -sign}
+        brackets[(f"G{lo}", f"G{hi}")] = {
+            (0, 1, f"A{k}"): -sign,
+            (1, 0, f"A{k}"): -2 * sign,
+        }
     # the diagonal current central is pinned by Jacobi against the odd
     # sector: (G1,G2,A3) forces it to negate the G-G central, and
     # (A1,G1,Phi) forces the Phi-Phi central to equal it
     for i in (1, 2, 3):
-        brackets[(f"A{i}", f"A{i}")] = ([], {1: -c / 3})
-        brackets[(f"A{i}", f"G{i}")] = ([term(1, "Phi", lam=1)], {})
-        brackets[(f"G{i}", f"G{i}")] = ([term(2, "L")], {2: c / 3})
-        brackets[(f"G{i}", "Phi")] = ([term(1, f"A{i}")], {})
-    brackets[("Phi", "Phi")] = ([], {0: -c / 3})
+        brackets[(f"A{i}", f"A{i}")] = {(1, 0, VACUUM): -c / 3}
+        brackets[(f"A{i}", f"G{i}")] = {(1, 0, "Phi"): 1}
+        brackets[(f"G{i}", f"G{i}")] = {(0, 0, "L"): 2, (2, 0, VACUUM): c / 3}
+        brackets[(f"G{i}", "Phi")] = {(0, 0, f"A{i}"): 1}
+    brackets[("Phi", "Phi")] = {(0, 0, VACUUM): -c / 3}
     return VaPresentation("N3", gens, brackets, c, "L")
 
 
@@ -471,29 +461,33 @@ def _n4() -> VaPresentation:
         GeneratorSpec("GBp", 1, Fraction(3, 2)),
         GeneratorSpec("GBm", 1, Fraction(3, 2)),
     ]
-    brackets = _conformal_rows(gens, c)
-    brackets[("J0", "J0")] = ([], {1: c / 3})
-    brackets[("J0", "Jp")] = ([term(2, "Jp")], {})
-    brackets[("J0", "Jm")] = ([term(-2, "Jm")], {})
-    brackets[("Jp", "Jm")] = ([term(1, "J0")], {1: c / 6})
-    brackets[("J0", "Gp")] = ([term(1, "Gp")], {})
-    brackets[("J0", "Gm")] = ([term(-1, "Gm")], {})
-    brackets[("J0", "GBp")] = ([term(1, "GBp")], {})
-    brackets[("J0", "GBm")] = ([term(-1, "GBm")], {})
-    brackets[("Jp", "Gm")] = ([term(1, "Gp")], {})
-    brackets[("Jm", "Gp")] = ([term(1, "Gm")], {})
-    brackets[("Jp", "GBm")] = ([term(-1, "GBp")], {})
-    brackets[("Jm", "GBp")] = ([term(-1, "GBm")], {})
-    brackets[("Gp", "GBp")] = ([term(1, "Jp", der=1), term(2, "Jp", lam=1)], {})
-    brackets[("Gm", "GBm")] = ([term(1, "Jm", der=1), term(2, "Jm", lam=1)], {})
-    brackets[("Gp", "GBm")] = (
-        [term(1, "L"), term(half, "J0", der=1), term(1, "J0", lam=1)],
-        {2: c / 6},
-    )
-    brackets[("Gm", "GBp")] = (
-        [term(1, "L"), term(-half, "J0", der=1), term(-1, "J0", lam=1)],
-        {2: c / 6},
-    )
+    brackets = _conformal_rows("L", gens, c)
+    brackets[("J0", "J0")] = {(1, 0, VACUUM): c / 3}
+    brackets[("J0", "Jp")] = {(0, 0, "Jp"): 2}
+    brackets[("J0", "Jm")] = {(0, 0, "Jm"): -2}
+    brackets[("Jp", "Jm")] = {(0, 0, "J0"): 1, (1, 0, VACUUM): c / 6}
+    brackets[("J0", "Gp")] = {(0, 0, "Gp"): 1}
+    brackets[("J0", "Gm")] = {(0, 0, "Gm"): -1}
+    brackets[("J0", "GBp")] = {(0, 0, "GBp"): 1}
+    brackets[("J0", "GBm")] = {(0, 0, "GBm"): -1}
+    brackets[("Jp", "Gm")] = {(0, 0, "Gp"): 1}
+    brackets[("Jm", "Gp")] = {(0, 0, "Gm"): 1}
+    brackets[("Jp", "GBm")] = {(0, 0, "GBp"): -1}
+    brackets[("Jm", "GBp")] = {(0, 0, "GBm"): -1}
+    brackets[("Gp", "GBp")] = {(0, 1, "Jp"): 1, (1, 0, "Jp"): 2}
+    brackets[("Gm", "GBm")] = {(0, 1, "Jm"): 1, (1, 0, "Jm"): 2}
+    brackets[("Gp", "GBm")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J0"): half,
+        (1, 0, "J0"): 1,
+        (2, 0, VACUUM): c / 6,
+    }
+    brackets[("Gm", "GBp")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J0"): -half,
+        (1, 0, "J0"): -1,
+        (2, 0, VACUUM): c / 6,
+    }
     return VaPresentation("N4", gens, brackets, c, "L")
 
 
@@ -531,116 +525,113 @@ def _big4_brackets(corrupt: str | None):
         GeneratorSpec("Smp", 1, Fraction(1, 2)),
         GeneratorSpec("Smm", 1, Fraction(1, 2)),
     ]
-    b = _conformal_rows(gens, c)
+    b = _conformal_rows("L", gens, c)
     # two commuting current sl(2) pairs at levels k+ and k-, one boson
-    b[("J0", "J0")] = ([], {1: 2 * kp})
-    b[("J0", "Jp")] = ([term(2, "Jp")], {})
-    b[("J0", "Jm")] = ([term(-2, "Jm")], {})
-    b[("Jp", "Jm")] = ([term(1, "J0")], {1: kp})
-    b[("K0", "K0")] = ([], {1: 2 * km})
-    b[("K0", "Kp")] = ([term(2, "Kp")], {})
-    b[("K0", "Km")] = ([term(-2, "Km")], {})
-    b[("Kp", "Km")] = ([term(1, "K0")], {1: km})
-    b[("Xi", "Xi")] = ([], {1: k})
+    b[("J0", "J0")] = {(1, 0, VACUUM): 2 * kp}
+    b[("J0", "Jp")] = {(0, 0, "Jp"): 2}
+    b[("J0", "Jm")] = {(0, 0, "Jm"): -2}
+    b[("Jp", "Jm")] = {(0, 0, "J0"): 1, (1, 0, VACUUM): kp}
+    b[("K0", "K0")] = {(1, 0, VACUUM): 2 * km}
+    b[("K0", "Kp")] = {(0, 0, "Kp"): 2}
+    b[("K0", "Km")] = {(0, 0, "Km"): -2}
+    b[("Kp", "Km")] = {(0, 0, "K0"): 1, (1, 0, VACUUM): km}
+    b[("Xi", "Xi")] = {(1, 0, VACUUM): k}
     # current action on the weight-3/2 family
-    b[("J0", "Gpp")] = ([term(1, "Gpp"), term(-a, "Spp", lam=1)], {})
-    b[("J0", "Gpm")] = ([term(1, "Gpm"), term(-a, "Spm", lam=1)], {})
-    b[("J0", "Gmp")] = ([term(-1, "Gmp"), term(1, "Smp", lam=1)], {})
-    b[("J0", "Gmm")] = ([term(-1, "Gmm"), term(1, "Smm", lam=1)], {})
-    b[("Jp", "Gmp")] = ([term(-1, "Gpp"), term(a, "Spp", lam=1)], {})
-    b[("Jp", "Gmm")] = ([term(1, "Gpm"), term(-a, "Spm", lam=1)], {})
-    b[("Jm", "Gpp")] = ([term(-1, "Gmp"), term(1, "Smp", lam=1)], {})
-    b[("Jm", "Gpm")] = ([term(1, "Gmm"), term(-1, "Smm", lam=1)], {})
-    b[("K0", "Gpp")] = ([term(1, "Gpp"), term(1, "Spp", lam=1)], {})
-    b[("K0", "Gmp")] = ([term(1, "Gmp"), term(ONE / a, "Smp", lam=1)], {})
-    b[("K0", "Gpm")] = ([term(-1, "Gpm"), term(-1, "Spm", lam=1)], {})
-    b[("K0", "Gmm")] = ([term(-1, "Gmm"), term(-ONE / a, "Smm", lam=1)], {})
-    b[("Kp", "Gpm")] = ([term(-1, "Gpp"), term(-1, "Spp", lam=1)], {})
-    b[("Kp", "Gmm")] = ([term(1, "Gmp"), term(ONE / a, "Smp", lam=1)], {})
-    b[("Km", "Gpp")] = ([term(-1, "Gpm"), term(-1, "Spm", lam=1)], {})
-    b[("Km", "Gmp")] = ([term(1, "Gmm"), term(ONE / a, "Smm", lam=1)], {})
+    b[("J0", "Gpp")] = {(0, 0, "Gpp"): 1, (1, 0, "Spp"): -a}
+    b[("J0", "Gpm")] = {(0, 0, "Gpm"): 1, (1, 0, "Spm"): -a}
+    b[("J0", "Gmp")] = {(0, 0, "Gmp"): -1, (1, 0, "Smp"): 1}
+    b[("J0", "Gmm")] = {(0, 0, "Gmm"): -1, (1, 0, "Smm"): 1}
+    b[("Jp", "Gmp")] = {(0, 0, "Gpp"): -1, (1, 0, "Spp"): a}
+    b[("Jp", "Gmm")] = {(0, 0, "Gpm"): 1, (1, 0, "Spm"): -a}
+    b[("Jm", "Gpp")] = {(0, 0, "Gmp"): -1, (1, 0, "Smp"): 1}
+    b[("Jm", "Gpm")] = {(0, 0, "Gmm"): 1, (1, 0, "Smm"): -1}
+    b[("K0", "Gpp")] = {(0, 0, "Gpp"): 1, (1, 0, "Spp"): 1}
+    b[("K0", "Gmp")] = {(0, 0, "Gmp"): 1, (1, 0, "Smp"): ONE / a}
+    b[("K0", "Gpm")] = {(0, 0, "Gpm"): -1, (1, 0, "Spm"): -1}
+    b[("K0", "Gmm")] = {(0, 0, "Gmm"): -1, (1, 0, "Smm"): -ONE / a}
+    b[("Kp", "Gpm")] = {(0, 0, "Gpp"): -1, (1, 0, "Spp"): -1}
+    b[("Kp", "Gmm")] = {(0, 0, "Gmp"): 1, (1, 0, "Smp"): ONE / a}
+    b[("Km", "Gpp")] = {(0, 0, "Gpm"): -1, (1, 0, "Spm"): -1}
+    b[("Km", "Gmp")] = {(0, 0, "Gmm"): 1, (1, 0, "Smm"): ONE / a}
     # current action on the weight-1/2 family
-    b[("J0", "Spp")] = ([term(1, "Spp")], {})
-    b[("J0", "Spm")] = ([term(1, "Spm")], {})
-    b[("J0", "Smp")] = ([term(-1, "Smp")], {})
-    b[("J0", "Smm")] = ([term(-1, "Smm")], {})
-    b[("Jp", "Smp")] = ([term(-a, "Spp")], {})
-    b[("Jp", "Smm")] = ([term(a, "Spm")], {})
-    b[("Jm", "Spp")] = ([term(-ONE / a, "Smp")], {})
-    b[("Jm", "Spm")] = ([term(ONE / a, "Smm")], {})
-    b[("K0", "Spp")] = ([term(1, "Spp")], {})
-    b[("K0", "Smp")] = ([term(1, "Smp")], {})
-    b[("K0", "Spm")] = ([term(-1, "Spm")], {})
-    b[("K0", "Smm")] = ([term(-1, "Smm")], {})
-    b[("Kp", "Spm")] = ([term(-1, "Spp")], {})
-    b[("Kp", "Smm")] = ([term(1, "Smp")], {})
-    b[("Km", "Spp")] = ([term(-1, "Spm")], {})
-    b[("Km", "Smp")] = ([term(1, "Smm")], {})
+    b[("J0", "Spp")] = {(0, 0, "Spp"): 1}
+    b[("J0", "Spm")] = {(0, 0, "Spm"): 1}
+    b[("J0", "Smp")] = {(0, 0, "Smp"): -1}
+    b[("J0", "Smm")] = {(0, 0, "Smm"): -1}
+    b[("Jp", "Smp")] = {(0, 0, "Spp"): -a}
+    b[("Jp", "Smm")] = {(0, 0, "Spm"): a}
+    b[("Jm", "Spp")] = {(0, 0, "Smp"): -ONE / a}
+    b[("Jm", "Spm")] = {(0, 0, "Smm"): ONE / a}
+    b[("K0", "Spp")] = {(0, 0, "Spp"): 1}
+    b[("K0", "Smp")] = {(0, 0, "Smp"): 1}
+    b[("K0", "Spm")] = {(0, 0, "Spm"): -1}
+    b[("K0", "Smm")] = {(0, 0, "Smm"): -1}
+    b[("Kp", "Spm")] = {(0, 0, "Spp"): -1}
+    b[("Kp", "Smm")] = {(0, 0, "Smp"): 1}
+    b[("Km", "Spp")] = {(0, 0, "Spm"): -1}
+    b[("Km", "Smp")] = {(0, 0, "Smm"): 1}
     # odd-odd: weight-3/2 against weight-3/2
-    b[("Gpp", "Gmm")] = (
-        [
-            term(1, "L"),
-            term(gp * half, "J0", der=1),
-            term(gp, "J0", lam=1),
-            term(gm * half, "K0", der=1),
-            term(gm, "K0", lam=1),
-        ],
-        {2: c / 6},
-    )
-    b[("Gpm", "Gmp")] = (
-        [
-            term(1, "L"),
-            term(gp * half, "J0", der=1),
-            term(gp, "J0", lam=1),
-            term(-gm * half, "K0", der=1),
-            term(-gm, "K0", lam=1),
-        ],
-        {2: c / 6},
-    )
-    b[("Gpp", "Gpm")] = ([term(-gp, "Jp", der=1), term(-2 * gp, "Jp", lam=1)], {})
-    b[("Gmp", "Gmm")] = ([term(-gp, "Jm", der=1), term(-2 * gp, "Jm", lam=1)], {})
-    b[("Gpp", "Gmp")] = ([term(-gm, "Kp", der=1), term(-2 * gm, "Kp", lam=1)], {})
-    b[("Gpm", "Gmm")] = ([term(-gm, "Km", der=1), term(-2 * gm, "Km", lam=1)], {})
+    b[("Gpp", "Gmm")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J0"): gp * half,
+        (1, 0, "J0"): gp,
+        (0, 1, "K0"): gm * half,
+        (1, 0, "K0"): gm,
+        (2, 0, VACUUM): c / 6,
+    }
+    b[("Gpm", "Gmp")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J0"): gp * half,
+        (1, 0, "J0"): gp,
+        (0, 1, "K0"): -gm * half,
+        (1, 0, "K0"): -gm,
+        (2, 0, VACUUM): c / 6,
+    }
+    b[("Gpp", "Gpm")] = {(0, 1, "Jp"): -gp, (1, 0, "Jp"): -2 * gp}
+    b[("Gmp", "Gmm")] = {(0, 1, "Jm"): -gp, (1, 0, "Jm"): -2 * gp}
+    b[("Gpp", "Gmp")] = {(0, 1, "Kp"): -gm, (1, 0, "Kp"): -2 * gm}
+    b[("Gpm", "Gmm")] = {(0, 1, "Km"): -gm, (1, 0, "Km"): -2 * gm}
     # odd-odd: weight-3/2 against weight-1/2
-    b[("Gpp", "Smm")] = (
-        [term(gm * half, "J0"), term(-gm * half, "K0"), term(s, "Xi")],
-        {},
-    )
-    b[("Gpm", "Smp")] = (
-        [term(gm * half, "J0"), term(gm * half, "K0"), term(s, "Xi")],
-        {},
-    )
-    b[("Gmp", "Spm")] = (
-        [term(-gp * half, "J0"), term(-gp * half, "K0"), term(s / a, "Xi")],
-        {},
-    )
-    b[("Gmm", "Spp")] = (
-        [term(-gp * half, "J0"), term(gp * half, "K0"), term(s / a, "Xi")],
-        {},
-    )
-    b[("Gpp", "Smp")] = ([term(gm, "Kp")], {})
-    b[("Gpm", "Smm")] = ([term(gm, "Km")], {})
-    b[("Gmp", "Spp")] = ([term(-gp, "Kp")], {})
-    b[("Gmm", "Spm")] = ([term(-gp, "Km")], {})
-    b[("Gpp", "Spm")] = ([term(-gp, "Jp")], {})
-    b[("Gpm", "Spp")] = ([term(gp, "Jp")], {})
-    b[("Gmp", "Smm")] = ([term(-gm, "Jm")], {})
-    b[("Gmm", "Smp")] = ([term(gm, "Jm")], {})
+    b[("Gpp", "Smm")] = {
+        (0, 0, "J0"): gm * half,
+        (0, 0, "K0"): -gm * half,
+        (0, 0, "Xi"): s,
+    }
+    b[("Gpm", "Smp")] = {
+        (0, 0, "J0"): gm * half,
+        (0, 0, "K0"): gm * half,
+        (0, 0, "Xi"): s,
+    }
+    b[("Gmp", "Spm")] = {
+        (0, 0, "J0"): -gp * half,
+        (0, 0, "K0"): -gp * half,
+        (0, 0, "Xi"): s / a,
+    }
+    b[("Gmm", "Spp")] = {
+        (0, 0, "J0"): -gp * half,
+        (0, 0, "K0"): gp * half,
+        (0, 0, "Xi"): s / a,
+    }
+    b[("Gpp", "Smp")] = {(0, 0, "Kp"): gm}
+    b[("Gpm", "Smm")] = {(0, 0, "Km"): gm}
+    b[("Gmp", "Spp")] = {(0, 0, "Kp"): -gp}
+    b[("Gmm", "Spm")] = {(0, 0, "Km"): -gp}
+    b[("Gpp", "Spm")] = {(0, 0, "Jp"): -gp}
+    b[("Gpm", "Spp")] = {(0, 0, "Jp"): gp}
+    b[("Gmp", "Smm")] = {(0, 0, "Jm"): -gm}
+    b[("Gmm", "Smp")] = {(0, 0, "Jm"): gm}
     # weight-3/2 against the boson: skew image of [G_lam Xi] = s' (d + lam) S
-    b[("Xi", "Gpp")] = ([term(s, "Spp", lam=1)], {})
-    b[("Xi", "Gpm")] = ([term(s, "Spm", lam=1)], {})
-    b[("Xi", "Gmp")] = ([term(s / a, "Smp", lam=1)], {})
-    b[("Xi", "Gmm")] = ([term(s / a, "Smm", lam=1)], {})
+    b[("Xi", "Gpp")] = {(1, 0, "Spp"): s}
+    b[("Xi", "Gpm")] = {(1, 0, "Spm"): s}
+    b[("Xi", "Gmp")] = {(1, 0, "Smp"): s / a}
+    b[("Xi", "Gmm")] = {(1, 0, "Smm"): s / a}
     # weight-1/2 pairs
-    b[("Spp", "Smm")] = ([], {0: k})
-    b[("Spm", "Smp")] = ([], {0: k})
+    b[("Spp", "Smm")] = {(0, 0, VACUUM): k}
+    b[("Spm", "Smp")] = {(0, 0, VACUUM): k}
     if corrupt == "kwmiss1":
-        b[("Kp", "Gpm")] = ([term(1, "Gpp"), term(-1, "Spp", lam=1)], {})
+        b[("Kp", "Gpm")] = {(0, 0, "Gpp"): 1, (1, 0, "Spp"): -1}
     elif corrupt == "kwmiss2":
-        b[("Gpp", "Gpm")] = (
-            [term(-gp, "Jp", der=1), term(-gp, "Jp", lam=1)],
-            {},
-        )
+        b[("Gpp", "Gpm")] = {(0, 1, "Jp"): -gp, (1, 0, "Jp"): -gp}
     return gens, b, c
 
 

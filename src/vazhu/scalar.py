@@ -926,6 +926,11 @@ def _eval_poly(p, repl) -> Scalar:
 def _normalize(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
+    # Fraction(0.1) is a binary float's value, not one tenth
+    for c in (*num.values(), *den.values()):
+        if not isinstance(c, (int, Fraction)):
+            name = type(c).__name__
+            raise TypeError(f"Scalar takes int or Fraction coefficients, not {name}")
     num = {m: q for m, q in ((m, Fraction(c)) for m, c in num.items()) if q}
     den = {m: q for m, q in ((m, Fraction(c)) for m, c in den.items()) if q}
     if not den:

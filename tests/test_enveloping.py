@@ -20,7 +20,6 @@ from vazhu.presentation import (
     PresentationError,
     VaPresentation,
     builtin_presentation,
-    term,
 )
 from vazhu.scalar import ONE, Scalar
 
@@ -310,11 +309,8 @@ def _digest(text: str) -> str:
 def _n2_doubled_j_gp() -> VaPresentation:
     """N2 with [J_lam Gp] = 2 Gp, unvalidated: only the axiom checks see it."""
     base = builtin_presentation("N2")
-    brackets = {
-        pair: ([(n, k, x, co) for (n, k, x), co in value.items()], {})
-        for pair, value in base._table.items()
-    }
-    brackets[("J", "Gp")] = ([term(2, "Gp")], {})
+    brackets = dict(base._table)
+    brackets[("J", "Gp")] = {(0, 0, "Gp"): 2}
     return VaPresentation(
         "N2_J2Gp", base.generators, brackets, base.central_charge, "L"
     )
@@ -345,15 +341,11 @@ def test_virasoro_deep_suite_counts_pinned():
 def test_engine_rejects_inhomogeneous_table():
     # N1 with [L_lam G] = d^2 G + ...: the weight bounds would be unsound
     base = builtin_presentation("N1")
-    brackets = {
-        pair: ([(n, k, x, co) for (n, k, x), co in value.items()], {})
-        for pair, value in base._table.items()
+    brackets = dict(base._table)
+    brackets[("L", "G")] = {
+        (n, 2 if (n, k) == (0, 1) else k, x): co
+        for (n, k, x), co in base._table[("L", "G")].items()
     }
-    terms = brackets[("L", "G")][0]
-    brackets[("L", "G")] = (
-        [(n, 2 if (n, k) == (0, 1) else k, x, co) for n, k, x, co in terms],
-        {},
-    )
     pres = VaPresentation(
         "N1_d2G", base.generators, brackets, base.central_charge, "L"
     )

@@ -87,3 +87,22 @@ def test_no_unreferenced_private_code():
         )
     }
     assert unused == _READ_FROM_OUTSIDE
+
+
+def test_no_dict_display_repeats_a_key():
+    # a dict literal keeps only the last of two equal keys, silently; the
+    # builtin bracket rows are such literals
+    src = Path(__file__).resolve().parents[1] / "src" / "vazhu"
+    repeats = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict):
+                seen = set()
+                for key in node.keys:
+                    # None is a ** unpacking
+                    if key is not None:
+                        dump = ast.dump(key)
+                        if dump in seen:
+                            repeats.append(f"{path.name}:{key.lineno}")
+                        seen.add(dump)
+    assert repeats == []

@@ -14,7 +14,6 @@ from vazhu.presentation import (
     builtin_ids,
     builtin_presentation,
     check_embedding,
-    term,
     _big4_brackets,
 )
 from vazhu.scalar import Scalar, ONE
@@ -52,12 +51,6 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _flat(value):
-    """A bracket value as one vector: pair_bracket, nth_products and Jacobi
-    residuals already keep central terms on the vacuum "|0>"."""
-    return value
-
-
 def _vector_digest(vec) -> str:
     return _digest(repr(sorted((repr(k), str(c)) for k, c in vec.items())))
 
@@ -73,7 +66,7 @@ def test_corrupted_variants_fail_jacobi():
     for which, pin in JACOBI_WITNESSES.items():
         witness = builtin_presentation(which).jacobi_witness()
         assert witness is not None
-        residual = _flat(witness[3])
+        residual = witness[3]
         assert residual
         assert (tuple(witness[:3]), _vector_digest(residual)) == pin, which
 
@@ -83,12 +76,12 @@ def _bracket_digest(pres) -> tuple:
     names = pres.names()
     pairs = [(x, y) for x in names for y in names]
     brackets = [
-        (x, y, _vector_digest(_flat(pres.pair_bracket(x, y)))) for x, y in pairs
+        (x, y, _vector_digest(pres.pair_bracket(x, y))) for x, y in pairs
     ]
     products = [
         (x, y, sorted((n, _vector_digest(v)) for n, v in modes.items()))
         for x, y in pairs
-        for modes in [_flat(pres.nth_products(x, y))]
+        for modes in [pres.nth_products(x, y)]
     ]
     return _digest(repr(brackets)), _digest(repr(products))
 
@@ -168,7 +161,7 @@ def test_nth_products_of_free_fermion():
 def test_weight_inhomogeneity_rejected():
     gens = [GeneratorSpec("B", 0, Fraction(1))]
     with pytest.raises(PresentationError, match=r"weight mismatch in \[B, B\]"):
-        VaPresentation("bad", gens, {("B", "B"): ([], {2: ONE})}).validate()
+        VaPresentation("bad", gens, {("B", "B"): {(2, 0, VACUUM): 1}}).validate()
 
 
 def test_parity_mismatch_rejected():
@@ -176,7 +169,7 @@ def test_parity_mismatch_rejected():
         GeneratorSpec("B", 0, Fraction(1)),
         GeneratorSpec("F", 1, Fraction(1)),
     ]
-    brackets = {("B", "F"): ([term(1, "B", lam=1)], {})}
+    brackets = {("B", "F"): {(1, 0, "B"): 1}}
     with pytest.raises(PresentationError, match=r"parity mismatch in \[B, F\] -> B$"):
         VaPresentation("bad", gens, brackets).validate()
 
@@ -187,14 +180,14 @@ def test_odd_central_rejected():
         GeneratorSpec("F", 1, Fraction(1, 2)),
     ]
     with pytest.raises(PresentationError, match=r"parity mismatch in \[B, F\] -> \|0>"):
-        VaPresentation("bad", gens, {("B", "F"): ([], {0: ONE})}).validate()
+        VaPresentation("bad", gens, {("B", "F"): {(0, 0, VACUUM): 1}}).validate()
 
 
 def test_diagonal_skew_rejected():
     # [B_lam B] = B fails [x_lam x] = -[x_{-lam-d} x] for an even generator
     gens = [GeneratorSpec("B", 0, Fraction(1))]
     with pytest.raises(PresentationError, match="diagonal skew fails for B"):
-        VaPresentation("bad", gens, {("B", "B"): ([term(1, "B")], {})}).validate()
+        VaPresentation("bad", gens, {("B", "B"): {(0, 0, "B"): 1}}).validate()
 
 
 def test_wrong_orientation_rejected():
@@ -203,18 +196,18 @@ def test_wrong_orientation_rejected():
         GeneratorSpec("Y", 0, Fraction(1)),
     ]
     with pytest.raises(PresentationError, match=r"flip \(Y, X\)"):
-        VaPresentation("bad", gens, {("Y", "X"): ([], {1: ONE})})
+        VaPresentation("bad", gens, {("Y", "X"): {(1, 0, VACUUM): 1}})
 
 
 def test_undeclared_target_rejected():
     gens = [GeneratorSpec("B", 0, Fraction(1))]
     with pytest.raises(PresentationError, match=r"undeclared target X in \[B, B\]"):
-        VaPresentation("bad", gens, {("B", "B"): ([term(1, "X")], {})})
+        VaPresentation("bad", gens, {("B", "B"): {(0, 0, "X"): 1}})
 
 
 def test_vacuum_derivative_rejected():
     gens = [GeneratorSpec("B", 0, Fraction(1))]
-    brackets = {("B", "B"): ([term(1, VACUUM, der=1)], {})}
+    brackets = {("B", "B"): {(0, 1, VACUUM): 1}}
     with pytest.raises(
         PresentationError, match=r"derivative of the vacuum in \[B, B\]"
     ):
@@ -227,13 +220,22 @@ def test_vacuum_generator_name_rejected():
         VaPresentation("bad", gens, {})
 
 
-def test_central_terms_fold_onto_the_vacuum():
-    # a central lam power and a term on VACUUM are the same bracket entry
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_builtin_rebuilds_from_its_stored_vectors(pres_id):
+    # the stored table is itself constructor input, central terms included
+    p = builtin_presentation(pres_id)
+    rebuilt = VaPresentation(
+        p.name, p.generators, dict(p._table), p.central_charge, p.conformal_name
+    )
+    assert rebuilt._table == p._table
+    assert _bracket_digest(rebuilt) == BRACKET_DIGESTS[pres_id]
+
+
+def test_terms_central_pair_rejected():
+    # a term list beside a central dict is not a vector; the error names the pair
     gens = [GeneratorSpec("B", 0, Fraction(1))]
-    central = VaPresentation("c", gens, {("B", "B"): ([], {1: ONE})})
-    on_vacuum = VaPresentation("v", gens, {("B", "B"): ([term(1, VACUUM, lam=1)], {})})
-    assert central._table == on_vacuum._table == {("B", "B"): {(1, 0, VACUUM): ONE}}
-    assert central.validate() and on_vacuum.validate()
+    with pytest.raises(PresentationError, match=r"bracket of \(B, B\) is not a"):
+        VaPresentation("old", gens, {("B", "B"): ([], {1: ONE})})
 
 
 def test_non_primary_rejected():
@@ -243,8 +245,8 @@ def test_non_primary_rejected():
         GeneratorSpec("B", 0, Fraction(1)),
     ]
     brackets = {
-        ("L", "L"): ([term(1, "L", der=1), term(2, "L", lam=1)], {3: c / 12}),
-        ("L", "B"): ([term(1, "B", der=1), term(2, "B", lam=1)], {}),
+        ("L", "L"): {(0, 1, "L"): 1, (1, 0, "L"): 2, (3, 0, VACUUM): c / 12},
+        ("L", "B"): {(0, 1, "B"): 1, (1, 0, "B"): 2},
     }
     with pytest.raises(PresentationError, match="B is not primary of its weight"):
         VaPresentation("bad", gens, brackets, c, "L").validate()
@@ -257,11 +259,9 @@ def test_displayed_diagonal_current_central_fails_jacobi():
     # +(c/3) lam on the diagonal current pair contradicts the odd sector
     c = Scalar.param("c")
     base = builtin_presentation("N3")
-    brackets = {}
-    for pair, value in base._table.items():
-        brackets[pair] = ([(n, k, x, co) for (n, k, x), co in value.items()], {})
+    brackets = dict(base._table)
     for i in (1, 2, 3):
-        brackets[(f"A{i}", f"A{i}")] = ([], {1: c / 3})
+        brackets[(f"A{i}", f"A{i}")] = {(1, 0, VACUUM): c / 3}
     bad = VaPresentation("N3_displayed", base.generators, brackets, c, "L")
     witness = bad.jacobi_witness()
     assert witness is not None
@@ -275,19 +275,16 @@ def test_displayed_diagonal_current_central_fails_jacobi():
     [
         # boson action with a doubled lam coefficient
         lambda b, s, a: b.__setitem__(
-            ("Xi", "Gpp"), ([term(2 * s, "Spp", lam=1), term(s, "Spp", der=1)], {})
+            ("Xi", "Gpp"), {(1, 0, "Spp"): 2 * s, (0, 1, "Spp"): s}
         ),
         # flipped current-half of one odd-odd cross bracket
         lambda b, s, a: b.__setitem__(
             ("Gmm", "Spp"),
-            (
-                [
-                    term(ONE / (a + 1) / 2, "J0"),
-                    term(ONE / (a + 1) / 2, "K0"),
-                    term(s / a, "Xi"),
-                ],
-                {},
-            ),
+            {
+                (0, 0, "J0"): ONE / (a + 1) / 2,
+                (0, 0, "K0"): ONE / (a + 1) / 2,
+                (0, 0, "Xi"): s / a,
+            },
         ),
     ],
 )
@@ -310,16 +307,11 @@ def _doubled_first_off_diagonal(pres):
         return any(target != VACUUM for _, _, target in value)
 
     pair = next(p for p, v in pres._table.items() if p[0] != p[1] and noncentral(v))
-    brackets = {}
-    for p, value in pres._table.items():
-        scale = 2 if p == pair else 1
-        brackets[p] = (
-            [
-                (n, k, x, co if x == VACUUM else scale * co)
-                for (n, k, x), co in value.items()
-            ],
-            {},
-        )
+    brackets = dict(pres._table)
+    brackets[pair] = {
+        (n, k, x): co if x == VACUUM else 2 * co
+        for (n, k, x), co in pres._table[pair].items()
+    }
     return VaPresentation(
         f"{pres.name}_doubled",
         pres.generators,

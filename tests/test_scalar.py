@@ -157,6 +157,17 @@ def test_from_fraction_rejects_non_rationals(value):
     assert Scalar.from_fraction(Fraction(1, 10)) == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("value", [0.1, -1.0, "1/2"])
+def test_constructor_rejects_non_rational_coefficients(value):
+    # the normalizing constructor refuses what from_fraction refuses, in
+    # the numerator and the denominator alike
+    c = Scalar.param("c")._num[0][0]
+    for num, den in (({(): value}, None), ({c: 1}, {(): 1, c: value})):
+        with pytest.raises(TypeError, match="int or Fraction coefficients"):
+            Scalar(num, den)
+    assert Scalar({(): Fraction(1, 10)}) == Fraction(1, 10)
+
+
 def test_equal_scalars_hash_equal():
     # a constant hashes as the int or Fraction it equals
     half, c = Scalar.from_fraction(Fraction(1, 2)), Scalar.param("c")
