@@ -14,6 +14,16 @@ monomials that already hold a coefficient.  The engine lists them as
 the integer and rational coefficients exactly as raw ints and Fractions
 and builds each monomial's Scalar once at the end (see `scalar`).  A
 product that vanishes by weight returns {} and is not stored.
+
+A single-factor left monomial needs no sum: X_{i(-m)}|0> is the divided
+power T^(m-1) X_i, and (T^(k) a)_(n) = (-1)^k binom(n, k) a_(n-k) (Kac,
+*Vertex Algebras for Beginners*), so
+
+    (X_{i(-m)}|0>)_(n) b = (-1)^(m-1) binom(n, m-1) X_{i(n-m+1)} b,
+
+one memoized mode vector.  With factor 1 the product memo keeps that very
+vector under its own key; a zero factor stores nothing.  Every
+multi-factor recursion bottoms out there.
 """
 
 from __future__ import annotations
@@ -232,6 +242,19 @@ class VertexAlgebra:
             return {}
         if not ma:
             res = {mb: ONE} if n == -1 else {}
+        elif len(ma) == 1:
+            # X_{i(-m)}|0> = T^(m-1) X_i: one memoized mode, scaled
+            (i, m), = ma
+            factor = (-1) ** (m - 1) * gbinom(n, m - 1)
+            if factor == 0:
+                return {}
+            res = self._mode_mono(i, n - m + 1, mb)
+            if factor == 1:
+                # the mode memo's own vector: only the key is new
+                self._prod_memo[memo_key] = res
+                self._memo_terms += 1
+                return res
+            res = vec_scale(res, Scalar.from_int(factor))
         else:
             res = vec_sum(self._product_terms(ma, n, mb, wb2))
         self._prod_memo[memo_key] = res
@@ -243,7 +266,10 @@ class VertexAlgebra:
 
         (X_{i(-m)} r)_(n) = sum_j binom(m + j - 1, j) (X_{i(-m-j)} r_(n+j)
         - (-1)^m p(X_i, r) r_(n-m-j) X_{i(j)}), each j up to its own weight
-        bound.
+        bound.  `_mono_product` calls it for two or more factors only; at
+        r = |0> the sum collapses to the closed form (-1)^(m-1)
+        binom(n, m-1) X_{i(n-m+1)} it uses instead, and this generic sum
+        stays the reference that form is tested against.
         """
         (i, m), rest = ma[0], ma[1:]
         sign = -((-1) ** m)

@@ -62,8 +62,8 @@ class VaPresentation:
     vector {(lam, der, target): coeff} of [x_lam y], central terms on
     VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text.
     The constructor checks structure only: declared names, declaration
-    order, no duplicate pair, declared targets and no derivative of the
-    vacuum.  validate() checks the brackets.
+    order, declared targets and no derivative of the vacuum.  validate()
+    checks the brackets.
     """
 
     def __init__(
@@ -95,8 +95,6 @@ class VaPresentation:
                 raise PresentationError(
                     f"store brackets in declaration order; flip ({x}, {y})"
                 )
-            if (x, y) in self._table:
-                raise PresentationError(f"duplicate bracket for ({x}, {y})")
             if not isinstance(value, dict):
                 raise PresentationError(
                     f"bracket of ({x}, {y}) is not a "

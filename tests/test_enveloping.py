@@ -16,9 +16,11 @@ from vazhu.enveloping import (
     _vanishes_by_weight,
 )
 from vazhu import enveloping
+from vazhu.linalg import vec_sum
 from vazhu.presentation import (
     PresentationError,
     VaPresentation,
+    builtin_ids,
     builtin_presentation,
 )
 from vazhu.scalar import ONE, Scalar
@@ -448,6 +450,10 @@ def test_results_are_the_callers_to_change():
         lambda: eng.nth_product(L, -1, L),
         lambda: eng.nth_product(G, 0, G),
         lambda: eng.nth_product(two, 1, two),
+        # (T L)_(1) G = -G(-2)|0>: the scaled single-factor product
+        lambda: eng.nth_product(
+            eng.apply_mode(eng.index["L"], -2, eng.vacuum()), 1, G
+        ),
         lambda: eng.translation(G),
         lambda: eng.translation(two),
     ]
@@ -462,6 +468,49 @@ def test_results_are_the_callers_to_change():
         for key in list(again):
             again[key] = HALF
         assert call() == want
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_single_factor_closed_form_matches_recursion(pres_id):
+    # (X_{i(-m)}|0>)_(n) b in closed form against the generic recursion
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    monos = eng.basis(2 if pres_id.startswith("big4") else 3)
+    for i in range(len(eng.names)):
+        for m in range(1, 4):
+            ma = ((i, m),)
+            for n in range(-4, 4):
+                for mb in monos:
+                    want = vec_sum(
+                        eng._product_terms(ma, n, mb, eng._mono_wt2(mb))
+                    )
+                    assert eng._mono_product(ma, n, mb) == want, (ma, n, mb)
+
+
+def test_single_factor_memo_accounting():
+    # the k = 5 ladder product: entry and term counts repeat exactly
+    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    state = eng.vacuum()
+    for _ in range(5):
+        state = eng.apply_mode(eng.index["L"], -1, state)
+    eng.nth_product(state, 1, state)
+    assert (len(eng._prod_memo), eng._memo_terms) == (2857, 22403)
+    terms = sum(len(v) + 1 for v in eng._mode_memo.values())
+    for (ma, n, mb), vec in eng._prod_memo.items():
+        if len(ma) != 1:
+            terms += len(vec) + 1
+            continue
+        (i, m), = ma
+        mode = eng._mode_memo[(i, n - m + 1, mb)]
+        factor = (-1) ** (m - 1) * gbinom(n, m - 1)
+        assert factor != 0
+        if factor == 1:
+            # the mode vector itself, never a copy
+            assert vec is mode
+            terms += 1
+        else:
+            assert vec is not mode and vec.keys() == mode.keys()
+            terms += len(vec) + 1
+    assert eng._memo_terms == terms
 
 
 # (A, B) = (:x1 y1:, :x2 y2:); per n = -1..3, digests of A_(n)B and B_(n)A
