@@ -125,22 +125,14 @@ class VertexAlgebra:
         return hit
 
     def _mono_wt2(self, mono) -> int:
-        hit = self._wt2_memo.get(mono)
-        if hit is None:
+        # a hit is a plain subscript: the axiom suite reads every weight often
+        try:
+            return self._wt2_memo[mono]
+        except KeyError:
             wt2 = self._wt2
             hit = sum(wt2[i] + 2 * m - 2 for i, m in mono)
             self._wt2_memo[mono] = hit
-        return hit
-
-    def _max_wt2(self, state) -> int:
-        """Twice the largest monomial weight in state, as an int."""
-        return max((self._mono_wt2(m) for m in state), default=0)
-
-    def state_parity(self, state) -> int:
-        parities = {self.mono_parity(m) for m in state}
-        if len(parities) > 1:
-            raise ValueError("state of mixed parity")
-        return parities.pop() if parities else 0
+            return hit
 
     def format_mono(self, mono) -> str:
         return "".join(f"{self.names[i]}({-m})" for i, m in mono) + "|0>"
@@ -375,89 +367,58 @@ class AxiomReport:
         return line
 
 
-def _shared(engine: VertexAlgebra, memo: dict, key, x, i: int, y) -> dict:
-    """x_(i)y, kept in memo under key; callers never mutate it."""
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = engine.nth_product(x, i, y)
-    return hit
+def _skew_holds(engine: VertexAlgebra, ma, mb, n: int) -> bool:
+    """Skew symmetry a_(n)b = p(a, b) sum_j (-1)^(n+j+1) T^(j)(b_(n+j)a).
 
-
-def _pair_facts(engine: VertexAlgebra, memo: dict, a, b) -> tuple:
-    """p(a)p(b) as a sign and the doubled max weights of a and b, once per memo."""
-    hit = memo.get("pair")
-    if hit is None:
-        pa, pb = engine.state_parity(a), engine.state_parity(b)
-        hit = memo["pair"] = (
-            -1 if pa and pb else 1,
-            engine._max_wt2(a),
-            engine._max_wt2(b),
-        )
-    return hit
-
-
-def _skew_holds(engine: VertexAlgebra, a, b, n: int, memo: dict) -> bool:
-    """Skew symmetry a_(n)b = p(a, b) sum_j (-1)^(n+j+1) T^(j)(b_(n+j)a)."""
-    lhs = _shared(engine, memo, ("ab", n), a, n, b)
-    sign, wa2, wb2 = _pair_facts(engine, memo, a, b)
-    jmax = (wa2 + wb2 - 2 - 2 * n) // 2
+    a and b are the monomials ma and mb with coefficient 1.
+    """
+    sign = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
+    wt2 = engine._mono_wt2(ma) + engine._mono_wt2(mb)
     rhs: dict = {}
-    for j in range(max(jmax + 1, 0)):
-        flipped = _shared(engine, memo, ("ba", n + j), b, n + j, a)
+    for j in range((wt2 - 2 * n) // 2):
+        flipped = engine._mono_product(mb, n + j, ma)
         if not flipped:
             continue
         # % 2 keeps the power an int: (-1) ** e is a float for e < 0
         factor = Scalar.from_int(sign * (-1) ** ((j + n + 1) % 2))
         vec_acc(rhs, engine.divided_derivative(flipped, j), factor)
-    return lhs == rhs
-
-
-def _c_wt2(engine: VertexAlgebra, memo: dict, c) -> int:
-    """The doubled max weight of c, once per memo."""
-    hit = memo.get("wc2")
-    if hit is None:
-        hit = memo["wc2"] = engine._max_wt2(c)
-    return hit
+    return engine._mono_product(ma, n, mb) == rhs
 
 
 def _vanishes_by_weight(
-    engine: VertexAlgebra, a, b, c, m: int, n: int, k: int, memo: dict
+    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int
 ) -> bool:
     """True when every term of the Borcherds identity at (m, n, k) is 0.
 
     Each term is a state of weight wt a + wt b + wt c - m - n - k - 2, so
-    below weight 0 both sides vanish.  Reads the weights `_borcherds_holds`
-    keeps in memo.
+    below weight 0 both sides vanish.
     """
-    _, wa2, wb2 = _pair_facts(engine, memo, a, b)
-    return wa2 + wb2 + _c_wt2(engine, memo, c) - 2 * (m + n + k) - 4 < 0
+    wt2 = engine._mono_wt2
+    return wt2(ma) + wt2(mb) + wt2(mc) - 2 * (m + n + k) - 4 < 0
 
 
 def _borcherds_holds(
-    engine: VertexAlgebra, a, b, c, m: int, n: int, k: int, memo: dict
+    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int, abc: dict
 ) -> bool:
-    """The Borcherds identity for a, b, c at (m, n, k).
+    """The Borcherds identity for the monomials ma, mb, mc at (m, n, k).
 
     At n = 0 it is the commutator formula [a_(m), b_(k)] c =
-    sum_j binom(m, j) (a_(j)b)_(m+k-j) c.  `memo` holds what recurs across
-    the checks of one (a, b, c) triple: b_(i)c, a_(i)c, a_(i)b,
-    (a_(i)b)_(j)c, p(a)p(b) and the doubled max weights.  Pass one dict per
-    triple to share them, a fresh one otherwise.
+    sum_j binom(m, j) (a_(j)b)_(m+k-j) c.  Products of two monomials come
+    from the engine's memo.  abc holds (a_(i)b)_(j)c under (i, j), whose
+    left side is a state; pass one dict per (a, b, c) triple to share it
+    across the triple's checks, a fresh one otherwise.
     """
-    p_ab, wa2, wb2 = _pair_facts(engine, memo, a, b)
-    wc2 = _c_wt2(engine, memo, c)
+    wt2 = engine._mono_wt2
+    wa2, wb2, wc2 = wt2(ma), wt2(mb), wt2(mc)
+    p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
+    a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
     lhs: dict = {}
-    jmax = max(
-        (wb2 + wc2 - 2 - 2 * k) // 2,
-        (wa2 + wc2 - 2 - 2 * m) // 2,
-        -1,
-    )
-    for j in range(jmax + 1):
+    for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
         binom = gbinom(n, j)
         if binom == 0:
             continue
-        bc = _shared(engine, memo, ("bc", k + j), b, k + j, c)
-        ac = _shared(engine, memo, ("ac", m + j), a, m + j, c)
+        bc = engine._mono_product(mb, k + j, mc)
+        ac = engine._mono_product(ma, m + j, mc)
         first = engine.nth_product(a, m + n - j, bc)
         vec_acc(
             first,
@@ -466,18 +427,19 @@ def _borcherds_holds(
         )
         vec_acc(lhs, first, Scalar.from_int((-1) ** j * binom))
     rhs: dict = {}
-    jmax = (wa2 + wb2 - 2 - 2 * n) // 2
-    for j in range(max(jmax + 1, 0)):
+    for j in range((wa2 + wb2 - 2 * n) // 2):
         binom = gbinom(m, j)
         if binom == 0:
             continue
-        ab = _shared(engine, memo, ("ab", n + j), a, n + j, b)
-        if not ab:
-            continue
-        i = m + k - j
-        abc = _shared(engine, memo, ("abc", n + j, i), ab, i, c)
-        vec_acc(rhs, abc, Scalar.from_int(binom))
+        key = (n + j, m + k - j)
+        if key not in abc:
+            ab = engine._mono_product(ma, n + j, mb)
+            abc[key] = engine.nth_product(ab, key[1], c)
+        vec_acc(rhs, abc[key], Scalar.from_int(binom))
     return lhs == rhs
+
+
+_MODE_WINDOW = 3
 
 
 def axiom_suite(
@@ -485,21 +447,21 @@ def axiom_suite(
     weight_bound=4,
     triples: int = 50,
     seed: int = 0,
-    mode_window: int = 3,
 ) -> AxiomReport:
     """Exact skew, commutator, and Borcherds checks.
 
-    Every ordered generator pair is checked exhaustively first: skew across
-    the mode window, and the commutator formula against every generator for
-    all non-negative mode pairs up to the window.  Since bracket polynomial
-    degrees are weight-bounded, that phase decides Jacobi on generators
-    outright, so a corrupted table cannot slip past the later sampling.
-    Then `triples` sampled basis triples get the full battery.  A
-    commutator check is the Borcherds identity at n = 0, reported as
-    "commutator".  Each (a, b, c) triple shares one memo across its checks,
-    so its inner products, p(a)p(b) and doubled weights are computed once;
-    in the generator phase each triple's memo starts from its pair's.
-    `phase_s` records each phase's seconds.
+    Every ordered generator pair is checked exhaustively first: skew for
+    every |n| <= _MODE_WINDOW, and the commutator formula against every
+    generator for all non-negative mode pairs up to the window.  Since
+    bracket polynomial degrees are weight-bounded, that phase decides
+    Jacobi on generators outright, so a corrupted table cannot slip past
+    the later sampling.  Then `triples` sampled basis triples get the full
+    battery.  A commutator check is the Borcherds identity at n = 0,
+    reported as "commutator".  Every state checked is a PBW monomial with
+    coefficient 1, so the engine's memos serve the products of two of them,
+    their parities and their weights; each (a, b, c) triple keeps only its
+    (a_(i)b)_(j)c products in a dict of its own.  `phase_s` records each
+    phase's seconds.
 
     Every term of the Borcherds identity at (m, n, k) is a state of weight
     wt a + wt b + wt c - m - n - k - 2, so when that is negative both sides
@@ -517,60 +479,59 @@ def axiom_suite(
             f"no basis monomial within weight_bound={weight_bound} to sample"
         )
     report = AxiomReport(engine.pres.name, Fraction(weight_bound), triples)
-    gens = [{((i, 1),): ONE} for i in range(len(engine.names))]
+    gens = [((i, 1),) for i in range(len(engine.names))]
+    window = range(-_MODE_WINDOW, _MODE_WINDOW + 1)
 
-    def borcherds(a, b, c, m, n, k, memo) -> bool:
+    def borcherds(a, b, c, m, n, k, abc) -> bool:
         report.checks += 1
-        if _vanishes_by_weight(engine, a, b, c, m, n, k, memo):
+        if _vanishes_by_weight(engine, a, b, c, m, n, k):
             report.by_weight += 1
             return True
-        return _borcherds_holds(engine, a, b, c, m, n, k, memo)
+        return _borcherds_holds(engine, a, b, c, m, n, k, abc)
 
     for xi, x in enumerate(engine.names):
         for yi, y in enumerate(engine.names):
-            pair: dict = {}
-            for n in range(-mode_window, mode_window + 1):
+            a, b = gens[xi], gens[yi]
+            for n in window:
                 report.checks += 1
-                if not _skew_holds(engine, gens[xi], gens[yi], n, pair):
+                if not _skew_holds(engine, a, b, n):
                     report.failures.append(("skew", (x, y, n)))
             for zi, z in enumerate(engine.names):
-                memo = dict(pair)
-                a, b, c = gens[xi], gens[yi], gens[zi]
-                for m in range(mode_window + 1):
-                    for n in range(mode_window + 1):
-                        if not borcherds(a, b, c, m, 0, n, memo):
+                abc: dict = {}
+                for m in range(_MODE_WINDOW + 1):
+                    for n in range(_MODE_WINDOW + 1):
+                        if not borcherds(a, b, gens[zi], m, 0, n, abc):
                             report.failures.append(
                                 ("commutator", (x, y, z, m, n))
                             )
     split = time.perf_counter()
     report.phase_s["generators"] = split - start
     for _ in range(triples):
-        ma, mb, mc = (rng.choice(pool) for _ in range(3))
-        a, b, c = ({ma: ONE}, {mb: ONE}, {mc: ONE})
-        desc = tuple(engine.format_mono(x) for x in (ma, mb, mc))
-        memo = {}
-        for n in range(-mode_window, mode_window + 1):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        desc = tuple(engine.format_mono(x) for x in (a, b, c))
+        abc = {}
+        for n in window:
             report.checks += 1
-            if not _skew_holds(engine, a, b, n, memo):
+            if not _skew_holds(engine, a, b, n):
                 report.failures.append(("skew", (desc[0], desc[1], n)))
             engine.trim_caches()
         pairs = [(0, 0), (1, -1)] + [
             (
-                rng.randint(-mode_window, mode_window),
-                rng.randint(-mode_window, mode_window),
+                rng.randint(-_MODE_WINDOW, _MODE_WINDOW),
+                rng.randint(-_MODE_WINDOW, _MODE_WINDOW),
             )
             for _ in range(2)
         ]
         for m, n in pairs:
-            if not borcherds(a, b, c, m, 0, n, memo):
+            if not borcherds(a, b, c, m, 0, n, abc):
                 report.failures.append(("commutator", (*desc, m, n)))
             engine.trim_caches()
         triples_mnk = [(0, 0, -1), (-1, 1, 0)] + [
-            tuple(rng.randint(-mode_window, mode_window) for _ in range(3))
+            tuple(rng.randint(-_MODE_WINDOW, _MODE_WINDOW) for _ in range(3))
             for _ in range(2)
         ]
         for m, n, k in triples_mnk:
-            if not borcherds(a, b, c, m, n, k, memo):
+            if not borcherds(a, b, c, m, n, k, abc):
                 report.failures.append(("borcherds", (*desc, m, n, k)))
             engine.trim_caches()
     report.phase_s["sampled"] = time.perf_counter() - split

@@ -3,11 +3,19 @@
 Covers the specific algebras appearing in the Zhu-algebra comparisons:
 matrix-realized orthosymplectic / special linear families, the exceptional
 one-parameter family D(2,1;a) built from its sl2 + sl2 + sl2 + C2 x C2 x C2
-model, the contact-field centralizer algebras, and the zero-mode algebras
+model, the contact algebras contact_R1..4, and the zero-mode algebras
 R_N1, R_N2, R_N3, R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4
 and big N=4 superconformal vertex algebras.  Every realized algebra
-(matrices, contact fields, the tensor model, a subalgebra's elements) gets
-its structure constants from one routine, _structure_constants.
+(matrices, contact generating functions, the tensor model, a subalgebra's
+elements) gets its structure constants from one routine,
+_structure_constants.
+
+A contact algebra is built from its generating functions t theta_I,
+|I| <= 3, under the contact bracket of `linalg.contact_bracket` (Kac,
+*Classification of infinite-dimensional simple linearly compact Lie
+superalgebras*, Adv. Math. 1998).  f -> D_f is an injective Lie morphism
+into the contact vector fields, so these are the structure constants of the
+fields D_f, read off without building them.
 
 The zero-mode algebras are derived from the lambda brackets of the
 presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
@@ -31,10 +39,9 @@ from .scalar import Scalar, ONE, _coerce
 from .linalg import (
     SuperMatrix,
     GrassmannElement,
-    ContactDerivation,
     span_echelon,
     kernel,
-    contact_derivation,
+    contact_bracket,
     _clean,
     key_acc,
     vec_acc,
@@ -48,7 +55,6 @@ __all__ = [
     "MINIMAL_NILPOTENT",
     "zero_mode_morphism",
     "contact_basis_names",
-    "contact_fields",
 ]
 
 
@@ -166,30 +172,22 @@ class LieSuperalgebra:
 
     # -- derived algebras ----------------------------------------------------
 
-    def ad_kernel(self, x: dict) -> list[dict]:
-        """Basis of the centralizer of an even element, parity-homogeneous."""
+    def centralizer(self, x: dict) -> "LieSuperalgebra":
+        """Centralizer of an even element as a new algebra on z0, z1, ...
+
+        Its basis is the kernel of ad x, even vectors first, from one
+        elimination per parity.  Closure under the bracket is verified
+        during construction.
+        """
         if self.parity_of(x) != 0:
             raise ValueError("centralizer implemented for even elements")
-        out = []
+        vecs = []
         for par in (0, 1):
-            cols = []
             names = [n for n in self.names if self.parity[n] == par]
-            for n in names:
-                cols.append(self.bracket(x, self.element(n)))
+            cols = [self.bracket(x, self.element(n)) for n in names]
             for combo in kernel(cols, key_order=lambda k: self.index[k]):
-                out.append({names[j]: c for j, c in combo.items()})
-        return out
-
-    def centralizer(self, x: dict, names=None) -> "LieSuperalgebra":
-        """Centralizer of an even element as a new algebra.
-
-        Basis vectors come from ad-kernel elimination; optional names label
-        them. Closure under the bracket is verified during construction.
-        """
-        vecs = self.ad_kernel(x)
-        if names is None:
-            names = [f"z{i}" for i in range(len(vecs))]
-        return self.subalgebra(dict(zip(names, vecs)))
+                vecs.append({names[j]: c for j, c in combo.items()})
+        return self.subalgebra({f"z{i}": v for i, v in enumerate(vecs)})
 
     def subalgebra(self, elements: dict[str, dict]) -> "LieSuperalgebra":
         """Span of the given elements with induced brackets; must be closed."""
@@ -478,23 +476,22 @@ def contact_basis_names(n: int):
     return names
 
 
-def contact_fields(n: int) -> dict[str, ContactDerivation]:
-    out = {"D0": contact_derivation(GrassmannElement.monomial(1), n)}
-    for r in (1, 2, 3):
-        for c in combinations(range(1, n + 1), r):
-            name = "D" + "".join(map(str, c))
-            out[name] = contact_derivation(GrassmannElement.monomial(1, c), n)
-    return out
-
-
 def _contact_r(n: int) -> LieSuperalgebra:
+    """The algebra of the generating functions t theta_I, |I| <= 3.
+
+    Brackets are the contact bracket of `linalg.contact_bracket`, and each
+    function's terms are its coordinates.
+    """
     names = contact_basis_names(n)
-    fields = contact_fields(n)
-    parities = {nm: (len(nm) - 1) % 2 if nm != "D0" else 0 for nm in names}
+    funcs = {}
+    for nm in names:
+        thetas = () if nm == "D0" else tuple(map(int, nm[1:]))
+        funcs[nm] = GrassmannElement.monomial(1, thetas)
+    parities = {nm: f.parity() for nm, f in funcs.items()}
     table = _structure_constants(
         names,
-        {nm: fields[nm].flatten() for nm in names},
-        lambda x, y: fields[x].bracket(fields[y]).flatten(),
+        {nm: f.terms for nm, f in funcs.items()},
+        lambda x, y: contact_bracket(funcs[x], funcs[y]).terms,
     )
     return LieSuperalgebra(names, parities, table)
 
@@ -645,8 +642,7 @@ def zero_mode_morphism(tag: str) -> LieMorphism:
     """Zero-mode assignment into the contact algebra, as a checkable map.
 
     Tags: N1, N2, N3, big4_even, and the negative control N2_displayed.
-    big4_even restricts to the even subalgebra; the odd half of that algebra
-    has no contact realization here.
+    big4_even maps the even subalgebra of R_N4 and leaves the odd half out.
     """
     source_id, target_id, images = _zero_mode_image_table(tag)
     source = build_algebra(source_id)

@@ -480,16 +480,6 @@ class ContactDerivation:
             g.is_zero() for g in self.image_theta.values()
         )
 
-    def flatten(self) -> dict:
-        """Orderable coordinate dict for membership/kernel computations."""
-        out = {}
-        for (te, subset), c in self.image_t.terms.items():
-            out[(0, 0, te, subset)] = c
-        for i in range(1, self.n_theta + 1):
-            for (te, subset), c in self.image_theta[i].terms.items():
-                out[(1, i, te, subset)] = c
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, ContactDerivation)

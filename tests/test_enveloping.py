@@ -214,13 +214,6 @@ def test_generalized_binomial_pins():
     assert gbinom(2, 5) == 0
 
 
-def test_state_parity_rejects_mixed():
-    eng = engine("N1")
-    mixed = {((0, 1),): ONE, ((1, 1),): ONE}
-    with pytest.raises(ValueError):
-        eng.state_parity(mixed)
-
-
 def test_trim_caches_preserves_results():
     pres = builtin_presentation("N1")
     roomy = VertexAlgebra(pres)
@@ -369,32 +362,23 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
     else:
         eng, suite = engine(pres_id), dict(weight_bound=2, triples=0)
     prod = eng.nth_product
-    inner: dict = {}
-
-    def shared(x, i, y):
-        # the suite's states are single monomials, so they key the cache
-        key = (*x, i, *y)
-        if key not in inner:
-            inner[key] = prod(x, i, y)
-        return inner[key]
-
     decided = []
 
-    def spy(engine_, a, b, c, m, n, k, memo):
-        if not _vanishes_by_weight(engine_, a, b, c, m, n, k, memo):
+    def spy(engine_, ma, mb, mc, m, n, k):
+        if not _vanishes_by_weight(engine_, ma, mb, mc, m, n, k):
             return False
         decided.append((m, n, k))
-        assert _borcherds_holds(engine_, a, b, c, m, n, k, memo)
-        # the doubled max weights, as the memo test above checks
-        (_, wa2, wb2), wc2 = memo["pair"], memo["wc2"]
+        assert _borcherds_holds(engine_, ma, mb, mc, m, n, k, {})
+        a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
+        wa2, wb2, wc2 = (engine_._mono_wt2(x) for x in (ma, mb, mc))
         terms = []
         for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
             if gbinom(n, j):
-                terms.append((a, m + n - j, shared(b, k + j, c)))
-                terms.append((b, n + k - j, shared(a, m + j, c)))
+                terms.append((a, m + n - j, prod(b, k + j, c)))
+                terms.append((b, n + k - j, prod(a, m + j, c)))
         for j in range((wa2 + wb2 - 2 * n) // 2):
             if gbinom(m, j):
-                terms.append((shared(a, n + j, b), m + k - j, c))
+                terms.append((prod(a, n + j, b), m + k - j, c))
         assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
         return True
 
@@ -561,7 +545,7 @@ N1_POOL = engine("N1").basis(Fraction(7, 2))[1:]
 )
 def test_skew_symmetry_property(a, b, n):
     eng = engine("N1")
-    assert _skew_holds(eng, {a: ONE}, {b: ONE}, n, {})
+    assert _skew_holds(eng, a, b, n)
 
 
 @settings(max_examples=20, deadline=None)
@@ -615,7 +599,7 @@ def test_derivative_mode_shift(a, b, n):
 def test_commutator_property(a, b, c, m, n):
     # the commutator formula is the Borcherds identity at (m, 0, n)
     eng = engine("N1")
-    assert _borcherds_holds(eng, {a: ONE}, {b: ONE}, {c: ONE}, m, 0, n, {})
+    assert _borcherds_holds(eng, a, b, c, m, 0, n, {})
 
 
 POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
@@ -624,32 +608,16 @@ POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
 @settings(max_examples=12, deadline=None)
 @given(pres_id=st.sampled_from(sorted(POOLS)), data=st.data())
 def test_shared_commutator_memo_matches_fresh(pres_id, data):
-    # one memo across a triple's checks gives the fresh-memo verdicts, and
-    # every entry it holds is the one computed from scratch
+    # one abc dict across a triple's checks gives the fresh-dict verdicts,
+    # and every entry it holds is the one computed from scratch
     eng = engine(pres_id)
-    a, b, c = ({data.draw(st.sampled_from(POOLS[pres_id])): ONE} for _ in "abc")
+    ma, mb, mc = (data.draw(st.sampled_from(POOLS[pres_id])) for _ in "abc")
     modes = st.integers(min_value=-1, max_value=2)
-    memo: dict = {}
+    abc: dict = {}
     for _ in range(6):
         m, n, k = data.draw(st.tuples(modes, modes, modes))
-        shared = _borcherds_holds(eng, a, b, c, m, n, k, memo)
-        assert shared == _borcherds_holds(eng, a, b, c, m, n, k, {})
-        assert _skew_holds(eng, a, b, n, memo) == _skew_holds(eng, a, b, n, {})
-    assert _skew_holds(eng, a, b, -1, memo)  # stores b_(i)a from i = -1 on
-    pa, pb = eng.state_parity(a), eng.state_parity(b)
-    recompute = {
-        "pair": lambda: (
-            -1 if pa and pb else 1, eng._max_wt2(a), eng._max_wt2(b)
-        ),
-        "wc2": lambda: eng._max_wt2(c),
-        "bc": lambda i: eng.nth_product(b, i, c),
-        "ac": lambda i: eng.nth_product(a, i, c),
-        "ab": lambda i: eng.nth_product(a, i, b),
-        "ba": lambda i: eng.nth_product(b, i, a),
-        "abc": lambda i, j: eng.nth_product(eng.nth_product(a, i, b), j, c),
-    }
-    assert {"pair", "wc2"} <= set(memo)
-    assert any(isinstance(key, tuple) and key[0] == "ba" for key in memo)
-    for key, value in memo.items():
-        kind, *modes_ = key if isinstance(key, tuple) else (key,)
-        assert value == recompute[kind](*modes_)
+        shared = _borcherds_holds(eng, ma, mb, mc, m, n, k, abc)
+        assert shared == _borcherds_holds(eng, ma, mb, mc, m, n, k, {})
+    a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
+    for (i, j), value in abc.items():
+        assert value == eng.nth_product(eng.nth_product(a, i, b), j, c)
