@@ -11,8 +11,8 @@ A product of two monomials (`_mono_product`) is a sum of scaled memoized
 states, and deep products sum hundreds of thousands of terms, most onto
 monomials that already hold a coefficient.  The engine lists them as
 (int, Scalar, state) terms and adds them with `linalg.vec_sum`, which sums
-the integer and rational coefficients exactly as raw ints and Fractions
-and builds each monomial's Scalar once at the end (see `scalar`).  A
+the stored int and Fraction coefficients as they are, with no Scalar per
+term, and builds each monomial's Scalar once at the end (see `scalar`).  A
 product that vanishes by weight returns {} and is not stored.
 
 A single-factor left monomial needs no sum: X_{i(-m)}|0> is the divided

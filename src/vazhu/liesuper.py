@@ -76,6 +76,10 @@ class LieSuperalgebra:
     ):
         self.names = list(names)
         self.parity = dict(parities)
+        for n in self.names:
+            p = self.parity.get(n)
+            if p not in (0, 1):
+                raise ValueError(f"{n} has parity {p!r}, not 0 or 1")
         self.index = {n: i for i, n in enumerate(self.names)}
         # a matrix realization, exact modulo the span of modulo_matrices
         self.matrices = matrices

@@ -37,9 +37,14 @@ def _clean(d: dict) -> dict:
     """A zero-free Scalar vector with the entries of d."""
     out = {}
     for k, v in d.items():
-        v = _coerce(v)
-        if v._num:
-            out[k] = v
+        s = _coerce(v)
+        if s is NotImplemented:
+            name = type(v).__name__
+            raise TypeError(
+                f"coefficient at {k!r} is a {name}, not a Scalar, int, Fraction or text"
+            )
+        if s._num:
+            out[k] = s
     return out
 
 
@@ -106,10 +111,15 @@ def key_acc(out: dict, key, coeff) -> None:
 
 
 def vec_scale(u: dict, f) -> dict:
-    f = _coerce(f)
-    if f.is_zero():
+    s = _coerce(f)
+    if s is NotImplemented:
+        name = type(f).__name__
+        raise TypeError(
+            f"scale factor is a {name}, not a Scalar, int, Fraction or text"
+        )
+    if s.is_zero():
         return {}
-    return {k: c * f for k, c in u.items()}
+    return {k: c * s for k, c in u.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,9 @@ class VaPresentation:
     brackets maps each pair (x, y), x declared no later than y, to the
     vector {(lam, der, target): coeff} of [x_lam y], central terms on
     VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text.
-    The constructor checks structure only: declared names, declaration
-    order, declared targets and no derivative of the vacuum.  validate()
-    checks the brackets.
+    The constructor checks structure only: parities 0 or 1, int or
+    Fraction weights, declared names, declaration order, declared targets
+    and no derivative of the vacuum.  validate() checks the brackets.
     """
 
     def __init__(
@@ -81,6 +81,13 @@ class VaPresentation:
             raise PresentationError("duplicate generator name")
         if VACUUM in self.index:
             raise PresentationError(f"generator name {VACUUM} is the vacuum")
+        for g in self.generators:
+            if g.parity not in (0, 1):
+                raise PresentationError(f"{g.name} has parity {g.parity!r}, not 0 or 1")
+            # Fraction(0.1) is a binary float's value, not one tenth
+            if not isinstance(g.weight, (int, Fraction)):
+                kind = type(g.weight).__name__
+                raise PresentationError(f"{g.name} has a {kind} weight, not a rational")
         self.parity = {g.name: g.parity for g in self.generators}
         self.weight = {g.name: Fraction(g.weight) for g in self.generators}
         self.central_charge = (

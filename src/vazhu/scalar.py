@@ -12,26 +12,38 @@ guarantee downstream relies on.
 Normalization has one rule: after conjugation, numerator and denominator
 are each split once into a positive rational content times a primitive
 integer polynomial (`_int_poly`), the two integer parts are divided by
-their gcd (`_poly_gcd`), and only the last step turns coefficients back
-into Fractions, over a monic denominator.  That gcd takes one path for
+their gcd (`_poly_gcd`), and only the last step scales them back by the
+contents, over a monic denominator.  That gcd takes one path for
 every pair: GCDHEU on integer images, with a primitive PRS as its exact
 fallback.  Only the two polynomials and the parameter registry take part,
 so a Scalar's form does not depend on what was computed before it.
 
-Below Scalar, a polynomial is a dict {monomial: Fraction} with no zero
+Every coefficient, in a Scalar and in each dict-poly below one, is an
+`int` when it is integral and a `Fraction` with denominator > 1 otherwise.
+Nearly every coefficient the engine meets is an integer, and int
+arithmetic costs a fraction of `Fraction` arithmetic, so integer terms add
+and multiply as Python ints with no conversion at any layer.  Only a
+`Fraction` result can break the rule, by coming out integral, and `_q`
+turns it back into its int wherever Fraction arithmetic can produce one.
+Python's `int` and `Fraction` compare and hash by value, so the format
+changes no canonical value, printed form or hash.  `to_fraction` alone
+hands out a `Fraction`, since dividing two ints would give a float.
+
+Below Scalar, a polynomial is a dict {monomial: coefficient} with no zero
 coefficient.  Every sum of them goes through one in-place accumulate,
 `_poly_acc`, which drops zero sums.  Below that, the gcd runs on integer
-polynomials, dicts {monomial: int}: they sum through `_int_acc`, multiply
-through `_int_mul`, which adds exponents and applies no square rule, and
-divide through `_int_quo`, the one exact division, which serves GCDHEU's
-check, the PRS's content and the final cancellation.  Every view of a
-polynomial as univariate in a variable (the gcd's PRS and `decompose`)
-goes through `_uni_view`.
+polynomials, dict-polys whose coefficients are all ints: they sum through
+the same `_poly_acc`, multiply through `_int_mul`, which adds exponents
+and applies no square rule, and divide through `_int_quo`, the one exact
+division, which serves GCDHEU's check, the PRS's content and the final
+cancellation.  Every view of a polynomial as univariate in a variable (the
+gcd's PRS and `decompose`) goes through `_uni_view`.
 
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
-`is` and never compare `Fraction`s to find it.  `ONE` is likewise one
-object, and multiplying by it returns the other operand unchanged.
+`is`.  `ONE` is likewise one object, and multiplying by it returns the
+other operand unchanged.  A constant int n with |n| <= `_SMALL_INT` is
+likewise its one `_INT_CACHE` Scalar.
 
 The operations that normalize are memoized: a sum past both polynomial
 fast paths, a product with a denominator other than 1, and every nonzero
@@ -43,37 +55,24 @@ cached result is exact, because a Scalar's form depends only on its
 operands and Scalars are immutable.  The cache holds at most
 `_REDUCED_MEMO_SIZE` entries, a fixed bound, and `declare_parameter`
 empties it together with the monomial caches.  The plain-rational and
-unit-denominator paths are not cached: their operands rarely repeat.
-
-Those paths run on an integer kernel instead.  Nearly every coefficient
-the engine meets is an integer, and `Fraction` arithmetic on two of them
-costs several times the int operation.  `_q_add` and `_q_mul` combine two
-coefficients of denominator 1 as Python ints and return a `Fraction`
-again; any other pair falls through to `Fraction` arithmetic.  A result
-with |n| <= `_SMALL_INT` is one shared object of `_SMALL_Q`.  Sharing is
-exact: a `Fraction` is immutable and compares by value, never by identity.
-`_poly_acc`, the sum of two constants and the scaling by a plain rational
-all go through the kernel, and a constant that is a small int comes back
-as its `_INT_CACHE` Scalar.  A polynomial sum merges the two term tuples,
-which are already sorted by `_mono_key`.  A sum creates no monomial, and
-the key orders distinct monomials strictly, so the merge yields the order
-a sort would.
+unit-denominator paths are not cached: their operands rarely repeat.  A
+polynomial sum merges the two term tuples, which are already sorted by
+`_mono_key`.  A sum creates no monomial, and the key orders distinct
+monomials strictly, so the merge yields the order a sort would.
 
 Long sums of products skip the per-term Scalars altogether.  The
 enveloping engine adds up hundreds of thousands of products f * c * v (an
 int f, two Scalars) per pass, most of them onto a key that already holds
 a value, and a Scalar product and sum per term would allocate two
 Scalars each time.  `_raw_acc` adds each product whose factors have
-denominator 1 into a raw sum {monomial: int | Fraction}: an integer
-coefficient is taken as its int, so integer terms add as Python ints, and
-only a non-integer rational stays a `Fraction`.  `_raw_scalar` then builds
-the result once: it drops the zero sums, turns each int back into a
-`Fraction` (a `_SMALL_Q` one when small), orders the terms through
-`_items`, and gives a constant as its `_constant` Scalar.  This is exact.
-Ints and Fractions add and multiply exactly, a scale that is not an int
-is refused (so no float enters), and nothing divides the raw ints.
-Monomials multiply through `_mono_mul` and its square rules.  So the
-result has the canonical form that term-by-term `*` and `+` reach.
+denominator 1 into a raw sum {monomial: int | Fraction}, and
+`_raw_scalar` then builds the result once: it drops the zero sums, passes
+each coefficient through `_q`, orders the terms through `_items`, and
+gives a constant as its `_constant` Scalar.  This is exact.  Ints and
+Fractions add and multiply exactly, a scale that is not an int is refused
+(so no float enters), and nothing divides the raw sums.  Monomials
+multiply through `_mono_mul` and its square rules.  So the result has the
+canonical form that term-by-term `*` and `+` reach.
 """
 
 from __future__ import annotations
@@ -153,29 +152,12 @@ def _param_index(name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial layer: dict {monomial: Fraction}, monomial = ((var, exp), ...)
-
-# integer-valued coefficients with |n| <= _SMALL_INT are shared objects
-_SMALL_INT = 256
-_SMALL_Q = {n: Fraction(n) for n in range(-_SMALL_INT, _SMALL_INT + 1)}
+# raw polynomial layer: dict {monomial: coefficient}, monomial = ((var, exp), ...)
 
 
-def _q_add(x, y):
-    """x + y for a Fraction x and a Fraction or int y, as a Fraction."""
-    if x.denominator == 1 and y.denominator == 1:
-        n = x.numerator + y.numerator
-        q = _SMALL_Q.get(n)
-        return Fraction(n) if q is None else q
-    return x + y
-
-
-def _q_mul(x, y):
-    """x * y for a Fraction x and a Fraction or int y, as a Fraction."""
-    if x.denominator == 1 and y.denominator == 1:
-        n = x.numerator * y.numerator
-        q = _SMALL_Q.get(n)
-        return Fraction(n) if q is None else q
-    return x * y
+def _q(x):
+    """The coefficient x in canonical type: an int when integral, else x."""
+    return x.numerator if x.denominator == 1 else x
 
 
 _MONO_KEY_CACHE: dict = {}
@@ -195,7 +177,7 @@ def _mono_key(mono):
     return key
 
 
-def _reduce_mono(exps: dict[int, int], coeff: Fraction) -> dict:
+def _reduce_mono(exps: dict[int, int], coeff) -> dict:
     """Reduce square-ruled exponents; returns dict-poly.
 
     Terminates because a rule only mentions strictly earlier parameters, so
@@ -211,7 +193,7 @@ def _reduce_mono(exps: dict[int, int], coeff: Fraction) -> dict:
                 merged = dict(base)
                 for vv, ee in rm:
                     merged[vv] = merged.get(vv, 0) + ee
-                _poly_acc(out, _reduce_mono(merged, coeff * rc).items())
+                _poly_acc(out, _reduce_mono(merged, _q(coeff * rc)).items())
             return out
     mono = tuple(sorted((v, e) for v, e in exps.items() if e))
     return {mono: coeff}
@@ -230,7 +212,7 @@ def _mono_mul(m1, m2):
         exps[v] = exps.get(v, 0) + e
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    res = _reduce_mono(exps, _SMALL_Q[1])
+    res = _reduce_mono(exps, 1)
     _MONO_MUL_CACHE[(m1, m2)] = res
     return res
 
@@ -245,12 +227,12 @@ def _poly_acc(out, terms, f=None):
     get = out.get
     for m, c in terms:
         if f is not None:
-            c = _q_mul(c, f)
+            c = _q(c * f)
         cur = get(m)
         if cur is None:
             out[m] = c
         else:
-            c = _q_add(cur, c)
+            c = _q(cur + c)
             if c:
                 out[m] = c
             else:
@@ -261,7 +243,7 @@ def _poly_mul(p, q):
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            _poly_acc(out, _mono_mul(m1, m2).items(), _q_mul(c1, c2))
+            _poly_acc(out, _mono_mul(m1, m2).items(), _q(c1 * c2))
     return out
 
 
@@ -315,7 +297,8 @@ def _uni_build(u, v):
 
 
 # ---------------------------------------------------------------------------
-# the gcd's integer polynomial layer: dict {monomial: int}, no square rules
+# the gcd's integer polynomial layer: dict-polys with int coefficients, no
+# square rules
 
 
 def _int_poly(p):
@@ -326,8 +309,6 @@ def _int_poly(p):
     """
     n = _int_gcd(*[c.numerator for c in p.values()])
     d = _int_lcm(*[c.denominator for c in p.values()])
-    if n == 1 and d == 1:
-        return _SMALL_Q[1], {m: c.numerator for m, c in p.items()}
     part = {m: c.numerator * (d // c.denominator) // n for m, c in p.items()}
     return Fraction(n, d), part
 
@@ -335,21 +316,8 @@ def _int_poly(p):
 def _q_poly(p, q):
     """The dict-poly of the integer polynomial p times the Fraction q."""
     if q == 1:
-        get = _SMALL_Q.get
-        return {m: get(c) or Fraction(c) for m, c in p.items()}
-    n, d = q.numerator, q.denominator
-    return {m: Fraction(c * n, d) for m, c in p.items()}
-
-
-def _int_acc(out, terms, f=1):
-    """Add f times each (monomial, int) of terms into out; zero sums drop."""
-    get = out.get
-    for m, c in terms:
-        c = get(m, 0) + f * c
-        if c:
-            out[m] = c
-        else:
-            del out[m]
+        return p
+    return {m: _q(c * q) for m, c in p.items()}
 
 
 def _mono_add(m1, m2):
@@ -363,7 +331,7 @@ def _mono_add(m1, m2):
 def _int_mul(p, q):
     """The product of two integer polynomials, exponents simply added."""
     out: dict = {}
-    _int_acc(
+    _poly_acc(
         out,
         ((_mono_add(m1, m2), c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()),
     )
@@ -390,7 +358,7 @@ def _int_quo(p, d):
             return None
         # the lead of rem falls at every step, so qm is a new monomial
         out[qm] = qc
-        _int_acc(rem, [(_mono_add(qm, m), c) for m, c in d.items()], -qc)
+        _poly_acc(rem, [(_mono_add(qm, m), c) for m, c in d.items()], -qc)
     return out
 
 
@@ -528,7 +496,7 @@ def _uni_prem(a, b, v):
         # r <- lb*r - lr * v^(dr-db) * b
         new = {e: _int_mul(lb, c) for e, c in r.items()}
         for e, c in b.items():
-            _int_acc(new.setdefault(e + dr - db, {}), _int_mul(lr, c).items(), -1)
+            _poly_acc(new.setdefault(e + dr - db, {}), _int_mul(lr, c).items(), -1)
         r = {e: c for e, c in new.items() if c}
     return r
 
@@ -560,7 +528,7 @@ def _merge(xs, ys) -> tuple:
         mx, cx = xs[i]
         my, cy = ys[j]
         if mx == my:
-            c = _q_add(cx, cy)
+            c = _q(cx + cy)
             if c:
                 out.append((mx, c))
             i += 1
@@ -576,7 +544,9 @@ def _merge(xs, ys) -> tuple:
     return tuple(out)
 
 
-_ONE_ITEMS = ((tuple(), _SMALL_Q[1]),)
+_ONE_ITEMS = (((), 1),)
+# the constant Scalars of the ints with |n| <= _SMALL_INT are shared objects
+_SMALL_INT = 256
 _INT_CACHE: dict = {}
 # about 6x the most distinct normalizing operand pairs a big4 pass makes (647)
 _REDUCED_MEMO_SIZE = 4096
@@ -589,7 +559,7 @@ class Scalar:
 
     def __init__(self, num, den=None, _canonical=False):
         if den is None:
-            den = {tuple(): Fraction(1)}
+            den = {(): 1}
         if _canonical:
             self._num = num
             self._den = den
@@ -609,10 +579,7 @@ class Scalar:
         if not isinstance(f, (int, Fraction)):
             name = type(f).__name__
             raise TypeError(f"from_fraction takes an int or a Fraction, not {name}")
-        f = Fraction(f)
-        if not f:
-            return ZERO
-        return Scalar(((tuple(), f),), _ONE_ITEMS, _canonical=True)
+        return _constant(f)
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
@@ -626,7 +593,7 @@ class Scalar:
 
     @staticmethod
     def param(name: str) -> "Scalar":
-        return Scalar({((_param_index(name), 1),): Fraction(1)})
+        return Scalar({((_param_index(name), 1),): 1})
 
     # -- views -------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -644,7 +611,8 @@ class Scalar:
             raise ValueError(f"scalar {self} is not a plain rational")
         if not self._num:
             return Fraction(0)
-        return Fraction(self._num[0][1] / self._den[0][1])
+        # a constant's denominator is 1
+        return Fraction(self._num[0][1])
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -659,7 +627,7 @@ class Scalar:
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             sn, on = self._num, other._num
             if len(sn) == 1 and len(on) == 1 and not sn[0][0] and not on[0][0]:
-                return _constant(_q_add(sn[0][1], on[0][1]))
+                return _constant(sn[0][1] + on[0][1])
             # polynomial sum stays canonical: no new monomials appear
             merged = _merge(sn, on)
             if not merged:
@@ -706,9 +674,9 @@ class Scalar:
             q = y._num[0][1]
             xn = x._num
             if x._den is _ONE_ITEMS and len(xn) == 1 and not xn[0][0]:
-                return _constant(_q_mul(xn[0][1], q))
+                return _constant(xn[0][1] * q)
             return Scalar(
-                tuple([(m, _q_mul(c, q)) for m, c in xn]), x._den, _canonical=True
+                tuple([(m, _q(c * q)) for m, c in xn]), x._den, _canonical=True
             )
         if self._den is _ONE_ITEMS and other._den is _ONE_ITEMS:
             # product of canonical polynomials is canonical (unit denominator)
@@ -784,7 +752,7 @@ class Scalar:
     def __hash__(self):
         if self._hash is None:
             num = self._num
-            # a constant hashes as the Fraction it equals
+            # a constant hashes as the int or Fraction it equals
             if self._den is _ONE_ITEMS and (not num or len(num) == 1 and not num[0][0]):
                 self._hash = hash(num[0][1] if num else 0)
             else:
@@ -813,12 +781,12 @@ class Scalar:
 
 
 def _constant(q) -> Scalar:
-    """The Scalar of the Fraction q; a small int is the _INT_CACHE one."""
-    if q.denominator == 1:
-        hit = _INT_CACHE.get(q.numerator)
-        if hit is not None:
-            return hit
-    return Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
+    """The Scalar of the rational q; a small int is the _INT_CACHE one."""
+    q = _q(q)
+    hit = _INT_CACHE.get(q) if type(q) is int else None
+    if hit is not None:
+        return hit
+    return Scalar((((), q),), _ONE_ITEMS, _canonical=True)
 
 
 def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
@@ -827,14 +795,15 @@ def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
     A raw sum is a dict {monomial: int | Fraction}; vec is a vector of
     Scalars and f an int.  Only products with denominator 1 are added: the
     keys left out are returned, all of vec's unless c has denominator 1.
-    An integer coefficient is taken as its int, so integer terms sum as
-    ints; a sum may reach zero, which `_raw_scalar` drops.
+    Coefficients are taken as stored, so integer terms sum as ints; a sum
+    may reach zero, which `_raw_scalar` drops, or an integral Fraction,
+    which it turns into its int.
     """
     if type(f) is not int:
         raise TypeError(f"raw sums take int scales, not {type(f).__name__}")
     if c._den is not _ONE_ITEMS:
         return list(vec)
-    cs = [(m, f * (q.numerator if q.denominator == 1 else q)) for m, q in c._num]
+    cs = [(m, f * q) for m, q in c._num]
     # a constant c, the common case, scales each coefficient of vec
     scale = cs[0][1] if len(cs) == 1 and not cs[0][0] else None
     left = []
@@ -848,7 +817,6 @@ def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
             raw = sums[k] = {}
         rget = raw.get
         for my, cy in v._num:
-            cy = cy.numerator if cy.denominator == 1 else cy
             if scale is not None:
                 raw[my] = rget(my, 0) + scale * cy
                 continue
@@ -858,21 +826,13 @@ def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
                     raw[m] = rget(m, 0) + cx * cy
                     continue
                 for m, cm in _mono_mul(mx, my).items():
-                    raw[m] = rget(m, 0) + cx * cy * (
-                        cm.numerator if cm.denominator == 1 else cm
-                    )
+                    raw[m] = rget(m, 0) + cx * cy * cm
     return left
 
 
 def _raw_scalar(raw: dict) -> Scalar:
     """The canonical Scalar of a raw sum: zeros dropped, _mono_key order."""
-    num = {}
-    for m, c in raw.items():
-        if c:
-            if type(c) is int:
-                q = _SMALL_Q.get(c)
-                c = Fraction(c) if q is None else q
-            num[m] = c
+    num = {m: _q(c) for m, c in raw.items() if c}
     if not num:
         return ZERO
     if len(num) == 1 and () in num:
@@ -918,7 +878,7 @@ def _eval_poly(p, repl) -> Scalar:
             if v in repl:
                 term = term * repl[v] ** e
             else:
-                term = term * Scalar({((v, 1),): Fraction(1)}) ** e
+                term = term * Scalar({((v, 1),): 1}) ** e
         total = total + term
     return total
 
@@ -931,12 +891,12 @@ def _normalize(num, den):
         if not isinstance(c, (int, Fraction)):
             name = type(c).__name__
             raise TypeError(f"Scalar takes int or Fraction coefficients, not {name}")
-    num = {m: q for m, q in ((m, Fraction(c)) for m, c in num.items()) if q}
-    den = {m: q for m, q in ((m, Fraction(c)) for m, c in den.items()) if q}
+    num = {m: c for m, c in num.items() if c}
+    den = {m: c for m, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {tuple(): Fraction(1)}
+        return {}, {(): 1}
     # clear algebraic variables out of the denominator by conjugation
     for v in sorted(_SQUARE_RULES):
         if v in _poly_vars(den):
@@ -1103,8 +1063,8 @@ declare_parameter("k")
 ZERO = Scalar({})
 ONE = Scalar(_ONE_ITEMS, _ONE_ITEMS, _canonical=True)
 _INT_CACHE.update(
-    {n: Scalar(((tuple(), q),), _ONE_ITEMS, _canonical=True)
-     for n, q in _SMALL_Q.items() if n not in (0, 1)}
+    {n: Scalar((((), n),), _ONE_ITEMS, _canonical=True)
+     for n in range(-_SMALL_INT, _SMALL_INT + 1) if n not in (0, 1)}
 )
 _INT_CACHE[0] = ZERO
 _INT_CACHE[1] = ONE

@@ -193,6 +193,12 @@ def test_table_outside_the_basis_rejected():
         LieSuperalgebra(["h"], {"h": 0}, {("h", "h"): {"y": ONE}})
 
 
+def test_parity_other_than_0_or_1_rejected():
+    # superdim would count parity 2 as odd
+    with pytest.raises(ValueError, match="q has parity 2, not 0 or 1"):
+        LieSuperalgebra(["h", "q"], {"h": 0, "q": 2}, {})
+
+
 def test_morphism_needs_every_image_on_target_names():
     r = build_algebra("R_N1")
     with pytest.raises(ValueError, match=r"no image for source names \['G'\]"):

@@ -214,6 +214,20 @@ def test_vacuum_derivative_rejected():
         VaPresentation("bad", gens, brackets)
 
 
+def test_parity_other_than_0_or_1_rejected():
+    # pair_sign would read parity 2 as odd, check_homogeneity as even
+    gens = [GeneratorSpec("B", 2, Fraction(1))]
+    with pytest.raises(PresentationError, match="B has parity 2, not 0 or 1"):
+        VaPresentation("bad", gens, {("B", "B"): {(1, 0, VACUUM): 1}})
+
+
+def test_float_weight_rejected():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not one tenth
+    gens = [GeneratorSpec("a", 0, 0.1)]
+    with pytest.raises(PresentationError, match="a has a float weight"):
+        VaPresentation("bad", gens, {})
+
+
 def test_vacuum_generator_name_rejected():
     gens = [GeneratorSpec(VACUUM, 0, Fraction(0))]
     with pytest.raises(PresentationError, match=r"generator name \|0> is the vacuum"):

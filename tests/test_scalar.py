@@ -48,6 +48,16 @@ def S(text):
     return parse_scalar(text)
 
 
+def is_canonical_coeff(c):
+    """The stored coefficient type: an int, or a Fraction that is no integer."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_canonical(v):
+    bad = [c for _, c in v._num + v._den if not is_canonical_coeff(c)]
+    assert not bad, (v, bad)
+
+
 # ---------------------------------------------------------------------------
 # Scalar field structure
 
@@ -137,7 +147,18 @@ def test_substitute_and_decompose():
 
 
 def test_to_fraction():
-    assert (S("3/4") + S("1/4")).to_fraction() == 1
+    # integral values are stored as ints, and int / int would be a float
+    big = _SMALL_INT + 7
+    cases = (
+        (S("3/4") + S("1/4"), 1),
+        (S("1/3"), Fraction(1, 3)),
+        (Scalar.from_int(big), big),
+        (S(f"{3 * big}/3"), big),
+        (ZERO, 0),
+    )
+    for v, want in cases:
+        got = v.to_fraction()
+        assert type(got) is Fraction and got == want, (v, got)
     with pytest.raises(ValueError):
         Scalar.param("c").to_fraction()
 
@@ -421,10 +442,10 @@ def test_unit_denominator_is_interned(values):
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel of unit-denominator arithmetic
+# unit-denominator arithmetic on int and Fraction coefficients
 
 
-def _kernel_operands(rng, count):
+def _unit_operands(rng, count):
     """Unit-denominator Scalars built by the normalizing constructor alone.
 
     Constants are ints inside and past the interned range and non-integer
@@ -472,9 +493,9 @@ def _form(v):
     return repr((v._num, v._den))
 
 
-def test_integer_kernel_matches_plain_fractions():
+def test_unit_denominator_arithmetic_matches_plain_fractions():
     rng = random.Random(20)
-    pool = _kernel_operands(rng, 90)
+    pool = _unit_operands(rng, 90)
     for _ in range(300):
         x, y = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.1:
@@ -489,7 +510,7 @@ def test_integer_kernel_matches_plain_fractions():
         )
         acc = dict(x._num)
         _poly_acc(acc, y._num, f)
-        assert all(type(c) is Fraction and c for c in acc.values())
+        assert all(is_canonical_coeff(c) and c for c in acc.values())
         want_acc = _plain(x._num + tuple((m, c * f) for m, c in y._num))
         assert _form(Scalar(acc)) == _form(want_acc), (x, y, f)
         # a zero operand returns the other one as it is
@@ -497,18 +518,18 @@ def test_integer_kernel_matches_plain_fractions():
         for got, want in ((x + y, want_sum), (x * y, want_product)):
             assert _form(got) == _form(want), (x, y)
             assert got._den is _ONE_ITEMS
-            assert all(type(c) is Fraction for _, c in got._num)
+            assert_canonical(got)
             q = got.to_fraction() if constants else None
             if q is not None and q.denominator == 1 and abs(q) <= _SMALL_INT:
                 # a small int result of constants is the shared one
                 assert got is Scalar.from_int(q.numerator), (x, y)
     # every interned int and the first ones past either end, from nonzero
-    # operands; from_fraction(1) equals ONE but is not ONE, so the product
-    # takes the scaling path
-    big, one = Scalar.from_fraction(1000), Scalar.from_fraction(1)
+    # operands: a sum of constants and a scaling of a constant
+    big, three = Scalar.from_fraction(1000), Scalar.from_fraction(3)
     for n in range(-_SMALL_INT - 2, _SMALL_INT + 3):
         total = Scalar.from_fraction(n - 1000) + big
-        for got in (total, Scalar.from_fraction(n) * one):
+        for got in (total, Scalar.from_fraction(Fraction(n, 3)) * three):
+            assert_canonical(got)
             assert got.to_fraction() == n and type(got.to_fraction()) is Fraction
             assert (got is Scalar.from_int(n)) == (abs(n) <= _SMALL_INT), n
 
@@ -518,7 +539,7 @@ def test_raw_vector_sum_matches_vec_acc():
     # one vec_acc per term must give the same canonical forms
     rng = random.Random(12)
     a = Scalar.param("a")
-    pool = _kernel_operands(rng, 60) + [ONE / (a + 1), (a - 1) / (a + 1)]
+    pool = _unit_operands(rng, 60) + [ONE / (a + 1), (a - 1) / (a + 1)]
     scales = (0, -1, 1, 2, 3, _SMALL_INT + 1, -_SMALL_INT - 5)
     small = [Scalar.from_int(n) for n in (-2, -1, 2, 3)]
     for _ in range(200):
@@ -593,11 +614,17 @@ _PINNED_FORMS = {
 }
 
 
+def _fraction_form(v):
+    """repr of (numerator, denominator), each coefficient shown as a Fraction."""
+    return repr(tuple(tuple((m, Fraction(c)) for m, c in p) for p in (v._num, v._den)))
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_FORMS))
 def test_canonical_form_pinned(name):
     # exact forms, whatever engines were built earlier in the process
     v = _pinned_values()[name]
-    assert repr((v._num, v._den)) == _PINNED_FORMS[name]
+    assert_canonical(v)
+    assert _fraction_form(v) == _PINNED_FORMS[name]
 
 
 _SYMS = {n: sympy.Symbol(n) for n in parameter_names()}
@@ -749,5 +776,6 @@ def test_seeded_canonical_form_digest(monkeypatch, tries):
     _reduced.cache_clear()
     h = hashlib.sha256()
     for v in _digest_values(200, seed=8):
-        h.update(repr((v._num, v._den)).encode())
+        assert_canonical(v)
+        h.update(_fraction_form(v).encode())
     assert h.hexdigest()[:16] == "14cbd0209a5b3215"
