@@ -67,6 +67,9 @@ def _key(i: int, m: int):
 
 _HALF = Scalar.from_fraction(Fraction(1, 2))
 
+# memoized terms an engine keeps before trim_caches drops its memos
+_MEMO_TERM_BUDGET = 3_000_000
+
 
 class VertexAlgebra:
     """The enveloping vertex algebra of a validated presentation.
@@ -74,11 +77,11 @@ class VertexAlgebra:
     The weight bounds of the products and of the axiom suite hold on a
     weight-homogeneous table, so the constructor checks homogeneity even
     when the presentation was never validated (PresentationError).
-    memo_term_budget bounds the memoized terms: past it, trim_caches drops
+    _MEMO_TERM_BUDGET bounds the memoized terms: past it, trim_caches drops
     every memo between top-level operations.
     """
 
-    def __init__(self, presentation, *, memo_term_budget: int = 3_000_000):
+    def __init__(self, presentation):
         presentation.check_homogeneity()
         self.pres = presentation
         self.names = presentation.names()
@@ -104,7 +107,6 @@ class VertexAlgebra:
         self._wt2_memo: dict = {(): 0}
         # stored memo terms, trimmed at safe points to bound memory
         self._memo_terms = 0
-        self.memo_term_budget = memo_term_budget
 
     # -- states ----------------------------------------------------------------
 
@@ -286,7 +288,7 @@ class VertexAlgebra:
         Only call between top-level operations: entries must not vanish
         under an in-flight recursion.  Returns True when a trim happened.
         """
-        if self._memo_terms <= self.memo_term_budget:
+        if self._memo_terms <= _MEMO_TERM_BUDGET:
             return False
         self._mode_memo.clear()
         self._prod_memo.clear()

@@ -81,6 +81,8 @@ class LieSuperalgebra:
             if p not in (0, 1):
                 raise ValueError(f"{n} has parity {p!r}, not 0 or 1")
         self.index = {n: i for i, n in enumerate(self.names)}
+        if len(self.index) != len(self.names):
+            raise ValueError("duplicate basis name")
         # a matrix realization, exact modulo the span of modulo_matrices
         self.matrices = matrices
         self.modulo_matrices = list(modulo_matrices)
@@ -229,6 +231,10 @@ class LieMorphism:
         self.source = source
         self.target = target
         self.images = {n: _clean(v) for n, v in images.items()}
+        for n, v in self.images.items():
+            for g in v:
+                if target.parity[g] != source.parity[n]:
+                    raise ValueError(f"image of {n} uses {g}, of another parity")
 
     def apply(self, x: dict) -> dict:
         out: dict = {}

@@ -309,8 +309,8 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     generators, and VACUUM maps to itself; weights and parities must line
     up termwise, so the check is plain bilinear expansion and exact
     comparison.  PresentationError when images leaves a source generator
-    out, keys an image by a name that is not one, or puts one on a name the
-    target does not declare.
+    out, keys an image by a name that is not one, puts one on a name the
+    target does not declare, or on one of another parity or weight.
     """
     names = source.names()
     missing = [x for x in names if x not in images]
@@ -324,6 +324,13 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     if unknown:
         raise PresentationError(f"images use unknown target generators {unknown}")
     images = {x: _clean(images[x]) for x in names}
+    for x in names:
+        grade = (source.parity[x], source.weight[x])
+        for g in images[x]:
+            if (target.parity[g], target.weight[g]) != grade:
+                raise PresentationError(
+                    f"image of {x} uses {g}, of another parity or weight"
+                )
     images[VACUUM] = {VACUUM: ONE}
     for i, x in enumerate(names):
         for y in names[i:]:

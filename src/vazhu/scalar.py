@@ -73,10 +73,18 @@ Fractions add and multiply exactly, a scale that is not an int is refused
 (so no float enters), and nothing divides the raw sums.  Monomials
 multiply through `_mono_mul` and its square rules.  So the result has the
 canonical form that term-by-term `*` and `+` reach.
+
+Scalar text, the one way to give a coefficient from outside the code, is
+Python's expression syntax with `^` for `**`, parsed by `ast` and
+evaluated over a whitelist of nodes that `parse_scalar` lists: nothing is
+run by Python, the precedence is Python's (`c*-c^2` is -c^3), Python's
+spellings `c**2`, `1_000` and `0x10` are read and `007` is refused.  Past
+CPython's parser limits the text raises ValueError.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -108,8 +116,14 @@ def declare_parameter(name: str, square=None) -> None:
 
     The square polynomial must only involve previously declared parameters.
     Re-declaring with the same rule is a no-op; conflicting rules raise.
+    The name must be one that parse_scalar reads back as itself, so no
+    Python keyword and nothing that NFKC normalization changes.
     """
-    if not name.isidentifier():
+    try:
+        node = ast.parse(name, mode="eval").body
+    except SyntaxError:
+        node = None
+    if not (isinstance(node, ast.Name) and node.id == name):
         raise ValueError(f"bad parameter name: {name!r}")
     rule = None
     if square is not None:
@@ -941,109 +955,58 @@ def _poly_str(items) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser: ints, p/q, parameter names, + - * / ( ) ^
+# parser: Python's expression grammar over a whitelist of nodes
 
-_TOKEN_CHARS = set("+-*/()^")
+_FOLD = {ast.Add: Scalar.__add__, ast.Sub: Scalar.__sub__,
+         ast.Mult: Scalar.__mul__, ast.Div: Scalar.__truediv__}
 
 
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _TOKEN_CHARS:
-            toks.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in scalar expression")
-    return toks
+def _eval_node(node) -> Scalar:
+    """The Scalar of a whitelisted expression node; ValueError otherwise."""
+    # a left-deep chain x op y op z ... folds in a loop, since a recursion
+    # would stop near a thousand terms
+    chain = []
+    while isinstance(node, ast.BinOp) and type(node.op) in _FOLD:
+        chain.append(node)
+        node = node.left
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        value = Scalar.from_int(node.value)
+    elif isinstance(node, ast.Name):
+        value = Scalar.param(node.id)
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        value = _eval_node(node.operand)
+        value = -value if type(node.op) is ast.USub else value
+    elif isinstance(node, ast.BinOp) and type(node.op) is ast.Pow:
+        e = node.right
+        sign = -1 if isinstance(e, ast.UnaryOp) and type(e.op) is ast.USub else 1
+        e = e.operand if sign < 0 else e
+        if not (isinstance(e, ast.Constant) and type(e.value) is int):
+            raise ValueError("exponent must be an integer literal")
+        value = _eval_node(node.left) ** (sign * e.value)
+    else:
+        kind = type(getattr(node, "op", node)).__name__
+        raise ValueError(f"{kind} is not allowed in a scalar expression")
+    for op in reversed(chain):
+        value = _FOLD[type(op.op)](value, _eval_node(op.right))
+    return value
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse an expression over declared parameters into a Scalar."""
-    toks = _tokenize(text)
-    pos = 0
+    """Parse an expression over declared parameters into a Scalar.
 
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        if pos == len(toks):
-            raise ValueError(f"unexpected end of {text!r}")
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def parse_expr():
-        if peek() in ("+", "-"):
-            sign = take()
-            node = parse_term()
-            if sign == "-":
-                node = -node
-        else:
-            node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_factor():
-        node = parse_base()
-        if peek() == "^":
-            take()
-            neg = False
-            if peek() == "-":
-                take()
-                neg = True
-            e = take()
-            if not isinstance(e, int):
-                raise ValueError("exponent must be an integer")
-            node = node ** (-e if neg else e)
-        return node
-
-    def parse_base():
-        t = take()
-        if t == "(":
-            node = parse_expr()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return node
-        if t == "-":
-            return -parse_base()
-        if isinstance(t, int):
-            return Scalar.from_int(t)
-        if isinstance(t, str) and t not in _TOKEN_CHARS:
-            return Scalar.param(t)
-        raise ValueError(f"unexpected token {t!r} in {text!r}")
-
-    node = parse_expr()
-    if pos != len(toks):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return node
+    Python's expression syntax with `^` read as `**`; whitespace, newlines
+    included, only separates.  Allowed: int literals, declared parameter
+    names (an undeclared one raises KeyError), unary + and -, binary
+    + - * / and powers by an int literal or a negated one.  Any other node
+    raises ValueError, and so does text past CPython's parser limits
+    (about 3,000 terms in one chain, 200 nested parentheses) or with about
+    1,000 nested signs.
+    """
+    try:
+        tree = ast.parse(" ".join(text.split()).replace("^", "**"), mode="eval")
+        return _eval_node(tree.body)
+    except (SyntaxError, RecursionError) as err:
+        raise ValueError(f"cannot parse scalar {text!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

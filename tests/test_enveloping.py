@@ -214,14 +214,15 @@ def test_generalized_binomial_pins():
     assert gbinom(2, 5) == 0
 
 
-def test_trim_caches_preserves_results():
+def test_trim_caches_preserves_results(monkeypatch):
     pres = builtin_presentation("N1")
     roomy = VertexAlgebra(pres)
     G = roomy.generator("G")
     before = roomy.nth_product(G, -1, G)
     assert roomy._memo_terms > 0
     assert roomy.trim_caches() is False  # under budget: no-op
-    eng = VertexAlgebra(pres, memo_term_budget=0)
+    monkeypatch.setattr(enveloping, "_MEMO_TERM_BUDGET", 0)
+    eng = VertexAlgebra(pres)
     assert eng.nth_product(G, -1, G) == before
     assert eng._memo_terms > 0
     assert eng.trim_caches() is True

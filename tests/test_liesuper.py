@@ -199,6 +199,19 @@ def test_parity_other_than_0_or_1_rejected():
         LieSuperalgebra(["h", "q"], {"h": 0, "q": 2}, {})
 
 
+def test_duplicate_basis_name_rejected():
+    # the index would keep one h while superdim counted two
+    with pytest.raises(ValueError, match="duplicate basis name"):
+        LieSuperalgebra(["h", "h"], {"h": 0}, {})
+
+
+def test_morphism_onto_other_parity_rejected():
+    # a bracket-free source would pass check() on any images
+    src = LieSuperalgebra(["x"], {"x": 0}, {})
+    with pytest.raises(ValueError, match="image of x uses gp"):
+        LieMorphism(src, build_algebra("sl12"), {"x": {"gp": 1}})
+
+
 def test_morphism_needs_every_image_on_target_names():
     r = build_algebra("R_N1")
     with pytest.raises(ValueError, match=r"no image for source names \['G'\]"):

@@ -106,3 +106,19 @@ def test_no_dict_display_repeats_a_key():
                             repeats.append(f"{path.name}:{key.lineno}")
                         seen.add(dump)
     assert repeats == []
+
+
+def test_no_source_runs_dynamic_code():
+    # scalar text is read through ast over a whitelist; nothing may hand
+    # text to Python to run
+    src = Path(__file__).resolve().parents[1] / "src" / "vazhu"
+    banned = {"eval", "exec", "compile", "__import__"}
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in banned:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -392,6 +392,19 @@ def test_embedding_onto_undeclared_target_rejected():
         check_embedding(src, tgt, images)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("b", 0, Fraction(1, 2)), GeneratorSpec("b", 1, Fraction(3, 2))],
+    ids=["parity", "weight"],
+)
+def test_embedding_onto_other_grade_rejected(spec):
+    # bilinear expansion alone would pass a bracket-free source
+    src = VaPresentation("toy", [spec], {})
+    tgt = builtin_presentation("four_fermions_k")
+    with pytest.raises(PresentationError, match="image of b uses Spp"):
+        check_embedding(src, tgt, {"b": {"Spp": 1}})
+
+
 def test_unknown_embedding_tag_rejected():
     with pytest.raises(ValueError):
         builtin_embedding("N4_in_big4")

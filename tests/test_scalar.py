@@ -19,7 +19,7 @@ from vazhu.scalar import (
     parameter_names,
     parse_scalar,
 )
-from vazhu import presentation
+from vazhu import liesuper, presentation
 from vazhu import scalar as scalar_module
 from vazhu.linalg import vec_acc, vec_sum
 from vazhu.scalar import (
@@ -95,10 +95,88 @@ def test_parse_round_trip():
         assert S(str(v)) == v
 
 
-@pytest.mark.parametrize("text", ["", "1 +", "(c", "c^", "c ^ -", "c +* a", "(c))"])
+def test_parse_binds_unary_minus_tighter_than_products_looser_than_powers():
+    a, c, k = Scalar.param("a"), Scalar.param("c"), Scalar.param("k")
+    assert S("a - -c^2") == a + c**2
+    assert S("c*-c^2") == -c**3
+    assert S("c/-a^2") == -c / a**2
+    assert S("--k^-2") == k**-2
+    assert S("-3^2") == -9
+
+
+def test_parse_ignores_whitespace_and_newlines():
+    assert S(" c + 1") == S("c\n+ 1") == Scalar.param("c") + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1 +",
+        "(c",
+        "c^",
+        "c ^ -",
+        "c +* a",
+        "(c))",
+        "c.real",
+        "f(c)",
+        "c[0]",
+        "1.5",
+        "2j",
+        "True",
+        "c < a",
+        "c, a",
+        "2^3^2",
+        "c^a",
+        "c^1.5",
+        "'c'",
+        "__import__('os')",
+        "lambda: c",
+        "007",
+    ],
+)
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         S(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" + ".join(["c"] * 100_000), "(" * 300 + "c" + ")" * 300, "-" * 1200 + "c"],
+    ids=["long_sum", "deep_parentheses", "long_negation"],
+)
+def test_parse_past_parser_limits_is_a_value_error(text):
+    # never a RecursionError, from Python's parser or from the evaluator
+    with pytest.raises(ValueError):
+        S(text)
+
+
+def test_long_polynomial_round_trips():
+    # the evaluator folds a chain in a loop, so its length is the parser's limit
+    rng = random.Random(20)
+    terms = {
+        tuple((v, e) for v, e in ((0, i), (1, j)) if e):
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9))
+        for i in range(40)
+        for j in range(50)
+    }
+    x = Scalar(terms)
+    assert len(x._num) == 2000
+    assert S(str(x)) == x
+
+
+def test_stored_coefficients_round_trip():
+    # every coefficient of every builtin bracket table and Lie table
+    pool = set()
+    for pres_id in presentation.builtin_ids():
+        for vec in presentation.builtin_presentation(pres_id)._table.values():
+            pool.update(vec.values())
+    for algebra_id in liesuper._BUILDERS:
+        for vec in liesuper.build_algebra(algebra_id).table.values():
+            pool.update(vec.values())
+    assert len(pool) >= 30
+    for x in pool:
+        assert S(str(x)) == x, x
 
 
 @pytest.mark.parametrize(
@@ -214,6 +292,12 @@ def test_declare_parameter_conflicts():
     declare_parameter("tmp_level")  # same declaration is fine
     with pytest.raises(ValueError):
         declare_parameter("tmp_level", square=ONE)
+
+
+@pytest.mark.parametrize("name", ["lambda", "None", "\ufb01", "2c", "c-1"])
+def test_declare_parameter_refuses_names_text_cannot_hold(name):
+    with pytest.raises(ValueError, match="bad parameter name"):
+        declare_parameter(name)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +512,13 @@ def _scalar_chains(draw):
         except ZeroDivisionError:
             pass
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_chains())
+def test_printed_scalars_parse_back(values):
+    for x in values:
+        assert S(str(x)) == x, x
 
 
 @settings(max_examples=60, deadline=None)
