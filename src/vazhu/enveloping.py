@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import key_acc, vec_acc, vec_scale, vec_sum
-from .presentation import VACUUM
+from .presentation import VACUUM, _falling
 from .scalar import Scalar, ONE
 
 __all__ = [
@@ -51,14 +51,6 @@ def gbinom(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("lower index must be nonnegative")
     return _falling(n, k) // math.factorial(k)
-
-
-def _falling(n, k: int):
-    """Falling factorial n (n - 1) ... (n - k + 1), for int or Fraction n."""
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
 
 
 def _key(i: int, m: int):
@@ -88,17 +80,6 @@ class VertexAlgebra:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.weights = [presentation.weight[n] for n in self.names]
         self.parities = [presentation.parity[n] for n in self.names]
-        # rows (der, target index, coeff) per mode; the vacuum's index is None
-        self._products = {}
-        for xi, x in enumerate(self.names):
-            for yi, y in enumerate(self.names):
-                self._products[(xi, yi)] = {
-                    n: [
-                        (d, None if t == VACUUM else self.index[t], coeff)
-                        for (d, t), coeff in vec.items()
-                    ]
-                    for n, vec in presentation.nth_products(x, y).items()
-                }
         self._mode_memo: dict = {}
         self._prod_memo: dict = {}
         self._par_memo: dict = {}
@@ -188,24 +169,14 @@ class VertexAlgebra:
         return res
 
     def _bracket_action(self, i: int, n: int, j: int, mj: int, mono) -> dict:
-        """[X_{i(n)}, X_{j(-mj)}] applied to a sorted monomial."""
+        """[X_{i(n)}, X_{j(-mj)}] on a sorted monomial, by `mode_commutator`."""
         out: dict = {}
-        for k, rows in self._products[(i, j)].items():
-            binom = gbinom(n, k)
-            if binom == 0:
-                continue
-            q = n - mj - k
-            for d, target, coeff in rows:
-                if target is None:
-                    # |0>_(q) is the identity at q = -1 and zero otherwise
-                    if q == -1:
-                        key_acc(out, mono, coeff * Scalar.from_int(binom))
-                    continue
-                fall = _falling(q, d)
-                if fall == 0:
-                    continue
-                factor = coeff * Scalar.from_int(binom * (-fall if d & 1 else fall))
-                vec_acc(out, self._mode_mono(target, q - d, mono), factor)
+        x, y = self.names[i], self.names[j]
+        for (target, p), coeff in self.pres.mode_commutator(x, n, y, -mj).items():
+            if target == VACUUM:
+                key_acc(out, mono, coeff)
+            else:
+                vec_acc(out, self._mode_mono(self.index[target], p, mono), coeff)
         return out
 
     # -- general products and translation ----------------------------------------

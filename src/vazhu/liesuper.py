@@ -19,11 +19,12 @@ fields D_f, read off without building them.
 
 The zero-mode algebras are derived from the lambda brackets of the
 presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
-algebra): [a, b] = sum_j binom(wt a - 1, j) [a_(j) b], with
-[d^k X] = (-1)^k wt X (wt X + 1) ... (wt X + k - 1) [X].  A central term is
-a term on the vacuum |0> of the bracket vector, and the class of |0> is an
-even central Z.  The conformal vector is shifted to L - (c/24) Z, which
-absorbs the central part of every bracket that has L in it.
+algebra): [a, b] is the commutator of the zero modes a_(wt a - 1) and
+b_(wt b - 1), the presentation's `mode_commutator` at n = wt a - 1 and
+m = wt b - 1, whose terms are zero modes X_(wt X - 1) and |0>_(-1).  The
+class of |0> is an even central Z.  The conformal vector is shifted to
+L - (c/24) Z, which absorbs the central part of every bracket that has L in
+it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .enveloping import _falling
 from .presentation import VACUUM, _BUILTINS as _PRESENTATIONS
-from .scalar import Scalar, ONE, _coerce
+from .scalar import Scalar, ONE
 from .linalg import (
     SuperMatrix,
     GrassmannElement,
@@ -513,32 +513,23 @@ def _contact_r(n: int) -> LieSuperalgebra:
 def _zero_mode_algebra(pres) -> LieSuperalgebra:
     """Zero-mode Lie superalgebra of the H-twisted Zhu algebra of pres.
 
-    For generators a, b the bracket is [a, b] = sum_j binom(wt a - 1, j)
-    [a_(j) b], a derivative collapses as [d^k X] = (-1)^k wt X (wt X + 1)
-    ... (wt X + k - 1) [X] = falling(-wt X, k) [X], and a_(j) b is j! times
-    the lam^j coefficient of [a_lam b].  With binom(w, j) j! = falling(w, j),
-    a term c lam^j d^k X of [a_lam b] adds c falling(wt a - 1, j)
-    falling(-wt X, k) [X].  The class of the vacuum VACUUM is the even
-    central Z; after the shift L -> L - (c/24) Z, Z joins the basis right
-    after the last even generator, and only if some bracket still has a
-    term on it.
+    For generators a, b the bracket [a, b] is `pres.mode_commutator(a,
+    wt a - 1, b, wt b - 1)` with each zero mode X_(wt X - 1) read as X and
+    |0>_(-1) as the even central Z.  The rule reads each target's mode off
+    the weights, so the table must be homogeneous (PresentationError).
+    After the shift L -> L - (c/24) Z, Z joins the basis right after the
+    last even generator, and only if some bracket still has a term on it.
     """
-    names = pres.names()
+    pres.check_homogeneity()
+    names, wt = pres.names(), pres.weight
     table = {}
     for i, x in enumerate(names):
-        top = pres.weight[x] - 1
         for y in names[i:]:
-            out: dict = {}
-            for (j, k, target), coeff in pres.pair_bracket(x, y).items():
-                factor = _falling(top, j)
-                if not factor:
-                    continue
-                if target == VACUUM:
-                    key_acc(out, "Z", coeff * _coerce(factor))
-                    continue
-                factor *= _falling(-pres.weight[target], k)
-                key_acc(out, target, coeff * _coerce(factor))
-            table[(x, y)] = out
+            modes = pres.mode_commutator(x, wt[x] - 1, y, wt[y] - 1)
+            table[(x, y)] = {
+                "Z" if target == VACUUM else target: coeff
+                for (target, _), coeff in modes.items()
+            }
     shift = pres.central_charge / 24
     for out in table.values():
         if pres.conformal_name in out:

@@ -8,8 +8,8 @@ a central term c lam^n is the term (n, 0, VACUUM), as in a Lie conformal
 algebra with values in the generators plus C|0>.  Two rules cover the
 vacuum: d|0> = 0 and [|0>_lam X] = 0.  The module validates weight
 homogeneity, skew consistency, primary normalization against the conformal
-field, and the conformal-level Jacobi identity, and it serves the per-mode
-products that the enveloping engine consumes.
+field, and the conformal-level Jacobi identity, and it serves the one mode
+commutator rule that the enveloping engine and the zero-mode algebras read.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ class GeneratorSpec:
     name: str
     parity: int
     weight: Fraction
+
+
+def _falling(n, k: int):
+    """Falling factorial n (n - 1) ... (n - k + 1), for int or Fraction n."""
+    out = 1
+    for t in range(k):
+        out *= n - t
+    return out
 
 
 def _ders(target: str, top: int):
@@ -161,17 +169,25 @@ class VaPresentation:
                 )
         return out
 
-    def nth_products(self, x: str, y: str):
-        """Modes x_(n) y for n >= 0 as {n: {(der_order, target): coeff}}.
+    def mode_commutator(self, x: str, n, y: str, m):
+        """[x_(n), y_(m)] = sum_j binom(n, j) (x_(j) y)_(n+m-j) as {(X, p): coeff}.
 
-        The lambda expansion [x_lam y] = sum_n lam^n / n! x_(n) y fixes the
-        normalization: mode n collects n! times the lam^n coefficient.  A
-        central term stays on VACUUM.
+        x_(j) y is j! times the lam^j coefficient of [x_lam y], and
+        (d^d X)_(q) = (-1)^d falling(q, d) X_(q-d) (Kac, *Vertex Algebras for
+        Beginners*), so a term c lam^j d^d X adds c falling(n, j) (-1)^d
+        falling(q, d) on (X, q - d), q = n + m - j.  Of the vacuum's modes
+        only |0>_(-1) = 1 survives, as (VACUUM, -1).  n and m are ints, or
+        Fractions for the zero modes of half-integer weights.
         """
         out: dict = {}
-        for (n, k, target), coeff in self.pair_bracket(x, y).items():
-            fact = Scalar.from_int(math.factorial(n))
-            key_acc(out.setdefault(n, {}), (k, target), coeff * fact)
+        for (j, d, target), coeff in self.pair_bracket(x, y).items():
+            q = n + m - j
+            if target == VACUUM and q != -1:
+                continue
+            factor = _falling(n, j) * _falling(q, d)
+            if factor:
+                factor = -factor if d & 1 else factor
+                key_acc(out, (target, q - d), coeff * _coerce(factor))
         return out
 
     # -- validation -----------------------------------------------------------

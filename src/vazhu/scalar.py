@@ -87,7 +87,7 @@ from __future__ import annotations
 import ast
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import comb as _comb, gcd as _int_gcd, lcm as _int_lcm
 
 # the rational type; benchmark records report its name as the backend
 _Q = Fraction
@@ -564,6 +564,8 @@ _SMALL_INT = 256
 _INT_CACHE: dict = {}
 # about 6x the most distinct normalizing operand pairs a big4 pass makes (647)
 _REDUCED_MEMO_SIZE = 4096
+# terms a power may reach before __pow__ refuses it; stored ones reach 3
+_POW_TERM_LIMIT = 1000
 
 
 class Scalar:
@@ -719,6 +721,13 @@ class Scalar:
         return other / self
 
     def __pow__(self, n: int):
+        # the e-th power of t terms has up to comb(e + t - 1, t - 1) terms
+        t = max(len(self._num), len(self._den))
+        if _comb(abs(n) + t - 1, t - 1) > _POW_TERM_LIMIT:
+            raise ValueError(
+                f"power {n} of a {t}-term polynomial could exceed "
+                f"{_POW_TERM_LIMIT} terms"
+            )
         if n < 0:
             return ONE / (self ** (-n))
         out = ONE

@@ -40,6 +40,22 @@ def test_console_scripts_import():
         assert callable(getattr(importlib.import_module(module), attr, None)), target
 
 
+# each module imports only from lower layers; the top two not from each other
+LAYER = {"scalar": 0, "linalg": 1, "presentation": 2, "enveloping": 3, "liesuper": 3}
+
+
+def test_modules_import_only_lower_layers():
+    src = Path(__file__).resolve().parents[1] / "src" / "vazhu"
+    upward = []
+    for module, layer in LAYER.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if LAYER[node.module] >= layer:
+                    upward.append(f"{module} -> {node.module}")
+    assert upward == []
+
+
 # bench/worker.py reads scalar._Q, the backend it reports
 _READ_FROM_OUTSIDE = {"scalar.py:_Q"}
 

@@ -1,6 +1,7 @@
 """Presentation-level checks: homogeneity, skew, Jacobi, embeddings."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,40 +72,89 @@ def test_corrupted_variants_fail_jacobi():
         assert (tuple(witness[:3]), _vector_digest(residual)) == pin, which
 
 
-def _bracket_digest(pres) -> tuple:
-    """Digests of pair_bracket and of nth_products over all ordered pairs."""
+def _bracket_digest(pres) -> str:
+    """Digest of pair_bracket over all ordered pairs."""
     names = pres.names()
-    pairs = [(x, y) for x in names for y in names]
     brackets = [
-        (x, y, _vector_digest(pres.pair_bracket(x, y))) for x, y in pairs
+        (x, y, _vector_digest(pres.pair_bracket(x, y)))
+        for x in names
+        for y in names
     ]
-    products = [
-        (x, y, sorted((n, _vector_digest(v)) for n, v in modes.items()))
-        for x, y in pairs
-        for modes in [pres.nth_products(x, y)]
-    ]
-    return _digest(repr(brackets)), _digest(repr(products))
+    return _digest(repr(brackets))
 
 
-# (pair_bracket, nth_products) digests of every builtin, corrupted ones too
+# pair_bracket digests of every builtin, corrupted ones too
 BRACKET_DIGESTS = {
-    "N1": ("68bb5f5f0b4515c7", "f0dfdb9dda8c5a49"),
-    "N2": ("231654235e4a487c", "f960670e63c01cb5"),
-    "N3": ("2d4a60f539afa70e", "bbdc679efd28d382"),
-    "N4": ("4e07d0fcec73f2b4", "7272ae90b3f88e24"),
-    "big4": ("f570ec8b74b682a4", "846081ba0cd7965d"),
-    "big4_kwmiss1": ("d8364fd262584f2e", "feff6dc04c4b7d75"),
-    "big4_kwmiss2": ("f95fd291fb862f26", "979da4bde5407118"),
-    "four_fermions_k": ("7cbf67a6ab56059d", "7026a11661f0abc7"),
-    "free_boson_k": ("d1293082c0a07bf9", "53274425bf889d61"),
-    "free_fermion": ("fedbd541053953c9", "dc32508f7ec82336"),
-    "virasoro": ("92fde0529289d84a", "982bbc1d4a270126"),
+    "N1": "68bb5f5f0b4515c7",
+    "N2": "231654235e4a487c",
+    "N3": "2d4a60f539afa70e",
+    "N4": "4e07d0fcec73f2b4",
+    "big4": "f570ec8b74b682a4",
+    "big4_kwmiss1": "d8364fd262584f2e",
+    "big4_kwmiss2": "f95fd291fb862f26",
+    "four_fermions_k": "7cbf67a6ab56059d",
+    "free_boson_k": "d1293082c0a07bf9",
+    "free_fermion": "fedbd541053953c9",
+    "virasoro": "92fde0529289d84a",
 }
 
 
 @pytest.mark.parametrize("pres_id", builtin_ids())
 def test_bracket_and_product_digests(pres_id):
     assert _bracket_digest(builtin_presentation(pres_id)) == BRACKET_DIGESTS[pres_id]
+
+
+# -- the mode commutator ------------------------------------------------------
+
+
+def _binom(n, k: int) -> Fraction:
+    """binom(n, k) for an int or half-integer n, by math.comb where it can."""
+    if Fraction(n).denominator == 1:
+        n = int(n)
+        if n >= 0:
+            return Fraction(math.comb(n, k))
+        # upper negation: binom(n, k) = (-1)^k binom(k - n - 1, k)
+        return Fraction((-1) ** k * math.comb(k - n - 1, k))
+    return Fraction(math.prod(n - t for t in range(k)), math.factorial(k))
+
+
+def _commutator_oracle(pres, x, n, y, m) -> dict:
+    """[x_(n), y_(m)] = sum_j binom(n, j) (x_(j) y)_(n+m-j), expanded term by term.
+
+    x_(j) y is j! times the lam^j coefficient of [x_lam y], (d^d X)_(q) =
+    (-1)^d d! binom(q, d) X_(q-d), and |0>_(q) is 1 at q = -1, else 0.
+    """
+    out: dict = {}
+    for (j, d, target), coeff in pres.pair_bracket(x, y).items():
+        q = n + m - j
+        weight = _binom(n, j) * math.factorial(j)
+        if target != VACUUM:
+            weight *= (-1) ** d * math.factorial(d) * _binom(q, d)
+        elif q != -1:
+            continue
+        key = (target, q - d)
+        out[key] = out.get(key, 0) + coeff * Scalar.from_fraction(weight)
+    return {key: v for key, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_mode_commutator_matches_oracle(pres_id):
+    # the int window the engine reads, then the zero modes, half-integer
+    # for half-integer weights, where every term is a zero mode
+    pres = builtin_presentation(pres_id)
+    names, wt = pres.names(), pres.weight
+    window = range(-3, 4)
+    for x in names:
+        for y in names:
+            for n in window:
+                for m in window:
+                    got = pres.mode_commutator(x, n, y, m)
+                    assert got == _commutator_oracle(pres, x, n, y, m), (x, n, y, m)
+            n, m = wt[x] - 1, wt[y] - 1
+            got = pres.mode_commutator(x, n, y, m)
+            assert got == _commutator_oracle(pres, x, n, y, m), (x, y)
+            for target, p in got:
+                assert p == wt.get(target, 0) - 1, (x, y, target)
 
 
 def test_clean_big4_has_no_witness():
@@ -140,19 +190,18 @@ def test_skew_on_central_only_pair():
     assert pres.pair_bracket("Smm", "Spp") == {(0, 0, VACUUM): -C / 6}
 
 
-def test_nth_products_normalization():
-    # [G_lam G] = 2L + (c/3) lam^2 gives G_(0)G = 2L, G_(2)G = (2c/3) vac
+def test_mode_commutator_normalization():
+    # [G_lam G] = 2L + (c/3) lam^2 gives [G_(2), G_(-1)] = 2 L_(1) + (2c/3)
     pres = builtin_presentation("N1")
-    prods = pres.nth_products("G", "G")
-    assert set(prods) == {0, 2}
-    assert prods[0] == {(0, "L"): Scalar.from_int(2)}
-    assert prods[2] == {(0, VACUUM): 2 * C / 3}
+    assert pres.mode_commutator("G", 2, "G", -1) == {
+        ("L", 1): Scalar.from_int(2),
+        (VACUUM, -1): 2 * C / 3,
+    }
 
 
-def test_nth_products_of_free_fermion():
+def test_mode_commutator_of_free_fermion():
     pres = builtin_presentation("free_fermion")
-    prods = pres.nth_products("psi", "psi")
-    assert prods == {0: {(0, VACUUM): ONE}}
+    assert pres.mode_commutator("psi", 0, "psi", -1) == {(VACUUM, -1): ONE}
 
 
 # -- validation rejections ----------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -149,6 +150,19 @@ def test_parse_past_parser_limits_is_a_value_error(text):
     # never a RecursionError, from Python's parser or from the evaluator
     with pytest.raises(ValueError):
         S(text)
+
+
+def test_power_past_the_term_limit_is_a_value_error():
+    # comb(102, 2) = 5,151 possible terms: refused before anything is built
+    start = time.perf_counter()
+    for text in ["(c + a + 1)^100", "(c + a + 1)^-100", "1/(c + a + 1)^100"]:
+        with pytest.raises(ValueError, match=r"power -?100 of a 3-term"):
+            S(text)
+    assert time.perf_counter() - start < 1
+    # comb(12, 2) = 66 terms is inside the limit, and the same as ten products
+    power = S("(c + a + 1)^10")
+    assert len(power._num) == 66
+    assert power == reduce(operator.mul, [S("c + a + 1")] * 10)
 
 
 def test_long_polynomial_round_trips():
