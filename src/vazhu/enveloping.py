@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import key_acc, vec_acc, vec_scale, vec_sum
-from .presentation import VACUUM, _falling
+from .presentation import VACUUM
 from .scalar import Scalar, ONE
 
 __all__ = [
@@ -47,10 +47,16 @@ __all__ = [
 
 
 def gbinom(n: int, k: int) -> int:
-    """Binomial coefficient for any integer n and k >= 0."""
+    """Binomial coefficient for any integer n and k >= 0.
+
+    binom(n, k) = 0 for k > n >= 0, and for n < 0 the reflection
+    binom(n, k) = (-1)^k binom(k - n - 1, k) holds.
+    """
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    return _falling(n, k) // math.factorial(k)
+    if n >= 0:
+        return math.comb(n, k)
+    return -math.comb(k - n - 1, k) if k & 1 else math.comb(k - n - 1, k)
 
 
 def _key(i: int, m: int):
@@ -61,6 +67,17 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 
 # memoized terms an engine keeps before trim_caches drops its memos
 _MEMO_TERM_BUDGET = 3_000_000
+# factors of the longest monomial apply_mode and nth_product take: their
+# recursions nest up to about three frames per factor, and Python's
+# default recursion limit is 1,000 frames
+_FACTOR_LIMIT = 100
+
+
+def _too_long(mono) -> ValueError:
+    return ValueError(
+        f"monomial of {len(mono)} factors is longer than the limit of "
+        f"{_FACTOR_LIMIT} factors"
+    )
 
 
 class VertexAlgebra:
@@ -70,7 +87,9 @@ class VertexAlgebra:
     weight-homogeneous table, so the constructor checks homogeneity even
     when the presentation was never validated (PresentationError).
     _MEMO_TERM_BUDGET bounds the memoized terms: past it, trim_caches drops
-    every memo between top-level operations.
+    every memo between top-level operations.  apply_mode and nth_product
+    refuse a monomial of more than _FACTOR_LIMIT factors with ValueError,
+    so that no recursion of theirs reaches Python's recursion limit.
     """
 
     def __init__(self, presentation):
@@ -137,6 +156,8 @@ class VertexAlgebra:
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
         out: dict = {}
         for mono, coeff in state.items():
+            if len(mono) > _FACTOR_LIMIT:
+                raise _too_long(mono)
             vec_acc(out, self._mode_mono(i, n, mono), coeff)
         return out
 
@@ -184,7 +205,11 @@ class VertexAlgebra:
     def nth_product(self, a: dict, n: int, b: dict) -> dict:
         terms = []
         for ma, ca in a.items():
+            if len(ma) > _FACTOR_LIMIT:
+                raise _too_long(ma)
             for mb, cb in b.items():
+                if len(mb) > _FACTOR_LIMIT:
+                    raise _too_long(mb)
                 vec = self._mono_product(ma, n, mb)
                 if vec:
                     terms.append((1, ca * cb, vec))
@@ -358,16 +383,16 @@ def _skew_holds(engine: VertexAlgebra, ma, mb, n: int) -> bool:
     return engine._mono_product(ma, n, mb) == rhs
 
 
-def _vanishes_by_weight(
-    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int
-) -> bool:
-    """True when every term of the Borcherds identity at (m, n, k) is 0.
+def _open_checks(engine: VertexAlgebra, ma, mb, mc, mnks) -> list:
+    """The checks (m, n, k) of mnks that the grading leaves open, in order.
 
-    Each term is a state of weight wt a + wt b + wt c - m - n - k - 2, so
-    below weight 0 both sides vanish.
+    The triple's doubled weight room wa2 + wb2 + wc2 - 4 is computed once,
+    and a check vanishes exactly when the room is below 2(m + n + k); see
+    `axiom_suite`.
     """
     wt2 = engine._mono_wt2
-    return wt2(ma) + wt2(mb) + wt2(mc) - 2 * (m + n + k) - 4 < 0
+    room = wt2(ma) + wt2(mb) + wt2(mc) - 4
+    return [(m, n, k) for m, n, k in mnks if 2 * (m + n + k) <= room]
 
 
 def _borcherds_holds(
@@ -380,35 +405,33 @@ def _borcherds_holds(
     from the engine's memo.  abc holds (a_(i)b)_(j)c under (i, j), whose
     left side is a state; pass one dict per (a, b, c) triple to share it
     across the triple's checks, a fresh one otherwise.
+
+    Each sum stops at its weight bound and, since binom(n, j) = 0 for
+    j > n >= 0, the left-hand one also at j = n when n >= 0 and the
+    right-hand one at j = m when m >= 0.  So every binomial summed is
+    nonzero, and at n = 0 the left side is its j = 0 term alone.
     """
     wt2 = engine._mono_wt2
     wa2, wb2, wc2 = wt2(ma), wt2(mb), wt2(mc)
     p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
     a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
+    sign_ba = Scalar.from_int(-p_ab * (-1) ** (n % 2))
     lhs: dict = {}
-    for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
-        binom = gbinom(n, j)
-        if binom == 0:
-            continue
+    top = max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2
+    for j in range(min(top, n + 1) if n >= 0 else top):
         bc = engine._mono_product(mb, k + j, mc)
         ac = engine._mono_product(ma, m + j, mc)
         first = engine.nth_product(a, m + n - j, bc)
-        vec_acc(
-            first,
-            engine.nth_product(b, n + k - j, ac),
-            Scalar.from_int(-p_ab * (-1) ** (n % 2)),
-        )
-        vec_acc(lhs, first, Scalar.from_int((-1) ** j * binom))
+        vec_acc(first, engine.nth_product(b, n + k - j, ac), sign_ba)
+        vec_acc(lhs, first, Scalar.from_int((-1) ** j * gbinom(n, j)))
     rhs: dict = {}
-    for j in range((wa2 + wb2 - 2 * n) // 2):
-        binom = gbinom(m, j)
-        if binom == 0:
-            continue
+    top = (wa2 + wb2 - 2 * n) // 2
+    for j in range(min(top, m + 1) if m >= 0 else top):
         key = (n + j, m + k - j)
         if key not in abc:
             ab = engine._mono_product(ma, n + j, mb)
             abc[key] = engine.nth_product(ab, key[1], c)
-        vec_acc(rhs, abc[key], Scalar.from_int(binom))
+        vec_acc(rhs, abc[key], Scalar.from_int(gbinom(m, j)))
     return lhs == rhs
 
 
@@ -433,16 +456,21 @@ def axiom_suite(
     reported as "commutator".  Every state checked is a PBW monomial with
     coefficient 1, so the engine's memos serve the products of two of them,
     their parities and their weights; each (a, b, c) triple keeps only its
-    (a_(i)b)_(j)c products in a dict of its own.  `phase_s` records each
-    phase's seconds.
+    (a_(i)b)_(j)c products in a dict of its own.  The engine's memos are
+    trimmed after each sampled skew check and after each triple's batch of
+    Borcherds checks.  `phase_s` records each phase's seconds.
 
     Every term of the Borcherds identity at (m, n, k) is a state of weight
     wt a + wt b + wt c - m - n - k - 2, so when that is negative both sides
-    are 0.  Such a check is decided without computing a product: it counts
-    in `checks` and in `by_weight`, and it passes.  This is exact because
-    the engine only accepts weight-homogeneous tables, on which every
-    product lowers weight as above; most generator-phase commutator checks
-    of big4 are decided this way.
+    are 0.  `_open_checks` decides this per (a, b, c) triple: it computes
+    the triple's doubled weight room wa2 + wb2 + wc2 - 4 once, and a check
+    at (m, n, k) vanishes exactly when the room is below 2(m + n + k).
+    Such a check is decided without computing a product: it counts in
+    `checks` and in `by_weight`, and it passes.  This is exact because the
+    engine only accepts weight-homogeneous tables, on which every product
+    lowers weight as above; most generator-phase commutator checks of big4
+    are decided this way.  The checks left run `_borcherds_holds`, whose
+    sums stop at their last nonzero binomial.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -454,13 +482,22 @@ def axiom_suite(
     report = AxiomReport(engine.pres.name, Fraction(weight_bound), triples)
     gens = [((i, 1),) for i in range(len(engine.names))]
     window = range(-_MODE_WINDOW, _MODE_WINDOW + 1)
+    modes = range(_MODE_WINDOW + 1)
+    commutators = [(m, 0, k) for m in modes for k in modes]
 
-    def borcherds(a, b, c, m, n, k, abc) -> bool:
-        report.checks += 1
-        if _vanishes_by_weight(engine, a, b, c, m, n, k):
-            report.by_weight += 1
-            return True
-        return _borcherds_holds(engine, a, b, c, m, n, k, abc)
+    def draw() -> int:
+        return rng.randint(-_MODE_WINDOW, _MODE_WINDOW)
+
+    def battery(kind, names, a, b, c, mnks, abc) -> None:
+        # a commutator failure reads (m, k), a Borcherds one (m, n, k)
+        left = _open_checks(engine, a, b, c, mnks)
+        report.checks += len(mnks)
+        report.by_weight += len(mnks) - len(left)
+        for m, n, k in left:
+            if not _borcherds_holds(engine, a, b, c, m, n, k, abc):
+                at = (m, k) if kind == "commutator" else (m, n, k)
+                report.failures.append((kind, (*names, *at)))
+        engine.trim_caches()
 
     for xi, x in enumerate(engine.names):
         for yi, y in enumerate(engine.names):
@@ -470,42 +507,26 @@ def axiom_suite(
                 if not _skew_holds(engine, a, b, n):
                     report.failures.append(("skew", (x, y, n)))
             for zi, z in enumerate(engine.names):
-                abc: dict = {}
-                for m in range(_MODE_WINDOW + 1):
-                    for n in range(_MODE_WINDOW + 1):
-                        if not borcherds(a, b, gens[zi], m, 0, n, abc):
-                            report.failures.append(
-                                ("commutator", (x, y, z, m, n))
-                            )
+                c = gens[zi]
+                battery("commutator", (x, y, z), a, b, c, commutators, {})
     split = time.perf_counter()
     report.phase_s["generators"] = split - start
     for _ in range(triples):
         a, b, c = (rng.choice(pool) for _ in range(3))
         desc = tuple(engine.format_mono(x) for x in (a, b, c))
-        abc = {}
         for n in window:
             report.checks += 1
             if not _skew_holds(engine, a, b, n):
                 report.failures.append(("skew", (desc[0], desc[1], n)))
             engine.trim_caches()
-        pairs = [(0, 0), (1, -1)] + [
-            (
-                rng.randint(-_MODE_WINDOW, _MODE_WINDOW),
-                rng.randint(-_MODE_WINDOW, _MODE_WINDOW),
-            )
-            for _ in range(2)
+        abc: dict = {}
+        mnks = [(0, 0, 0), (1, 0, -1)] + [
+            (draw(), 0, draw()) for _ in range(2)
         ]
-        for m, n in pairs:
-            if not borcherds(a, b, c, m, 0, n, abc):
-                report.failures.append(("commutator", (*desc, m, n)))
-            engine.trim_caches()
-        triples_mnk = [(0, 0, -1), (-1, 1, 0)] + [
-            tuple(rng.randint(-_MODE_WINDOW, _MODE_WINDOW) for _ in range(3))
-            for _ in range(2)
+        battery("commutator", desc, a, b, c, mnks, abc)
+        mnks = [(0, 0, -1), (-1, 1, 0)] + [
+            (draw(), draw(), draw()) for _ in range(2)
         ]
-        for m, n, k in triples_mnk:
-            if not borcherds(a, b, c, m, n, k, abc):
-                report.failures.append(("borcherds", (*desc, m, n, k)))
-            engine.trim_caches()
+        battery("borcherds", desc, a, b, c, mnks, abc)
     report.phase_s["sampled"] = time.perf_counter() - split
     return report

@@ -566,6 +566,26 @@ _INT_CACHE: dict = {}
 _REDUCED_MEMO_SIZE = 4096
 # terms a power may reach before __pow__ refuses it; stored ones reach 3
 _POW_TERM_LIMIT = 1000
+# monomial products __pow__ may spend, counted by _pow_work
+_POW_WORK_LIMIT = 50_000
+
+
+def _pow_work(e: int, t: int) -> int:
+    """Monomial products of __pow__'s squarings for the e-th power of t terms.
+
+    Each product of a k-th and an l-th power is counted at its most terms,
+    comb(k + t - 1, t - 1) times comb(l + t - 1, t - 1).
+    """
+    work, have, square = 0, 0, 1
+    while e:
+        if e & 1:
+            work += _comb(have + t - 1, t - 1) * _comb(square + t - 1, t - 1)
+            have += square
+        e >>= 1
+        if e:
+            work += _comb(square + t - 1, t - 1) ** 2
+            square *= 2
+    return work
 
 
 class Scalar:
@@ -728,6 +748,11 @@ class Scalar:
                 f"power {n} of a {t}-term polynomial could exceed "
                 f"{_POW_TERM_LIMIT} terms"
             )
+        if _pow_work(abs(n), t) > _POW_WORK_LIMIT:
+            raise ValueError(
+                f"power {n} of a {t}-term polynomial could take more than "
+                f"{_POW_WORK_LIMIT} monomial products"
+            )
         if n < 0:
             return ONE / (self ** (-n))
         out = ONE
@@ -735,8 +760,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure ----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Engine-level checks: PBW dimensions, mode pins, axiom suite."""
 
 import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,8 @@ from vazhu.enveloping import (
     axiom_suite,
     gbinom,
     _borcherds_holds,
+    _open_checks,
     _skew_holds,
-    _vanishes_by_weight,
 )
 from vazhu import enveloping
 from vazhu.liesuper import _zero_mode_algebra
@@ -21,6 +23,7 @@ from vazhu.linalg import vec_sum
 from vazhu.presentation import (
     PresentationError,
     VaPresentation,
+    _falling,
     builtin_ids,
     builtin_presentation,
 )
@@ -213,6 +216,12 @@ def test_generalized_binomial_pins():
     assert gbinom(-2, 2) == 3
     assert gbinom(3, 0) == 1
     assert gbinom(2, 5) == 0
+    # binom(n, k) = falling(n, k) / k!, on both sides of the reflection
+    for n in range(-20, 21):
+        for k in range(13):
+            assert gbinom(n, k) == _falling(n, k) // math.factorial(k), (n, k)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gbinom(3, -1)
 
 
 def test_trim_caches_preserves_results(monkeypatch):
@@ -229,6 +238,25 @@ def test_trim_caches_preserves_results(monkeypatch):
     assert eng.trim_caches() is True
     assert eng._memo_terms == 0 and not eng._prod_memo
     assert eng.nth_product(G, -1, G) == before
+
+
+def test_monomials_past_the_factor_limit_are_refused():
+    # 1,200 factors used to end in a bare RecursionError inside _mode_mono
+    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    limit = enveloping._FACTOR_LIMIT
+    L, long = eng.generator("L"), {((0, 2),) * 1200: ONE}
+    message = rf"monomial of 1200 factors is longer than the limit of {limit}"
+    for call in (
+        lambda: eng.apply_mode(0, 1, long),
+        lambda: eng.nth_product(long, 0, L),
+        lambda: eng.nth_product(L, 1, long),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a monomial at the limit is still taken
+    at = {((0, 1),) * limit: ONE}
+    assert eng.apply_mode(0, -1, at) == {((0, 1),) * (limit + 1): ONE}
+    assert eng.nth_product(eng.vacuum(), -1, at) == at
 
 
 # -- axiom suite ------------------------------------------------------------------
@@ -352,6 +380,16 @@ def test_engine_rejects_inhomogeneous_table():
             build(pres)
 
 
+def _vanishes_by_weight(eng, ma, mb, mc, m: int, n: int, k: int) -> bool:
+    """The grading's rule for one check, from the three weights afresh.
+
+    Every term of the Borcherds identity at (m, n, k) has weight
+    wt a + wt b + wt c - m - n - k - 2, and no state has negative weight.
+    """
+    wt = eng.mono_weight(ma) + eng.mono_weight(mb) + eng.mono_weight(mc)
+    return wt - m - n - k - 2 < 0
+
+
 @pytest.mark.parametrize(
     "pres_id",
     ["N1", "N2", "N3", "N4", "virasoro", "big4", "big4_kwmiss1", "N2_J2Gp"],
@@ -368,29 +406,100 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
     prod = eng.nth_product
     decided = []
 
-    def spy(engine_, ma, mb, mc, m, n, k):
-        if not _vanishes_by_weight(engine_, ma, mb, mc, m, n, k):
-            return False
-        decided.append((m, n, k))
-        assert _borcherds_holds(engine_, ma, mb, mc, m, n, k, {})
-        a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
-        wa2, wb2, wc2 = (engine_._mono_wt2(x) for x in (ma, mb, mc))
-        terms = []
-        for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
-            if gbinom(n, j):
-                terms.append((a, m + n - j, prod(b, k + j, c)))
-                terms.append((b, n + k - j, prod(a, m + j, c)))
-        for j in range((wa2 + wb2 - 2 * n) // 2):
-            if gbinom(m, j):
-                terms.append((prod(a, n + j, b), m + k - j, c))
-        assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
-        return True
+    def spy(engine_, ma, mb, mc, mnks):
+        left = _open_checks(engine_, ma, mb, mc, mnks)
+        for m, n, k in mnks:
+            if (m, n, k) in left:
+                assert not _vanishes_by_weight(engine_, ma, mb, mc, m, n, k)
+                continue
+            decided.append((m, n, k))
+            assert _borcherds_holds(engine_, ma, mb, mc, m, n, k, {})
+            a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
+            wa2, wb2, wc2 = (engine_._mono_wt2(x) for x in (ma, mb, mc))
+            terms = []
+            for j in range(max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2):
+                if gbinom(n, j):
+                    terms.append((a, m + n - j, prod(b, k + j, c)))
+                    terms.append((b, n + k - j, prod(a, m + j, c)))
+            for j in range((wa2 + wb2 - 2 * n) // 2):
+                if gbinom(m, j):
+                    terms.append((prod(a, n + j, b), m + k - j, c))
+            assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
+        return left
 
-    monkeypatch.setattr(enveloping, "_vanishes_by_weight", spy)
+    monkeypatch.setattr(enveloping, "_open_checks", spy)
     # the checks the grading leaves are the suite tests' business
     monkeypatch.setattr(enveloping, "_borcherds_holds", lambda *args: True)
     rep = axiom_suite(eng, **suite)
     assert rep.by_weight == len(decided) > 0
+
+
+def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
+    """(checks, by_weight, failures) of axiom_suite, every check in full.
+
+    The suite's checks in its order, each counted by `_vanishes_by_weight`
+    and run through the whole of `_borcherds_holds` with a fresh product
+    dict, whatever the grading says.
+    """
+    rng = random.Random(seed)
+    pool = [m for m in eng.basis(weight_bound) if m]
+    gens = [((i, 1),) for i in range(len(eng.names))]
+    w = enveloping._MODE_WINDOW
+    window, modes = range(-w, w + 1), range(w + 1)
+    out = [0, 0, []]
+
+    def skew(names, a, b):
+        for n in window:
+            out[0] += 1
+            if not _skew_holds(eng, a, b, n):
+                out[2].append(("skew", (*names, n)))
+
+    def run(kind, names, a, b, c, mnks):
+        for m, n, k in mnks:
+            out[0] += 1
+            out[1] += _vanishes_by_weight(eng, a, b, c, m, n, k)
+            if not _borcherds_holds(eng, a, b, c, m, n, k, {}):
+                at = (m, k) if kind == "commutator" else (m, n, k)
+                out[2].append((kind, (*names, *at)))
+
+    for xi, x in enumerate(eng.names):
+        for yi, y in enumerate(eng.names):
+            skew((x, y), gens[xi], gens[yi])
+            for zi, z in enumerate(eng.names):
+                mnks = [(m, 0, k) for m in modes for k in modes]
+                run("commutator", (x, y, z), gens[xi], gens[yi], gens[zi], mnks)
+    for _ in range(triples):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        desc = tuple(eng.format_mono(x) for x in (a, b, c))
+        skew(desc[:2], a, b)
+        pairs = [(0, 0), (1, -1)] + [
+            (rng.randint(-w, w), rng.randint(-w, w)) for _ in range(2)
+        ]
+        run("commutator", desc, a, b, c, [(m, 0, k) for m, k in pairs])
+        mnks = [(0, 0, -1), (-1, 1, 0)] + [
+            tuple(rng.randint(-w, w) for _ in range(3)) for _ in range(2)
+        ]
+        run("borcherds", desc, a, b, c, mnks)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "pres_id",
+    ["N1", "N2", "N3", "N4", "virasoro", "free_fermion", "free_boson_k",
+     "four_fermions_k", "N2_J2Gp"],
+)
+def test_axiom_suite_matches_every_check_in_full(pres_id):
+    # deciding by weight per triple and stopping the sums at their last
+    # nonzero binomial change no count and no failure, nor their order
+    if pres_id == "N2_J2Gp":
+        eng = VertexAlgebra(_n2_doubled_j_gp())
+        suite = dict(weight_bound=3, triples=4, seed=1)
+    else:
+        eng, suite = engine(pres_id), dict(weight_bound=2, triples=0)
+    rep = axiom_suite(eng, **suite)
+    assert (rep.checks, rep.by_weight, rep.failures) == _reference_suite(
+        eng, **suite
+    )
 
 
 # sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),

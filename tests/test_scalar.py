@@ -165,6 +165,29 @@ def test_power_past_the_term_limit_is_a_value_error():
     assert power == reduce(operator.mul, [S("c + a + 1")] * 10)
 
 
+def test_power_past_the_work_limit_is_a_value_error(monkeypatch):
+    # (c + 1)^999 has 1,000 terms, inside the term limit, but its squarings
+    # would multiply about 415k monomial pairs: refused before any is built
+    start = time.perf_counter()
+    for text in ["(c + 1)^999", "(c + 1)^-999", "(c + a + 1)^43"]:
+        with pytest.raises(ValueError, match=r"more than 50000 monomial"):
+            S(text)
+    assert time.perf_counter() - start < 1
+    # the estimate bounds the monomial products a power actually makes
+    calls = []
+    mono_mul = scalar_module._mono_mul
+    monkeypatch.setattr(
+        scalar_module,
+        "_mono_mul",
+        lambda m1, m2: calls.append(1) or mono_mul(m1, m2),
+    )
+    for text, e, t in [("(c + a + 1)^10", 10, 3), ("(c + 1)^353", 353, 2)]:
+        calls.clear()
+        S(text)
+        assert 0 < len(calls) <= scalar_module._pow_work(e, t)
+    assert scalar_module._pow_work(353, 2) <= scalar_module._POW_WORK_LIMIT
+
+
 def test_long_polynomial_round_trips():
     # the evaluator folds a chain in a loop, so its length is the parser's limit
     rng = random.Random(20)
