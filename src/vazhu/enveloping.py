@@ -395,6 +395,38 @@ def _open_checks(engine: VertexAlgebra, ma, mb, mc, mnks) -> list:
     return [(m, n, k) for m, n, k in mnks if 2 * (m + n + k) <= room]
 
 
+def _borcherds_rhs(
+    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int, abc: dict
+) -> dict:
+    """sum_j binom(m, j) (a_(n+j)b)_(m+k-j) c, the Borcherds right side.
+
+    abc holds (a_(i)b)_(j)c under (i, j); pass one dict per (a, b, c)
+    triple to share it across the triple's checks, a fresh one otherwise.
+    The sum stops at its weight bound and, since binom(m, j) = 0 for
+    j > m >= 0, also at j = m when m >= 0.
+    """
+    c = {mc: ONE}
+    rhs: dict = {}
+    top = (engine._mono_wt2(ma) + engine._mono_wt2(mb) - 2 * n) // 2
+    for j in range(min(top, m + 1) if m >= 0 else top):
+        key = (n + j, m + k - j)
+        if key not in abc:
+            ab = engine._mono_product(ma, n + j, mb)
+            abc[key] = engine.nth_product(ab, key[1], c)
+        vec_acc(rhs, abc[key], Scalar.from_int(gbinom(m, j)))
+    return rhs
+
+
+def _supercommutator(engine: VertexAlgebra, ma, mb, mc, m: int, k: int) -> dict:
+    """[a_(m), b_(k)] c = a_(m)(b_(k)c) - p(a, b) b_(k)(a_(m)c)."""
+    p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
+    bc = engine._mono_product(mb, k, mc)
+    ac = engine._mono_product(ma, m, mc)
+    out = engine.nth_product({ma: ONE}, m, bc)
+    vec_acc(out, engine.nth_product({mb: ONE}, k, ac), Scalar.from_int(-p_ab))
+    return out
+
+
 def _borcherds_holds(
     engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int, abc: dict
 ) -> bool:
@@ -402,19 +434,18 @@ def _borcherds_holds(
 
     At n = 0 it is the commutator formula [a_(m), b_(k)] c =
     sum_j binom(m, j) (a_(j)b)_(m+k-j) c.  Products of two monomials come
-    from the engine's memo.  abc holds (a_(i)b)_(j)c under (i, j), whose
-    left side is a state; pass one dict per (a, b, c) triple to share it
-    across the triple's checks, a fresh one otherwise.
+    from the engine's memo; the right side is `_borcherds_rhs`, with its
+    abc dict.  Only the sampled phase of `axiom_suite` calls this; the
+    generator phase builds each commutator once for both orders instead.
 
-    Each sum stops at its weight bound and, since binom(n, j) = 0 for
-    j > n >= 0, the left-hand one also at j = n when n >= 0 and the
-    right-hand one at j = m when m >= 0.  So every binomial summed is
+    The left sum stops at its weight bound and, since binom(n, j) = 0 for
+    j > n >= 0, also at j = n when n >= 0.  So every binomial summed is
     nonzero, and at n = 0 the left side is its j = 0 term alone.
     """
     wt2 = engine._mono_wt2
     wa2, wb2, wc2 = wt2(ma), wt2(mb), wt2(mc)
     p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
-    a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
+    a, b = {ma: ONE}, {mb: ONE}
     sign_ba = Scalar.from_int(-p_ab * (-1) ** (n % 2))
     lhs: dict = {}
     top = max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2
@@ -424,15 +455,7 @@ def _borcherds_holds(
         first = engine.nth_product(a, m + n - j, bc)
         vec_acc(first, engine.nth_product(b, n + k - j, ac), sign_ba)
         vec_acc(lhs, first, Scalar.from_int((-1) ** j * gbinom(n, j)))
-    rhs: dict = {}
-    top = (wa2 + wb2 - 2 * n) // 2
-    for j in range(min(top, m + 1) if m >= 0 else top):
-        key = (n + j, m + k - j)
-        if key not in abc:
-            ab = engine._mono_product(ma, n + j, mb)
-            abc[key] = engine.nth_product(ab, key[1], c)
-        vec_acc(rhs, abc[key], Scalar.from_int(gbinom(m, j)))
-    return lhs == rhs
+    return lhs == _borcherds_rhs(engine, ma, mb, mc, m, n, k, abc)
 
 
 _MODE_WINDOW = 3
@@ -455,10 +478,26 @@ def axiom_suite(
     battery.  A commutator check is the Borcherds identity at n = 0,
     reported as "commutator".  Every state checked is a PBW monomial with
     coefficient 1, so the engine's memos serve the products of two of them,
-    their parities and their weights; each (a, b, c) triple keeps only its
-    (a_(i)b)_(j)c products in a dict of its own.  The engine's memos are
-    trimmed after each sampled skew check and after each triple's batch of
-    Borcherds checks.  `phase_s` records each phase's seconds.
+    their parities and their weights; each ordered (a, b, c) triple keeps
+    only its (a_(i)b)_(j)c products in a dict of its own.  `phase_s`
+    records each phase's seconds.
+
+    The generator phase loops over unordered pairs x <= y.  For each z and
+    each open (m, k) it builds the supercommutator state [a_(m), b_(k)]c =
+    a_(m)(b_(k)c) - p(a, b) b_(k)(a_(m)c) once (`_supercommutator`) and
+    compares it with the (x, y) right side; by the definition of the
+    supercommutator, [b_(k), a_(m)] = -p(a, b) [a_(m), b_(k)], so
+    -p(a, b) times that state is compared with the (y, x) right side at
+    (k, m).  Each right side is computed for its own order, from its own
+    triple's dict (`_borcherds_rhs`), so every check compares the same two
+    states as the Borcherds identity at n = 0 would.  On the diagonal
+    x = y the checks (m, k) and (k, m) share one state, and m = k is one
+    check.  Failures are tagged with their ordered (x, y, z, m, k) position
+    and reported in the ordered-pair order: for each (x, y), its skew
+    failures, then its commutator failures by z, m and k.  The engine's
+    memos are trimmed after each (pair, z) batch of the generator phase,
+    and after each sampled skew check and each sampled triple's batch of
+    Borcherds checks; only the sampled phase calls `_borcherds_holds`.
 
     Every term of the Borcherds identity at (m, n, k) is a state of weight
     wt a + wt b + wt c - m - n - k - 2, so when that is negative both sides
@@ -469,8 +508,10 @@ def axiom_suite(
     `checks` and in `by_weight`, and it passes.  This is exact because the
     engine only accepts weight-homogeneous tables, on which every product
     lowers weight as above; most generator-phase commutator checks of big4
-    are decided this way.  The checks left run `_borcherds_holds`, whose
-    sums stop at their last nonzero binomial.
+    are decided this way.  The rule is symmetric in (a, m) and (b, k), so
+    the (y, x) checks left open are the mirrors of the (x, y) ones; each
+    ordered triple is still graded by its own `_open_checks` call.  The
+    sums that decide the open checks stop at their last nonzero binomial.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -488,27 +529,60 @@ def axiom_suite(
     def draw() -> int:
         return rng.randint(-_MODE_WINDOW, _MODE_WINDOW)
 
-    def battery(kind, names, a, b, c, mnks, abc) -> None:
-        # a commutator failure reads (m, k), a Borcherds one (m, n, k)
+    def graded(a, b, c, mnks) -> list:
         left = _open_checks(engine, a, b, c, mnks)
         report.checks += len(mnks)
         report.by_weight += len(mnks) - len(left)
-        for m, n, k in left:
+        return left
+
+    def battery(kind, names, a, b, c, mnks, abc) -> None:
+        # a commutator failure reads (m, k), a Borcherds one (m, n, k)
+        for m, n, k in graded(a, b, c, mnks):
             if not _borcherds_holds(engine, a, b, c, m, n, k, abc):
                 at = (m, k) if kind == "commutator" else (m, n, k)
                 report.failures.append((kind, (*names, *at)))
         engine.trim_caches()
 
-    for xi, x in enumerate(engine.names):
-        for yi, y in enumerate(engine.names):
+    # (ordered position, failure); a skew failure sorts before its pair's
+    # commutator failures
+    tagged: list = []
+    names = engine.names
+
+    def commutator(xi, yi, zi, m, k, state, abc) -> None:
+        a, b, c = gens[xi], gens[yi], gens[zi]
+        if state != _borcherds_rhs(engine, a, b, c, m, 0, k, abc):
+            failure = ("commutator", (names[xi], names[yi], names[zi], m, k))
+            tagged.append(((xi, yi, 1, zi, m, k), failure))
+
+    for xi in range(len(names)):
+        for yi in range(xi, len(names)):
             a, b = gens[xi], gens[yi]
-            for n in window:
-                report.checks += 1
-                if not _skew_holds(engine, a, b, n):
-                    report.failures.append(("skew", (x, y, n)))
-            for zi, z in enumerate(engine.names):
-                c = gens[zi]
-                battery("commutator", (x, y, z), a, b, c, commutators, {})
+            for i, j in dict.fromkeys([(xi, yi), (yi, xi)]):
+                for n in window:
+                    report.checks += 1
+                    if not _skew_holds(engine, gens[i], gens[j], n):
+                        failure = ("skew", (names[i], names[j], n))
+                        tagged.append(((i, j, 0, n), failure))
+            # -p(a, b) is -1 unless both are odd
+            flip = not (engine.mono_parity(a) and engine.mono_parity(b))
+            for zi, c in enumerate(gens):
+                left = graded(a, b, c, commutators)
+                abc: dict = {}
+                cba = abc
+                if xi < yi:
+                    graded(b, a, c, commutators)
+                    cba = {}
+                for m, _, k in left:
+                    if xi == yi and k < m:
+                        continue  # the mirror of (k, m), checked with it
+                    state = _supercommutator(engine, a, b, c, m, k)
+                    commutator(xi, yi, zi, m, k, state, abc)
+                    if xi < yi or m < k:
+                        if flip:
+                            state = {key: -v for key, v in state.items()}
+                        commutator(yi, xi, zi, k, m, state, cba)
+                engine.trim_caches()
+    report.failures.extend(failure for _, failure in sorted(tagged))
     split = time.perf_counter()
     report.phase_s["generators"] = split - start
     for _ in range(triples):

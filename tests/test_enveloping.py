@@ -27,7 +27,7 @@ from vazhu.presentation import (
     builtin_ids,
     builtin_presentation,
 )
-from vazhu.scalar import ONE, Scalar
+from vazhu.scalar import ONE, Scalar, _reduced
 
 C = Scalar.param("c")
 HALF = Scalar.from_fraction(Fraction(1, 2))
@@ -486,11 +486,12 @@ def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
 @pytest.mark.parametrize(
     "pres_id",
     ["N1", "N2", "N3", "N4", "virasoro", "free_fermion", "free_boson_k",
-     "four_fermions_k", "N2_J2Gp"],
+     "four_fermions_k", "N2_J2Gp", "big4_kwmiss1"],
 )
 def test_axiom_suite_matches_every_check_in_full(pres_id):
-    # deciding by weight per triple and stopping the sums at their last
-    # nonzero binomial change no count and no failure, nor their order
+    # deciding by weight per triple, stopping the sums at their last nonzero
+    # binomial and building each generator commutator once for both orders
+    # change no count and no failure, nor their order
     if pres_id == "N2_J2Gp":
         eng = VertexAlgebra(_n2_doubled_j_gp())
         suite = dict(weight_bound=3, triples=4, seed=1)
@@ -500,6 +501,61 @@ def test_axiom_suite_matches_every_check_in_full(pres_id):
     assert (rep.checks, rep.by_weight, rep.failures) == _reference_suite(
         eng, **suite
     )
+
+
+def test_each_generator_commutator_is_built_once(monkeypatch):
+    # one state per unordered (a, b, c, m, k) ~ (b, a, c, k, m), and one for
+    # every check the grading leaves open, in either order
+    eng = VertexAlgebra(builtin_presentation("N3"))
+    built = []
+    real = enveloping._supercommutator
+
+    def spy(engine_, ma, mb, mc, m, k):
+        built.append((ma, mb, mc, m, k))
+        return real(engine_, ma, mb, mc, m, k)
+
+    monkeypatch.setattr(enveloping, "_supercommutator", spy)
+    rep = axiom_suite(eng, weight_bound=2, triples=0)
+    assert rep.passed and (rep.checks, rep.by_weight) == (8640, 5794)
+    classes = {min(t, (t[1], t[0], t[2], t[4], t[3])) for t in built}
+    assert len(classes) == len(built)
+    gens = [((i, 1),) for i in range(len(eng.names))]
+    modes = range(enveloping._MODE_WINDOW + 1)
+    open_checks = {
+        (a, b, c, m, k)
+        for a in gens for b in gens for c in gens for m in modes for k in modes
+        if not _vanishes_by_weight(eng, a, b, c, m, 0, k)
+    }
+    mirrors = {(b, a, c, k, m) for a, b, c, m, k in built}
+    assert set(built) | mirrors == open_checks
+
+
+def test_axiom_suite_is_independent_of_order():
+    # fresh engines give the same reports after another table's suite and
+    # after the Scalar result cache is cleared
+    def reports():
+        return [
+            (rep.checks, rep.by_weight, rep.failures)
+            for rep in (
+                axiom_suite(
+                    VertexAlgebra(builtin_presentation("big4_kwmiss2")),
+                    weight_bound=2,
+                    triples=0,
+                ),
+                axiom_suite(
+                    VertexAlgebra(builtin_presentation("N2")),
+                    weight_bound=3,
+                    triples=3,
+                    seed=1,
+                ),
+            )
+        ]
+
+    first = reports()
+    axiom_suite(VertexAlgebra(builtin_presentation("N4")), weight_bound=2)
+    assert reports() == first
+    _reduced.cache_clear()
+    assert reports() == first
 
 
 # sha256 prefixes of format_state(nth_product(L(-1)^k|0>, n, L(-1)^k|0>)),
