@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
+from types import MappingProxyType
 
 from .presentation import VACUUM, _BUILTINS as _PRESENTATIONS
 from .scalar import Scalar, ONE
@@ -63,7 +64,16 @@ class JacobiError(ValueError):
 
 
 class LieSuperalgebra:
-    """Basis, parities and structure constants [x_i, x_j] = sum c^k_ij x_k."""
+    """Basis, parities and structure constants [x_i, x_j] = sum c^k_ij x_k.
+
+    table may be any mapping of mappings, such as another algebra's
+    read-only one.  The constructor validates every new object.  `table`,
+    its entries, `parity` and the matrix realization `matrices` are
+    read-only `types.MappingProxyType` views (`modulo_matrices` a tuple),
+    so writing into one raises TypeError, and a verdict on them is fixed
+    with the object: validate() records its pass and returns True on every
+    later call without checking again.
+    """
 
     def __init__(
         self,
@@ -75,7 +85,7 @@ class LieSuperalgebra:
         embedding=None,
     ):
         self.names = list(names)
-        self.parity = dict(parities)
+        self.parity = MappingProxyType(dict(parities))
         for n in self.names:
             p = self.parity.get(n)
             if p not in (0, 1):
@@ -84,8 +94,8 @@ class LieSuperalgebra:
         if len(self.index) != len(self.names):
             raise ValueError("duplicate basis name")
         # a matrix realization, exact modulo the span of modulo_matrices
-        self.matrices = matrices
-        self.modulo_matrices = list(modulo_matrices)
+        self.matrices = None if matrices is None else MappingProxyType(dict(matrices))
+        self.modulo_matrices = tuple(modulo_matrices)
         # coordinates of each basis vector in the parent algebra
         self.embedding = embedding
         # fill in each missing orientation; validate() checks antisymmetry
@@ -102,7 +112,11 @@ class LieSuperalgebra:
         for x in self.names:
             for y in self.names:
                 full.setdefault((x, y), {})
-        self.table = full
+        # bracket() reads the vectors directly; table is their read-only view
+        self._rows = full
+        self.table = MappingProxyType(
+            {pair: MappingProxyType(val) for pair, val in full.items()}
+        )
         self.validate()
 
     # -- core operations ---------------------------------------------------
@@ -111,7 +125,7 @@ class LieSuperalgebra:
         out: dict = {}
         for nx, cx in x.items():
             for ny, cy in y.items():
-                val = self.table[(nx, ny)]
+                val = self._rows[(nx, ny)]
                 if val:
                     vec_acc(out, val, cx * cy)
         return out
@@ -132,7 +146,16 @@ class LieSuperalgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Super antisymmetry and Jacobi on all basis triples; matrix check."""
+        """Super antisymmetry and Jacobi on all basis triples; matrix check.
+
+        True, or JacobiError at the first failure.  The data it reads is
+        read-only, so a pass is recorded and a later call returns True
+        without checking again.
+        """
+        return self._valid
+
+    @cached_property
+    def _valid(self):
         # both checks are symmetric in the pair, so y at or after x suffices
         for i, x in enumerate(self.names):
             for y in self.names[i:]:
@@ -574,7 +597,9 @@ def build_algebra(algebra_id: str) -> LieSuperalgebra:
 
     R_N1, R_N2, R_N3, R_N4small and R_N4 are the zero-mode algebras of the
     N1, N2, N3, N4 and big4 presentations, derived by the Zhu bracket rule
-    of _zero_mode_algebra from the unvalidated presentations.
+    of _zero_mode_algebra from the unvalidated presentations.  The algebra
+    is built and validated on the first call and cached; its tables are
+    read-only, so a later validate() returns the recorded pass.
     """
     if algebra_id not in _BUILDERS:
         raise ValueError(f"unknown algebra id: {algebra_id}")

@@ -15,8 +15,11 @@ commutator rule that the enveloping engine and the zero-mode algebras read.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .linalg import _clean, key_acc, vec_acc
 from .scalar import Scalar, ONE, _coerce
@@ -37,6 +40,9 @@ __all__ = [
 VACUUM = "|0>"
 
 _MINUS_ONE = Scalar.from_int(-1)
+
+# the bracket of a pair that has none
+_EMPTY = MappingProxyType({})
 
 
 class PresentationError(ValueError):
@@ -68,10 +74,18 @@ class VaPresentation:
 
     brackets maps each pair (x, y), x declared no later than y, to the
     vector {(lam, der, target): coeff} of [x_lam y], central terms on
-    VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text.
-    The constructor checks structure only: parities 0 or 1, int or
-    Fraction weights, declared names, declaration order, declared targets
-    and no derivative of the vacuum.  validate() checks the brackets.
+    VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text,
+    and a vector may be any mapping, such as another presentation's
+    read-only one.  The constructor checks structure only: parities 0 or
+    1, int or Fraction weights, declared names, declaration order, declared
+    targets and no derivative of the vacuum.  validate() checks the
+    brackets.
+
+    The stored table `_table`, its vectors, the skew-completed
+    `pair_bracket` vectors, `parity` and `weight` are read-only
+    `types.MappingProxyType` views, so writing into one raises TypeError.
+    A verdict on them is then fixed with the object: `jacobi_witness()`
+    computes its result once and returns it on every later call.
     """
 
     def __init__(
@@ -96,13 +110,15 @@ class VaPresentation:
             if not isinstance(g.weight, (int, Fraction)):
                 kind = type(g.weight).__name__
                 raise PresentationError(f"{g.name} has a {kind} weight, not a rational")
-        self.parity = {g.name: g.parity for g in self.generators}
-        self.weight = {g.name: Fraction(g.weight) for g in self.generators}
+        self.parity = MappingProxyType({g.name: g.parity for g in self.generators})
+        self.weight = MappingProxyType(
+            {g.name: Fraction(g.weight) for g in self.generators}
+        )
         self.central_charge = (
             None if central_charge is None else _coerce(central_charge)
         )
         self.conformal_name = conformal_name
-        self._table = {}
+        table = {}
         for (x, y), value in brackets.items():
             if x not in self.index or y not in self.index:
                 raise PresentationError(f"bracket on undeclared pair ({x}, {y})")
@@ -110,7 +126,7 @@ class VaPresentation:
                 raise PresentationError(
                     f"store brackets in declaration order; flip ({x}, {y})"
                 )
-            if not isinstance(value, dict):
+            if not isinstance(value, Mapping):
                 raise PresentationError(
                     f"bracket of ({x}, {y}) is not a "
                     "{(lam, der, target): coeff} dict"
@@ -125,7 +141,8 @@ class VaPresentation:
                     raise PresentationError(
                         f"undeclared target {target} in [{x}, {y}]"
                     )
-            self._table[(x, y)] = _clean(value)
+            table[(x, y)] = MappingProxyType(_clean(value))
+        self._table = MappingProxyType(table)
         self._pair_cache: dict = {}
 
     # -- basic data ----------------------------------------------------------
@@ -141,16 +158,18 @@ class VaPresentation:
 
         Keys are (lam_power, der_order, target), central terms on VACUUM.
         Pairs stored in the other orientation are completed by skew
-        symmetry; a pair with the vacuum in it brackets to zero.
+        symmetry; a pair with the vacuum in it brackets to zero.  The vector
+        is a read-only view, built once per pair.
         """
         if (x, y) in self._pair_cache:
             return self._pair_cache[(x, y)]
         if (x, y) in self._table:
             out = self._table[(x, y)]
         elif (y, x) in self._table:
-            out = self._skew(self._table[(y, x)], self.pair_sign(x, y))
+            skew = self._skew(self._table[(y, x)], self.pair_sign(x, y))
+            out = MappingProxyType(skew)
         else:
-            out = {}
+            out = _EMPTY
         self._pair_cache[(x, y)] = out
         return out
 
@@ -193,6 +212,13 @@ class VaPresentation:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
+        """True, or PresentationError at the first failing check.
+
+        Homogeneity, diagonal skew symmetry, the conformal rows when there
+        is a conformal field, then Jacobi as `jacobi_witness()` gives it, so
+        the lambda-Jacobi identity runs once per object, however often
+        validate() is called.
+        """
         self.check_homogeneity()
         self._check_diagonal_skew()
         if self.conformal_name is not None:
@@ -201,7 +227,7 @@ class VaPresentation:
         if witness is not None:
             x, y, z, residual = witness
             raise PresentationError(
-                f"Jacobi fails at ({x}, {y}, {z}): residual {residual}"
+                f"Jacobi fails at ({x}, {y}, {z}): residual {dict(residual)}"
             )
         return True
 
@@ -260,6 +286,7 @@ class VaPresentation:
         for (m, k, target), coeff in inner_value.items():
             shifts = [Scalar.from_int(math.comb(k, t)) for t in range(k + 1)]
             for (p, q, y2), c2 in self.pair_bracket(outer, target).items():
+                base = coeff * c2
                 for t in _ders(y2, k):
                     nu_pow = p + k - t
                     key = (
@@ -267,7 +294,7 @@ class VaPresentation:
                         if outer_is_lambda
                         else (m, nu_pow, q + t, y2)
                     )
-                    key_acc(out, key, coeff * c2 * shifts[t])
+                    key_acc(out, key, base * shifts[t])
         return out
 
     def _nest_middle(self, ab_value, cgen: str):
@@ -277,11 +304,12 @@ class VaPresentation:
             sign = Scalar.from_int((-1) ** k)
             for (p, q, y2), c2 in self.pair_bracket(target, cgen).items():
                 tot = k + p
+                base = coeff * c2 * sign
                 for i in range(tot + 1):
                     key_acc(
                         out,
                         (n + i, tot - i, q, y2),
-                        coeff * c2 * sign * Scalar.from_int(math.comb(tot, i)),
+                        base * Scalar.from_int(math.comb(tot, i)),
                     )
         return out
 
@@ -297,20 +325,26 @@ class VaPresentation:
         return res
 
     def jacobi_witness(self):
-        """First failing triple with its residual vector, or None.
+        """First failing triple with its read-only residual vector, or None.
 
         Only y at or after x is tried: pair_bracket completes each pair by
         skew symmetry, so residual(y, x, z)(lam, mu) = -p(x, y)
         residual(x, y, z)(mu, lam), and the first failing triple in the
-        full order already has x at or before y.
+        full order already has x at or before y.  The brackets are
+        read-only, so the result is computed on the first call and returned
+        as it is on every later one.
         """
+        return self._jacobi
+
+    @cached_property
+    def _jacobi(self):
         names = self.names()
         for i, x in enumerate(names):
             for y in names[i:]:
                 for z in names:
                     residual = self.jacobi_residual(x, y, z)
                     if residual:
-                        return (x, y, z, residual)
+                        return (x, y, z, MappingProxyType(residual))
         return None
 
 
@@ -694,7 +728,13 @@ def builtin_ids():
 
 
 def builtin_presentation(pres_id: str) -> VaPresentation:
-    """The cached builtin; all but the corrupted ids are validated once."""
+    """The cached builtin; all but the corrupted ids are validated once.
+
+    Its tables are read-only, so the cached object is the one that was
+    validated.  A clean builtin's lambda-Jacobi identity runs once, inside
+    this first call; a later `jacobi_witness()` or `validate()` returns the
+    verdict found then.
+    """
     if pres_id not in _BUILTINS:
         raise ValueError(f"unknown presentation id: {pres_id}")
     if pres_id not in _CACHE:

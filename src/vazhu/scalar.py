@@ -952,13 +952,15 @@ def _normalize(num, den):
             conj = _conjugate_poly(den, v)
             num = _poly_mul(num, conj)
             den = _poly_mul(den, conj)
+    # a constant denominator d shares no factor: scale the numerator by 1/d
+    if len(den) == 1 and () in den:
+        inv = 1 / Fraction(den[()])
+        return {m: _q(c * inv) for m, c in num.items()}, {(): 1}
     qn, num = _int_poly(num)
     qd, den = _int_poly(den)
-    # a constant denominator shares no factor and only needs the monic step
-    if len(den) > 1 or tuple() not in den:
-        g = _poly_gcd(num, den)
-        if len(g) > 1 or tuple() not in g:
-            num, den = _int_quo(num, g), _int_quo(den, g)
+    g = _poly_gcd(num, den)
+    if len(g) > 1 or tuple() not in g:
+        num, den = _int_quo(num, g), _int_quo(den, g)
     lc = den[_poly_lead(den)]
     return _q_poly(num, qn / (qd * lc)), _q_poly(den, Fraction(1, lc))
 

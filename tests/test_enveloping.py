@@ -405,9 +405,17 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
         eng, suite = engine(pres_id), dict(weight_bound=2, triples=0)
     prod = eng.nth_product
     decided = []
+    real_rhs = enveloping._borcherds_rhs
+    spying = False
+
+    def rhs(*args):
+        # the suite's own right sides are stubbed; the spy's run in full
+        return real_rhs(*args) if spying else {}
 
     def spy(engine_, ma, mb, mc, mnks):
+        nonlocal spying
         left = _open_checks(engine_, ma, mb, mc, mnks)
+        spying = True
         for m, n, k in mnks:
             if (m, n, k) in left:
                 assert not _vanishes_by_weight(engine_, ma, mb, mc, m, n, k)
@@ -425,10 +433,14 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
                 if gbinom(m, j):
                     terms.append((prod(a, n + j, b), m + k - j, c))
             assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
+        spying = False
         return left
 
     monkeypatch.setattr(enveloping, "_open_checks", spy)
-    # the checks the grading leaves are the suite tests' business
+    # the checks the grading leaves are the suite tests' business: the
+    # generator phase compares two stubbed states, the sampled one passes
+    monkeypatch.setattr(enveloping, "_supercommutator", lambda *args: {})
+    monkeypatch.setattr(enveloping, "_borcherds_rhs", rhs)
     monkeypatch.setattr(enveloping, "_borcherds_holds", lambda *args: True)
     rep = axiom_suite(eng, **suite)
     assert rep.by_weight == len(decided) > 0

@@ -162,6 +162,54 @@ def test_validation_rejects_a_corrupted_table():
         LieSuperalgebra(g.names, g.parity, bad)
 
 
+def _count_checks(monkeypatch):
+    calls = []
+    for name in ("_jacobi_ok", "_validate_matrices"):
+        real = getattr(LieSuperalgebra, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(LieSuperalgebra, name, counted)
+    return calls
+
+
+def test_algebra_tables_are_read_only():
+    g = build_algebra("d21a")
+    for mapping, key, value in (
+        (g.table, ("h1", "h1"), {}),
+        (g.table[("h1", "e100")], "e100", ONE),
+        (g.table[("h1", "h1")], "h1", ONE),
+        (g.parity, "h1", 1),
+        (build_algebra("osp12").matrices, "h", None),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+
+
+@pytest.mark.parametrize("aid", ["psl22", "d21a", "R_N4"])
+def test_second_validate_checks_nothing(aid, monkeypatch):
+    calls = _count_checks(monkeypatch)
+    g = build_algebra(aid)
+    assert g.validate() is True
+    assert calls == []
+
+
+def test_copy_of_a_validated_table_is_checked_again(monkeypatch):
+    # the recorded pass belongs to the object, not to the table it read
+    g = build_algebra("psl22")
+    calls = _count_checks(monkeypatch)
+    copy = LieSuperalgebra(
+        g.names, g.parity, g.table, g.matrices, g.modulo_matrices
+    )
+    assert "_jacobi_ok" in calls and "_validate_matrices" in calls
+    calls.clear()
+    assert copy.validate() is True
+    assert calls == []
+    assert copy.table == g.table
+
+
 def test_validation_rejects_a_wrong_matrix_realization():
     # swapping the matrices of e and f breaks [h, e] = 2e
     g = build_algebra("osp12")

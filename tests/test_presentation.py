@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vazhu import presentation as presentation_module
 from vazhu.presentation import (
     GeneratorSpec,
     PresentationError,
@@ -457,3 +458,90 @@ def test_embedding_onto_other_grade_rejected(spec):
 def test_unknown_embedding_tag_rejected():
     with pytest.raises(ValueError):
         builtin_embedding("N4_in_big4")
+
+
+# -- read-only tables and once-computed verdicts -------------------------------
+
+
+def _write_raises(mapping, key, value):
+    with pytest.raises(TypeError):
+        mapping[key] = value
+
+
+def test_builtin_tables_are_read_only():
+    pres = builtin_presentation("big4")
+    _write_raises(pres._table, ("L", "L"), {})
+    _write_raises(pres._table[("L", "L")], (0, 0, "L"), ONE)
+    # a stored vector, a skew-completed one and an empty one
+    for x, y in (("J0", "Gpp"), ("Gpp", "J0"), ("Spp", "Spm")):
+        _write_raises(pres.pair_bracket(x, y), (0, 0, "L"), ONE)
+    _write_raises(pres.parity, "L", 1)
+    _write_raises(pres.weight, "L", Fraction(1))
+    witness = builtin_presentation("big4_kwmiss1").jacobi_witness()
+    _write_raises(witness[3], (0, 0, 0, "L"), ONE)
+
+
+def _count_residuals(monkeypatch):
+    calls = []
+    real = VaPresentation.jacobi_residual
+
+    def counted(self, x, y, z):
+        calls.append((x, y, z))
+        return real(self, x, y, z)
+
+    monkeypatch.setattr(VaPresentation, "jacobi_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pres_id", ["N2", "big4"])
+def test_second_verdict_computes_no_residual(pres_id, monkeypatch):
+    calls = _count_residuals(monkeypatch)
+    pres = builtin_presentation(pres_id)
+    pres.validate()
+    assert pres.jacobi_witness() is None
+    calls.clear()
+    assert pres.validate() is True
+    assert pres.jacobi_witness() is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("pres_id", sorted(JACOBI_WITNESSES))
+def test_corrupted_witness_is_the_same_on_every_call(pres_id, monkeypatch):
+    # a fresh object: the first call computes the witness, the second reads it
+    calls = _count_residuals(monkeypatch)
+    pres = presentation_module._BUILTINS[pres_id]()
+    first = pres.jacobi_witness()
+    assert calls
+    calls.clear()
+    second = pres.jacobi_witness()
+    assert calls == []
+    for witness in (first, second):
+        pin = (tuple(witness[:3]), _vector_digest(witness[3]))
+        assert pin == JACOBI_WITNESSES[pres_id]
+    assert first[3] == second[3]
+    with pytest.raises(PresentationError, match=r"Jacobi fails at \(") as info:
+        pres.validate()
+    assert calls == []
+    assert f"residual {dict(first[3])}" in str(info.value)
+
+
+@pytest.mark.parametrize("pres_id", ["N2", "big4_kwmiss2"])
+def test_copy_of_a_checked_table_is_checked_again(pres_id, monkeypatch):
+    # the verdict belongs to the object, not to the table it was built from
+    source = builtin_presentation(pres_id)
+    source.jacobi_witness()
+    calls = _count_residuals(monkeypatch)
+    copy = VaPresentation(
+        f"{pres_id}_copy",
+        source.generators,
+        dict(source._table),
+        source.central_charge,
+        source.conformal_name,
+    )
+    witness = copy.jacobi_witness()
+    assert calls
+    if pres_id in JACOBI_WITNESSES:
+        pin = (tuple(witness[:3]), _vector_digest(witness[3]))
+        assert pin == JACOBI_WITNESSES[pres_id]
+    else:
+        assert witness is None and copy.validate() is True

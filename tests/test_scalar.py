@@ -35,9 +35,11 @@ from vazhu.scalar import (
     _items,
     _mono_key,
     _mono_mul,
+    _normalize,
     _poly_acc,
     _poly_gcd,
     _poly_mul,
+    _q_poly,
     _reduced,
     _uni_build,
     _uni_content_pp,
@@ -818,6 +820,47 @@ def _fractions(draw):
     if common.is_zero():
         common = ONE
     return num, den, common
+
+
+def _normalize_by_integer_split(num, den):
+    """The general path of `_normalize` for a constant denominator.
+
+    Numerator and denominator split into content times integer part, and
+    the contents and the denominator's sign scale back; a constant shares
+    no factor, so the gcd step is the identity.
+    """
+    qn, num = _int_poly(num)
+    qd, den = _int_poly(den)
+    lc = den[()]
+    return _q_poly(num, qn / (qd * lc)), _q_poly(den, Fraction(1, lc))
+
+
+def _typed(poly):
+    return [(m, type(c), c) for m, c in poly.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _poly_in(("c", "a")),
+    st.booleans(),
+    st.one_of(st.integers(-9, 9), nonzero_frac).filter(bool),
+)
+def test_constant_denominator_fast_path_matches_the_integer_split(num, wide, d):
+    # the fast path scales by 1/d; it must give the same canonical
+    # coefficients, ints where integral, in the same order
+    num = {m: Fraction(c) if wide else c for m, c in num._num}
+    got = _normalize(dict(num), {(): d})
+    want = _normalize_by_integer_split(num, {(): d})
+    assert [_typed(p) for p in got] == [_typed(p) for p in want]
+    assert got[1] == {(): 1}
+
+
+def test_denominator_made_constant_by_conjugation_is_unit():
+    # I * -I = 1, so 1/(2I) clears to a constant denominator
+    value = ONE / (2 * Scalar.param("I"))
+    assert value == -Scalar.param("I") / 2
+    assert value._den is _ONE_ITEMS
+    assert_canonical(value)
 
 
 @settings(max_examples=80, deadline=None)
