@@ -417,45 +417,35 @@ def _borcherds_rhs(
     return rhs
 
 
-def _supercommutator(engine: VertexAlgebra, ma, mb, mc, m: int, k: int) -> dict:
-    """[a_(m), b_(k)] c = a_(m)(b_(k)c) - p(a, b) b_(k)(a_(m)c)."""
-    p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
-    bc = engine._mono_product(mb, k, mc)
-    ac = engine._mono_product(ma, m, mc)
-    out = engine.nth_product({ma: ONE}, m, bc)
-    vec_acc(out, engine.nth_product({mb: ONE}, k, ac), Scalar.from_int(-p_ab))
-    return out
+def _borcherds_lhs(
+    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int
+) -> dict:
+    """The Borcherds left side, as a new dict: sum_j (-1)^j binom(n, j) of
+    a_(m+n-j)(b_(k+j)c) - p(a, b) (-1)^n b_(n+k-j)(a_(m+j)c).
 
-
-def _borcherds_holds(
-    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int, abc: dict
-) -> bool:
-    """The Borcherds identity for the monomials ma, mb, mc at (m, n, k).
-
-    At n = 0 it is the commutator formula [a_(m), b_(k)] c =
-    sum_j binom(m, j) (a_(j)b)_(m+k-j) c.  Products of two monomials come
-    from the engine's memo; the right side is `_borcherds_rhs`, with its
-    abc dict.  Only the sampled phase of `axiom_suite` calls this; the
-    generator phase builds each commutator once for both orders instead.
-
-    The left sum stops at its weight bound and, since binom(n, j) = 0 for
-    j > n >= 0, also at j = n when n >= 0.  So every binomial summed is
-    nonzero, and at n = 0 the left side is its j = 0 term alone.
+    At n = 0 it is the supercommutator [a_(m), b_(k)] c.  Products of two
+    monomials come from the engine's memo.  The sum stops at j = n when
+    n >= 0, since binom(n, j) = 0 for j > n, and else at its weight bound.
     """
-    wt2 = engine._mono_wt2
-    wa2, wb2, wc2 = wt2(ma), wt2(mb), wt2(mc)
+    if n >= 0:
+        stop = n + 1
+    else:
+        wt2 = engine._mono_wt2
+        stop = max(wt2(mb) + wt2(mc) - 2 * k, wt2(ma) + wt2(mc) - 2 * m) // 2
     p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
     a, b = {ma: ONE}, {mb: ONE}
     sign_ba = Scalar.from_int(-p_ab * (-1) ** (n % 2))
     lhs: dict = {}
-    top = max(wb2 + wc2 - 2 * k, wa2 + wc2 - 2 * m) // 2
-    for j in range(min(top, n + 1) if n >= 0 else top):
+    for j in range(stop):
         bc = engine._mono_product(mb, k + j, mc)
         ac = engine._mono_product(ma, m + j, mc)
-        first = engine.nth_product(a, m + n - j, bc)
-        vec_acc(first, engine.nth_product(b, n + k - j, ac), sign_ba)
-        vec_acc(lhs, first, Scalar.from_int((-1) ** j * gbinom(n, j)))
-    return lhs == _borcherds_rhs(engine, ma, mb, mc, m, n, k, abc)
+        term = engine.nth_product(a, m + n - j, bc)
+        vec_acc(term, engine.nth_product(b, n + k - j, ac), sign_ba)
+        if j:
+            vec_acc(lhs, term, Scalar.from_int((-1) ** j * gbinom(n, j)))
+        else:
+            lhs = term  # binom(n, 0) = 1, so the first term needs no copy
+    return lhs
 
 
 _MODE_WINDOW = 3
@@ -482,22 +472,20 @@ def axiom_suite(
     only its (a_(i)b)_(j)c products in a dict of its own.  `phase_s`
     records each phase's seconds.
 
+    Every check at (m, n, k), in both phases, compares `_borcherds_lhs`
+    with `_borcherds_rhs`, the right side from its ordered triple's dict.
     The generator phase loops over unordered pairs x <= y.  For each z and
-    each open (m, k) it builds the supercommutator state [a_(m), b_(k)]c =
-    a_(m)(b_(k)c) - p(a, b) b_(k)(a_(m)c) once (`_supercommutator`) and
-    compares it with the (x, y) right side; by the definition of the
-    supercommutator, [b_(k), a_(m)] = -p(a, b) [a_(m), b_(k)], so
-    -p(a, b) times that state is compared with the (y, x) right side at
-    (k, m).  Each right side is computed for its own order, from its own
-    triple's dict (`_borcherds_rhs`), so every check compares the same two
-    states as the Borcherds identity at n = 0 would.  On the diagonal
+    each open (m, k) it builds the left side at (m, 0, k), the state
+    [a_(m), b_(k)]c, once and compares it with the (x, y) right side; as
+    [b_(k), a_(m)] = -p(a, b) [a_(m), b_(k)], -p(a, b) times that state
+    is compared with the (y, x) right side at (k, m).  On the diagonal
     x = y the checks (m, k) and (k, m) share one state, and m = k is one
     check.  Failures are tagged with their ordered (x, y, z, m, k) position
     and reported in the ordered-pair order: for each (x, y), its skew
     failures, then its commutator failures by z, m and k.  The engine's
     memos are trimmed after each (pair, z) batch of the generator phase,
     and after each sampled skew check and each sampled triple's batch of
-    Borcherds checks; only the sampled phase calls `_borcherds_holds`.
+    Borcherds checks.  The basis is enumerated only when triples > 0.
 
     Every term of the Borcherds identity at (m, n, k) is a state of weight
     wt a + wt b + wt c - m - n - k - 2, so when that is negative both sides
@@ -515,7 +503,7 @@ def axiom_suite(
     """
     start = time.perf_counter()
     rng = random.Random(seed)
-    pool = [m for m in engine.basis(weight_bound) if m]
+    pool = [m for m in engine.basis(weight_bound) if m] if triples > 0 else []
     if triples > 0 and not pool:
         raise ValueError(
             f"no basis monomial within weight_bound={weight_bound} to sample"
@@ -538,7 +526,8 @@ def axiom_suite(
     def battery(kind, names, a, b, c, mnks, abc) -> None:
         # a commutator failure reads (m, k), a Borcherds one (m, n, k)
         for m, n, k in graded(a, b, c, mnks):
-            if not _borcherds_holds(engine, a, b, c, m, n, k, abc):
+            lhs = _borcherds_lhs(engine, a, b, c, m, n, k)
+            if lhs != _borcherds_rhs(engine, a, b, c, m, n, k, abc):
                 at = (m, k) if kind == "commutator" else (m, n, k)
                 report.failures.append((kind, (*names, *at)))
         engine.trim_caches()
@@ -575,7 +564,7 @@ def axiom_suite(
                 for m, _, k in left:
                     if xi == yi and k < m:
                         continue  # the mirror of (k, m), checked with it
-                    state = _supercommutator(engine, a, b, c, m, k)
+                    state = _borcherds_lhs(engine, a, b, c, m, 0, k)
                     commutator(xi, yi, zi, m, k, state, abc)
                     if xi < yi or m < k:
                         if flip:

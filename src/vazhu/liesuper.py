@@ -68,8 +68,9 @@ class LieSuperalgebra:
 
     table may be any mapping of mappings, such as another algebra's
     read-only one.  The constructor validates every new object.  `table`,
-    its entries, `parity` and the matrix realization `matrices` are
-    read-only `types.MappingProxyType` views (`modulo_matrices` a tuple),
+    its entries, `parity`, `index`, the matrix realization `matrices` and
+    a subalgebra's `embedding` and its vectors are read-only
+    `types.MappingProxyType` views (`names` and `modulo_matrices` tuples),
     so writing into one raises TypeError, and a verdict on them is fixed
     with the object: validate() records its pass and returns True on every
     later call without checking again.
@@ -84,20 +85,22 @@ class LieSuperalgebra:
         modulo_matrices=(),
         embedding=None,
     ):
-        self.names = list(names)
+        self.names = tuple(names)
         self.parity = MappingProxyType(dict(parities))
         for n in self.names:
             p = self.parity.get(n)
             if p not in (0, 1):
                 raise ValueError(f"{n} has parity {p!r}, not 0 or 1")
-        self.index = {n: i for i, n in enumerate(self.names)}
+        self.index = MappingProxyType({n: i for i, n in enumerate(self.names)})
         if len(self.index) != len(self.names):
             raise ValueError("duplicate basis name")
         # a matrix realization, exact modulo the span of modulo_matrices
         self.matrices = None if matrices is None else MappingProxyType(dict(matrices))
         self.modulo_matrices = tuple(modulo_matrices)
         # coordinates of each basis vector in the parent algebra
-        self.embedding = embedding
+        self.embedding = None if embedding is None else MappingProxyType(
+            {n: MappingProxyType(dict(v)) for n, v in embedding.items()}
+        )
         # fill in each missing orientation; validate() checks antisymmetry
         full = {}
         for (x, y), val in table.items():
@@ -233,8 +236,7 @@ class LieSuperalgebra:
             lambda x, y: self.bracket(elements[x], elements[y]),
             key_order=self.index.__getitem__,
         )
-        embedding = {n: dict(v) for n, v in elements.items()}
-        return LieSuperalgebra(names, parities, table, embedding=embedding)
+        return LieSuperalgebra(names, parities, table, embedding=elements)
 
 
 class LieMorphism:

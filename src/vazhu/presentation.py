@@ -82,8 +82,9 @@ class VaPresentation:
     brackets.
 
     The stored table `_table`, its vectors, the skew-completed
-    `pair_bracket` vectors, `parity` and `weight` are read-only
-    `types.MappingProxyType` views, so writing into one raises TypeError.
+    `pair_bracket` vectors, `index`, `parity` and `weight` are read-only
+    `types.MappingProxyType` views and `generators` is a tuple, so writing
+    into one raises TypeError.
     A verdict on them is then fixed with the object: `jacobi_witness()`
     computes its result once and returns it on every later call.
     """
@@ -97,8 +98,10 @@ class VaPresentation:
         conformal_name=None,
     ):
         self.name = name
-        self.generators = list(generators)
-        self.index = {g.name: i for i, g in enumerate(self.generators)}
+        self.generators = tuple(generators)
+        self.index = MappingProxyType(
+            {g.name: i for i, g in enumerate(self.generators)}
+        )
         if len(self.index) != len(self.generators):
             raise PresentationError("duplicate generator name")
         if VACUUM in self.index:

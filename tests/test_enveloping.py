@@ -13,13 +13,14 @@ from vazhu.enveloping import (
     VertexAlgebra,
     axiom_suite,
     gbinom,
-    _borcherds_holds,
+    _borcherds_lhs,
+    _borcherds_rhs,
     _open_checks,
     _skew_holds,
 )
 from vazhu import enveloping
 from vazhu.liesuper import _zero_mode_algebra
-from vazhu.linalg import vec_sum
+from vazhu.linalg import vec_acc, vec_sum
 from vazhu.presentation import (
     PresentationError,
     VaPresentation,
@@ -281,6 +282,18 @@ def test_axiom_suite_empty_sample_pool():
     assert rep.passed and rep.checks == 156
 
 
+def test_generator_only_suite_builds_no_sample_pool(monkeypatch):
+    # with triples=0 nothing is drawn, so the basis is never enumerated
+    eng = VertexAlgebra(builtin_presentation("N1"))
+
+    def basis(max_weight):
+        raise AssertionError(f"basis({max_weight}) enumerated")
+
+    monkeypatch.setattr(eng, "basis", basis)
+    rep = axiom_suite(eng, weight_bound=2, triples=0)
+    assert rep.passed and rep.checks == 156
+
+
 def test_axiom_suite_passes_n3():
     rep = axiom_suite(engine("N3"), weight_bound=3, triples=2, seed=1)
     assert rep.passed, rep.failures[:3]
@@ -405,23 +418,16 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
         eng, suite = engine(pres_id), dict(weight_bound=2, triples=0)
     prod = eng.nth_product
     decided = []
-    real_rhs = enveloping._borcherds_rhs
-    spying = False
-
-    def rhs(*args):
-        # the suite's own right sides are stubbed; the spy's run in full
-        return real_rhs(*args) if spying else {}
 
     def spy(engine_, ma, mb, mc, mnks):
-        nonlocal spying
         left = _open_checks(engine_, ma, mb, mc, mnks)
-        spying = True
         for m, n, k in mnks:
             if (m, n, k) in left:
                 assert not _vanishes_by_weight(engine_, ma, mb, mc, m, n, k)
                 continue
             decided.append((m, n, k))
-            assert _borcherds_holds(engine_, ma, mb, mc, m, n, k, {})
+            # the real sides, imported before the suite's are stubbed
+            assert _holds(engine_, ma, mb, mc, m, n, k, {})
             a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
             wa2, wb2, wc2 = (engine_._mono_wt2(x) for x in (ma, mb, mc))
             terms = []
@@ -433,25 +439,29 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
                 if gbinom(m, j):
                     terms.append((prod(a, n + j, b), m + k - j, c))
             assert all(prod(x, i, y) == {} for x, i, y in terms if x and y)
-        spying = False
         return left
 
     monkeypatch.setattr(enveloping, "_open_checks", spy)
-    # the checks the grading leaves are the suite tests' business: the
-    # generator phase compares two stubbed states, the sampled one passes
-    monkeypatch.setattr(enveloping, "_supercommutator", lambda *args: {})
-    monkeypatch.setattr(enveloping, "_borcherds_rhs", rhs)
-    monkeypatch.setattr(enveloping, "_borcherds_holds", lambda *args: True)
+    # the checks the grading leaves are the suite tests' business: both
+    # phases compare two stubbed sides
+    monkeypatch.setattr(enveloping, "_borcherds_lhs", lambda *args: {})
+    monkeypatch.setattr(enveloping, "_borcherds_rhs", lambda *args: {})
     rep = axiom_suite(eng, **suite)
     assert rep.by_weight == len(decided) > 0
+
+
+def _holds(eng, ma, mb, mc, m: int, n: int, k: int, abc: dict) -> bool:
+    """The Borcherds identity for the monomials ma, mb, mc at (m, n, k)."""
+    lhs = _borcherds_lhs(eng, ma, mb, mc, m, n, k)
+    return lhs == _borcherds_rhs(eng, ma, mb, mc, m, n, k, abc)
 
 
 def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
     """(checks, by_weight, failures) of axiom_suite, every check in full.
 
     The suite's checks in its order, each counted by `_vanishes_by_weight`
-    and run through the whole of `_borcherds_holds` with a fresh product
-    dict, whatever the grading says.
+    and run through both whole Borcherds sides with a fresh product dict,
+    whatever the grading says.
     """
     rng = random.Random(seed)
     pool = [m for m in eng.basis(weight_bound) if m]
@@ -470,7 +480,7 @@ def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
         for m, n, k in mnks:
             out[0] += 1
             out[1] += _vanishes_by_weight(eng, a, b, c, m, n, k)
-            if not _borcherds_holds(eng, a, b, c, m, n, k, {}):
+            if not _holds(eng, a, b, c, m, n, k, {}):
                 at = (m, k) if kind == "commutator" else (m, n, k)
                 out[2].append((kind, (*names, *at)))
 
@@ -520,13 +530,14 @@ def test_each_generator_commutator_is_built_once(monkeypatch):
     # every check the grading leaves open, in either order
     eng = VertexAlgebra(builtin_presentation("N3"))
     built = []
-    real = enveloping._supercommutator
 
-    def spy(engine_, ma, mb, mc, m, k):
+    def spy(engine_, ma, mb, mc, m, n, k):
+        # the generator phase builds left sides at n = 0 only
+        assert n == 0
         built.append((ma, mb, mc, m, k))
-        return real(engine_, ma, mb, mc, m, k)
+        return _borcherds_lhs(engine_, ma, mb, mc, m, n, k)
 
-    monkeypatch.setattr(enveloping, "_supercommutator", spy)
+    monkeypatch.setattr(enveloping, "_borcherds_lhs", spy)
     rep = axiom_suite(eng, weight_bound=2, triples=0)
     assert rep.passed and (rep.checks, rep.by_weight) == (8640, 5794)
     classes = {min(t, (t[1], t[0], t[2], t[4], t[3])) for t in built}
@@ -540,6 +551,39 @@ def test_each_generator_commutator_is_built_once(monkeypatch):
     }
     mirrors = {(b, a, c, k, m) for a, b, c, m, k in built}
     assert set(built) | mirrors == open_checks
+
+
+def _supercommutator(eng, x: str, y: str, z: str, m: int, k: int) -> dict:
+    """a_(m)(b_(k)c) - p(a, b) b_(k)(a_(m)c) through the public nth_product."""
+    a, b, c = (eng.generator(n) for n in (x, y, z))
+    out = eng.nth_product(a, m, eng.nth_product(b, k, c))
+    flipped = eng.nth_product(b, k, eng.nth_product(a, m, c))
+    vec_acc(out, flipped, Scalar.from_int(-eng.pres.pair_sign(x, y)))
+    return out
+
+
+@pytest.mark.parametrize("pres_id", ["N3", "big4"])
+def test_left_side_at_n0_is_the_supercommutator(pres_id):
+    # the generator phase's state is the left side at n = 0; it equals the
+    # supercommutator it replaced on every N3 generator triple, and on every
+    # open check of one odd big4 pair, in both orders
+    eng = engine(pres_id)
+    names = eng.names
+    pairs = [(x, y) for x in names for y in names]
+    if pres_id == "big4":
+        pairs = [("Gpp", "Gmm"), ("Gmm", "Gpp")]
+    modes = range(enveloping._MODE_WINDOW + 1)
+    commutators = [(m, 0, k) for m in modes for k in modes]
+    opened = 0
+    for x, y in pairs:
+        for z in names:
+            a, b, c = (((eng.index[n], 1),) for n in (x, y, z))
+            left = _open_checks(eng, a, b, c, commutators)
+            opened += len(left)
+            for m, _, k in commutators if pres_id == "N3" else left:
+                state = _borcherds_lhs(eng, a, b, c, m, 0, k)
+                assert state == _supercommutator(eng, x, y, z, m, k)
+    assert opened > 0
 
 
 def test_axiom_suite_is_independent_of_order():
@@ -780,7 +824,7 @@ def test_derivative_mode_shift(a, b, n):
 def test_commutator_property(a, b, c, m, n):
     # the commutator formula is the Borcherds identity at (m, 0, n)
     eng = engine("N1")
-    assert _borcherds_holds(eng, a, b, c, m, 0, n, {})
+    assert _holds(eng, a, b, c, m, 0, n, {})
 
 
 POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
@@ -797,8 +841,8 @@ def test_shared_commutator_memo_matches_fresh(pres_id, data):
     abc: dict = {}
     for _ in range(6):
         m, n, k = data.draw(st.tuples(modes, modes, modes))
-        shared = _borcherds_holds(eng, ma, mb, mc, m, n, k, abc)
-        assert shared == _borcherds_holds(eng, ma, mb, mc, m, n, k, {})
+        shared = _holds(eng, ma, mb, mc, m, n, k, abc)
+        assert shared == _holds(eng, ma, mb, mc, m, n, k, {})
     a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
     for (i, j), value in abc.items():
         assert value == eng.nth_product(eng.nth_product(a, i, b), j, c)

@@ -188,6 +188,31 @@ def test_algebra_tables_are_read_only():
             mapping[key] = value
 
 
+def test_algebra_basis_and_embedding_are_read_only():
+    # a write into a cached algebra's basis or a subalgebra's embedding
+    # raises and leaves the object as it was
+    g = build_algebra("osp12")
+    cen = g.centralizer(g.element(MINIMAL_NILPOTENT["osp12"]))
+
+    def state():
+        embedding = {n: dict(v) for n, v in cen.embedding.items()}
+        return g.names, dict(g.index), g.superdim(), _table_digest(g), embedding
+
+    before = state()
+    with pytest.raises(AttributeError):
+        g.names.append("zz")
+    for mapping, key, value in (
+        (g.names, 0, "zz"),
+        (g.index, "zz", 5),
+        (cen.embedding, "zz", {}),
+        (cen.embedding["z0"], "h", ONE),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    assert build_algebra("osp12") is g and state() == before
+    assert g.validate() is True
+
+
 @pytest.mark.parametrize("aid", ["psl22", "d21a", "R_N4"])
 def test_second_validate_checks_nothing(aid, monkeypatch):
     calls = _count_checks(monkeypatch)
@@ -492,7 +517,8 @@ def _digest(text):
 
 
 def _table_digest(g):
-    names = g.names
+    # names is a tuple; the pins were taken on its list form
+    names = list(g.names)
     return _digest(
         repr(
             [names, [g.parity[n] for n in names]]

@@ -105,6 +105,71 @@ def test_no_unreferenced_private_code():
     assert unused == _READ_FROM_OUTSIDE
 
 
+# public names that nothing in src or bench uses, each kept on purpose
+_UNREFERENCED_PUBLIC = {
+    # oracles the tests check the program against
+    "linalg.py:contact_derivation": "oracle of contact_bracket",
+    "linalg.py:supertranspose": "oracle of the osp form tests",
+    "linalg.py:supertrace": "oracle of the supertrace tests",
+    # callers planned by ROADMAP items 1, 4 and 8
+    "enveloping.py:summary_line": "the CLI's record line (item 1)",
+    "linalg.py:verify_membership": "re-checks item 4's certificates",
+    "scalar.py:substitute": "item 8's rational spot checks",
+    # API the tests read results through
+    "enveloping.py:generator": "test-facing API",
+    "enveloping.py:dimension_by_weight": "test-facing API",
+    "presentation.py:builtin_ids": "test-facing API",
+    "scalar.py:decompose": "test-facing API",
+    "scalar.py:parameter_names": "test-facing API",
+    "scalar.py:to_fraction": "test-facing API",
+}
+
+
+def _public_defs(tree):
+    """(name, node) of each module-level public def or class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield m.name, m
+
+
+def test_no_unreferenced_public_code():
+    # a public function, class or method that nothing in src or bench uses
+    # besides its own definition is dead unless it is listed above; bench
+    # is only read, and its tracer names its targets as strings
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "vazhu"
+    defs, refs = [], {}
+    for path in sorted(src.glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.parent == src:
+            defs += [(name, path.name, node) for name, node in _public_defs(tree)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            elif isinstance(n, ast.Constant) and path.parent != src:
+                name = n.value
+            else:
+                continue
+            if isinstance(name, str):
+                refs.setdefault(name, []).append((path, n.lineno))
+    unused = {
+        f"{file}:{name}"
+        for name, file, node in defs
+        if all(
+            p == src / file and node.lineno <= line <= node.end_lineno
+            for p, line in refs.get(name, ())
+        )
+    }
+    assert unused == set(_UNREFERENCED_PUBLIC)
+
+
 def test_no_dict_display_repeats_a_key():
     # a dict literal keeps only the last of two equal keys, silently; the
     # builtin bracket rows are such literals

@@ -481,6 +481,21 @@ def test_builtin_tables_are_read_only():
     _write_raises(witness[3], (0, 0, 0, "L"), ONE)
 
 
+def test_builtin_generators_and_index_are_read_only():
+    # a write into a cached builtin's generators or index raises and leaves
+    # the object as it was
+    pres = builtin_presentation("N1")
+    before = (pres.generators, dict(pres.index), pres.names())
+    with pytest.raises(AttributeError):
+        pres.generators.pop()
+    _write_raises(pres.generators, 0, pres.generators[1])
+    _write_raises(pres.index, "zz", 2)
+    assert builtin_presentation("N1") is pres
+    assert (pres.generators, dict(pres.index), pres.names()) == before
+    assert before[1:] == ({"L": 0, "G": 1}, ["L", "G"])
+    assert pres.validate() is True
+
+
 def _count_residuals(monkeypatch):
     calls = []
     real = VaPresentation.jacobi_residual
