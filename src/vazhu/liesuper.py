@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from types import MappingProxyType
 
@@ -591,23 +591,22 @@ _BUILDERS = {
     "contact_R4": lambda: _contact_r(4),
 }
 
-_CACHE: dict = {}
 
-
-def build_algebra(algebra_id: str) -> LieSuperalgebra:
+@cache
+def build_algebra(algebra_id: str, /) -> LieSuperalgebra:
     """One of: osp12, sl12, psl22, osp32, d21a, R_N1..R_N4, contact_R1..4.
 
     R_N1, R_N2, R_N3, R_N4small and R_N4 are the zero-mode algebras of the
     N1, N2, N3, N4 and big4 presentations, derived by the Zhu bracket rule
     of _zero_mode_algebra from the unvalidated presentations.  The algebra
-    is built and validated on the first call and cached; its tables are
+    is built and validated on the first call and held by a
+    `functools.cache`, one entry per id (positional only, so one key per
+    id); an unknown id raises and caches nothing.  Its tables are
     read-only, so a later validate() returns the recorded pass.
     """
     if algebra_id not in _BUILDERS:
         raise ValueError(f"unknown algebra id: {algebra_id}")
-    if algebra_id not in _CACHE:
-        _CACHE[algebra_id] = _BUILDERS[algebra_id]()
-    return _CACHE[algebra_id]
+    return _BUILDERS[algebra_id]()
 
 
 # ---------------------------------------------------------------------------

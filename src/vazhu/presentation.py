@@ -18,7 +18,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 from .linalg import _clean, key_acc, vec_acc
@@ -723,29 +723,28 @@ _BUILTINS = {
 # failure-path inputs: served as built, never validated
 _CORRUPTED = ("big4_kwmiss1", "big4_kwmiss2")
 
-_CACHE: dict = {}
-
 
 def builtin_ids():
     return sorted(_BUILTINS)
 
 
-def builtin_presentation(pres_id: str) -> VaPresentation:
+@cache
+def builtin_presentation(pres_id: str, /) -> VaPresentation:
     """The cached builtin; all but the corrupted ids are validated once.
 
-    Its tables are read-only, so the cached object is the one that was
-    validated.  A clean builtin's lambda-Jacobi identity runs once, inside
-    this first call; a later `jacobi_witness()` or `validate()` returns the
-    verdict found then.
+    A `functools.cache` holds one presentation per id, which is positional
+    only so that each id has one cache key; an unknown id raises and
+    caches nothing.  Its tables are read-only, so the cached object is the
+    one that was validated.  A clean builtin's lambda-Jacobi identity runs
+    once, inside this first call; a later `jacobi_witness()` or
+    `validate()` returns the verdict found then.
     """
     if pres_id not in _BUILTINS:
         raise ValueError(f"unknown presentation id: {pres_id}")
-    if pres_id not in _CACHE:
-        pres = _BUILTINS[pres_id]()
-        if pres_id not in _CORRUPTED:
-            pres.validate()
-        _CACHE[pres_id] = pres
-    return _CACHE[pres_id]
+    pres = _BUILTINS[pres_id]()
+    if pres_id not in _CORRUPTED:
+        pres.validate()
+    return pres
 
 
 # -- builtin embeddings: smaller series inside larger ones -------------------

@@ -30,14 +30,15 @@ changes no canonical value, printed form or hash.  `to_fraction` alone
 hands out a `Fraction`, since dividing two ints would give a float.
 
 Below Scalar, a polynomial is a dict {monomial: coefficient} with no zero
-coefficient.  Every sum of them goes through one in-place accumulate,
-`_poly_acc`, which drops zero sums.  Below that, the gcd runs on integer
-polynomials, dict-polys whose coefficients are all ints: they sum through
-the same `_poly_acc`, multiply through `_int_mul`, which adds exponents
-and applies no square rule, and divide through `_int_quo`, the one exact
-division, which serves GCDHEU's check, the PRS's content and the final
-cancellation.  Every view of a polynomial as univariate in a variable (the
-gcd's PRS and `decompose`) goes through `_uni_view`.
+coefficient.  Every sum of them, a sum of two polynomial Scalars
+included, goes through one in-place accumulate, `_poly_acc`, which drops
+zero sums.  Below that, the gcd runs on integer polynomials, dict-polys
+whose coefficients are all ints: they sum through the same `_poly_acc`,
+multiply through `_int_mul`, which adds exponents and applies no square
+rule, and divide through `_int_quo`, the one exact division, which serves
+GCDHEU's check, the PRS's content and the final cancellation.  Every
+view of a polynomial as univariate in a variable (the gcd's PRS and
+`decompose`) goes through `_uni_view`.
 
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
@@ -45,20 +46,24 @@ denominator is 1 holds that very object, so the hot paths test it with
 other operand unchanged.  A constant int n with |n| <= `_SMALL_INT` is
 likewise its one `_INT_CACHE` Scalar.
 
-The operations that normalize are memoized: a sum past both polynomial
-fast paths, a product with a denominator other than 1, and every nonzero
-quotient all go through `_reduced`, an `lru_cache` keyed by the operator
-and the two operands.  Parametric structure constants such as the big
-N=4 family's, with denominators a, a+1 and their products, repeat the
-same few hundred operand pairs thousands of times per check.  Sharing a
-cached result is exact, because a Scalar's form depends only on its
-operands and Scalars are immutable.  The cache holds at most
-`_REDUCED_MEMO_SIZE` entries, a fixed bound, and `declare_parameter`
-empties it together with the monomial caches.  The plain-rational and
+Three `functools` caches memoize what repeats, and they are the module's
+only memos.  `_mono_key` and `_mono_mul` are unbounded: they are keyed by
+monomials and monomial pairs, and a run meets few of those (the 14
+algebra builds, the 11 builtins and a big4 and a Virasoro axiom suite
+meet 12 monomials and 24 products).  The operations that normalize
+go through `_reduced`, an `lru_cache` keyed by the operator and the two
+operands: a sum past both polynomial fast paths, a product with a
+denominator other than 1, and every nonzero quotient.  Parametric
+structure constants such as the big N=4 family's, with denominators a,
+a+1 and their products, repeat the same few hundred operand pairs
+thousands of times per check.  Sharing a cached result is exact, because
+a Scalar's form depends only on its operands and Scalars are immutable.
+`_reduced` holds at most `_REDUCED_MEMO_SIZE` entries, a fixed bound.
+`declare_parameter` empties all three through `cache_clear()`, and
+`cache_info()` reads their hits, misses and sizes.  The plain-rational and
 unit-denominator paths are not cached: their operands rarely repeat.  A
-polynomial sum merges the two term tuples, which are already sorted by
-`_mono_key`.  A sum creates no monomial, and the key orders distinct
-monomials strictly, so the merge yields the order a sort would.
+polynomial sum accumulates the second term tuple into a dict of the first
+through `_poly_acc` and sorts the result once by `_mono_key`.
 
 Long sums of products skip the per-term Scalars altogether.  The
 enveloping engine adds up hundreds of thousands of products f * c * v (an
@@ -86,7 +91,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb as _comb, gcd as _int_gcd, lcm as _int_lcm
 
 # the rational type; benchmark records report its name as the backend
@@ -138,18 +143,16 @@ def declare_parameter(name: str, square=None) -> None:
             raise ValueError(f"parameter {name!r} already declared differently")
         return
     idx = len(_PARAMS)
+    if rule is not None and any(v >= idx for mono in rule for v, _ in mono):
+        raise ValueError("square rule may only use earlier parameters")
     _PARAMS.append(name)
     _PARAM_INDEX[name] = idx
     if rule is not None:
-        for mono in rule:
-            for v, _ in mono:
-                if v >= idx:
-                    raise ValueError("square rule may only use earlier parameters")
         _SQUARE_RULES[idx] = rule
     # cached keys embed the registry size, cached products and normalized
     # results its square rules
-    _MONO_KEY_CACHE.clear()
-    _MONO_MUL_CACHE.clear()
+    _mono_key.cache_clear()
+    _mono_mul.cache_clear()
     _reduced.cache_clear()
 
 
@@ -174,21 +177,13 @@ def _q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-_MONO_KEY_CACHE: dict = {}
-
-
+@cache
 def _mono_key(mono):
     # graded-lex key: total degree first, then exponents in registry order
-    hit = _MONO_KEY_CACHE.get(mono)
-    if hit is not None:
-        return hit
-    deg = sum(e for _, e in mono)
     dense = [0] * len(_PARAMS)
     for v, e in mono:
         dense[v] = e
-    key = (deg, tuple(dense))
-    _MONO_KEY_CACHE[mono] = key
-    return key
+    return sum(dense), tuple(dense)
 
 
 def _reduce_mono(exps: dict[int, int], coeff) -> dict:
@@ -213,22 +208,18 @@ def _reduce_mono(exps: dict[int, int], coeff) -> dict:
     return {mono: coeff}
 
 
-_MONO_MUL_CACHE: dict = {}
-
-
+@cache
 def _mono_mul(m1, m2):
-    """Multiply two monomials, applying square rules.  Returns dict-poly."""
-    hit = _MONO_MUL_CACHE.get((m1, m2))
-    if hit is not None:
-        return hit
+    """Multiply two monomials, applying square rules.  Returns dict-poly.
+
+    The result is shared by every caller, so none may change it.
+    """
     exps: dict[int, int] = {}
     for v, e in m1:
         exps[v] = exps.get(v, 0) + e
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    res = _reduce_mono(exps, 1)
-    _MONO_MUL_CACHE[(m1, m2)] = res
-    return res
+    return _reduce_mono(exps, 1)
 
 
 def _poly_acc(out, terms, f=None):
@@ -533,31 +524,6 @@ def _items(p) -> tuple:
     return tuple(sorted(p.items(), key=lambda mc: _mono_key(mc[0])))
 
 
-def _merge(xs, ys) -> tuple:
-    """The sum of two Scalar term tuples, in their common _mono_key order."""
-    out = []
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        mx, cx = xs[i]
-        my, cy = ys[j]
-        if mx == my:
-            c = _q(cx + cy)
-            if c:
-                out.append((mx, c))
-            i += 1
-            j += 1
-        elif _mono_key(mx) < _mono_key(my):
-            out.append(xs[i])
-            i += 1
-        else:
-            out.append(ys[j])
-            j += 1
-    out.extend(xs[i:])
-    out.extend(ys[j:])
-    return tuple(out)
-
-
 _ONE_ITEMS = (((), 1),)
 # the constant Scalars of the ints with |n| <= _SMALL_INT are shared objects
 _SMALL_INT = 256
@@ -665,10 +631,11 @@ class Scalar:
             if len(sn) == 1 and len(on) == 1 and not sn[0][0] and not on[0][0]:
                 return _constant(sn[0][1] + on[0][1])
             # polynomial sum stays canonical: no new monomials appear
-            merged = _merge(sn, on)
-            if not merged:
+            num = dict(sn)
+            _poly_acc(num, on)
+            if not num:
                 return ZERO
-            return Scalar(merged, _ONE_ITEMS, _canonical=True)
+            return Scalar(_items(num), _ONE_ITEMS, _canonical=True)
         return _reduced("+", self, other)
 
     __radd__ = __add__

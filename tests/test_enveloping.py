@@ -22,6 +22,7 @@ from vazhu import enveloping
 from vazhu.liesuper import _zero_mode_algebra
 from vazhu.linalg import vec_acc, vec_sum
 from vazhu.presentation import (
+    GeneratorSpec,
     PresentationError,
     VaPresentation,
     _falling,
@@ -366,6 +367,55 @@ def test_corrupted_sampled_suite_pinned():
     assert (len(rep.failures), _digest(repr(rep.failures))) == (
         48,
         "a5b1817952e17412",
+    )
+
+
+def _self_charged_current(*extra) -> VaPresentation:
+    """An even weight-1 J with [J_lam J] = J, after the generators extra.
+
+    validate() refuses it ("diagonal skew fails for J"), but the engine
+    only needs homogeneity, so the axiom suite is what sees the fault.
+    """
+    gens = [GeneratorSpec(n, 0, Fraction(1)) for n in (*extra, "J")]
+    brackets = {("J", "J"): {(0, 0, "J"): 1}}
+    if extra:
+        # [J_lam B] = B, stored in declaration order as [B_lam J] = -B
+        brackets[("B", "J")] = {(0, 0, "B"): -1}
+    return VaPresentation("selfJ", gens, brackets)
+
+
+def test_generator_phase_skew_failures_pinned():
+    with pytest.raises(PresentationError, match="^diagonal skew fails for J$"):
+        _self_charged_current().validate()
+    rep = axiom_suite(
+        VertexAlgebra(_self_charged_current()), weight_bound=1, triples=0
+    )
+    assert (rep.checks, rep.by_weight) == (23, 13)
+    assert rep.failures == [
+        ("skew", ("J", "J", -1)),
+        ("skew", ("J", "J", 0)),
+        ("commutator", ("J", "J", "J", 0, 0)),
+    ]
+    assert rep.summary_line() == (
+        "[FAIL] axioms selfJ: 23 checks (13 zero by weight), 0 triples, "
+        "weight bound 1; first failure skew at ('J', 'J', -1)"
+    )
+    # with B declared first the pairs run (B, J), (J, B), (J, J), and within
+    # a pair the skew failures come before the commutator failures by z
+    rep = axiom_suite(
+        VertexAlgebra(_self_charged_current("B")), weight_bound=1, triples=0
+    )
+    assert (rep.checks, rep.by_weight) == (156, 104)
+    assert rep.failures == [
+        ("commutator", ("B", "J", "J", 0, 0)),
+        ("commutator", ("J", "B", "J", 0, 0)),
+        ("skew", ("J", "J", -1)),
+        ("skew", ("J", "J", 0)),
+        ("commutator", ("J", "J", "B", 0, 0)),
+        ("commutator", ("J", "J", "J", 0, 0)),
+    ]
+    assert rep.summary_line().endswith(
+        "; first failure commutator at ('B', 'J', 'J', 0, 0)"
     )
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from vazhu import liesuper, presentation
+from vazhu import liesuper
 from vazhu.presentation import VaPresentation, builtin_presentation
 from vazhu.scalar import Scalar, ZERO, ONE
 from vazhu.linalg import SuperMatrix, kernel, solve_membership
@@ -64,8 +64,15 @@ def test_superdimensions():
 
 
 def test_build_algebra_rejects_unknown_id():
-    with pytest.raises(ValueError):
+    g = build_algebra("osp12")
+    size = build_algebra.cache_info().currsize
+    assert build_algebra("osp12") is g
+    # the id is positional only, and a refused id caches nothing
+    with pytest.raises(TypeError):
+        build_algebra(algebra_id="osp12")
+    with pytest.raises(ValueError, match="^unknown algebra id: so5$"):
         build_algebra("so5")
+    assert build_algebra.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,23 @@ def test_duplicate_basis_name_rejected():
     # the index would keep one h while superdim counted two
     with pytest.raises(ValueError, match="duplicate basis name"):
         LieSuperalgebra(["h", "h"], {"h": 0}, {})
+
+
+def test_table_term_of_wrong_parity_rejected():
+    # [q, q] of an odd q is even, so it cannot hold q
+    with pytest.raises(JacobiError, match=r"^parity fails at \(q, q\) -> q$"):
+        LieSuperalgebra(["q"], {"q": 1}, {("q", "q"): {"q": ONE}})
+
+
+def test_centralizer_of_odd_element_rejected():
+    g = build_algebra("osp12")
+    with pytest.raises(ValueError, match="^centralizer implemented for even elements$"):
+        g.centralizer(g.element("q"))
+
+
+def test_unknown_zero_mode_tag_rejected():
+    with pytest.raises(ValueError, match="^unknown zero-mode tag: N5$"):
+        zero_mode_morphism("N5")
 
 
 def test_morphism_onto_other_parity_rejected():
@@ -584,11 +608,10 @@ def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
         raise AssertionError(f"presentation {self.name} was validated")
 
     monkeypatch.setattr(VaPresentation, "validate", refuse)
-    monkeypatch.setattr(liesuper, "_CACHE", {})
-    before = dict(presentation._CACHE)
+    before = builtin_presentation.cache_info().currsize
     for aid in ZERO_MODE_IDS:
-        build_algebra(aid)
-    assert presentation._CACHE == before
+        liesuper._BUILDERS[aid]()
+    assert builtin_presentation.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(

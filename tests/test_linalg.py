@@ -490,6 +490,36 @@ def test_super_matrix_constructor_cleans_and_checks_indices():
             SuperMatrix(1, 1, {key: 1})
 
 
+def test_super_matrix_and_grassmann_read_scalar_text():
+    assert SuperMatrix(1, 1, {(0, 1): "c/2"}).entries == {(0, 1): C / 2}
+    assert gmono(1, (2, 1), "c - 1") == gmono(1, (1, 2), 1 - C)
+
+
+def test_super_matrix_superdimension_mismatch_rejected():
+    x, y = SuperMatrix(1, 1, {(0, 0): 1}), SuperMatrix(2, 1, {(0, 0): 1})
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(ValueError, match="^superdimension mismatch$"):
+            op()
+
+
+def test_supercommutator_of_mixed_matrix_rejected():
+    mixed = SuperMatrix(1, 1, {(0, 0): 1, (0, 1): 1})
+    even = SuperMatrix(1, 1, {(1, 1): 1})
+    for x, y in ((mixed, even), (even, mixed)):
+        with pytest.raises(
+            ValueError, match="^supercommutator needs homogeneous matrices$"
+        ):
+            x.supercommutator(y)
+
+
+def test_contact_operations_on_inhomogeneous_element_rejected():
+    mixed = gmono(1, (1,)) + gmono(1, (1, 2))
+    with pytest.raises(ValueError, match="^contact_derivation needs homogeneous input$"):
+        contact_derivation(mixed, 2)
+    with pytest.raises(ValueError, match="^contact_bracket needs homogeneous input$"):
+        contact_bracket(mixed, gmono(1))
+
+
 def test_supercommutator_trace_vanishes():
     rng = random.Random(2)
     for p1 in (0, 1):

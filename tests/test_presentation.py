@@ -49,6 +49,18 @@ def test_builtin_ids_cover_corrupted_variants():
         builtin_presentation("nope")
 
 
+def test_builtin_cache_has_one_key_per_id():
+    pres = builtin_presentation("N1")
+    size = builtin_presentation.cache_info().currsize
+    assert builtin_presentation("N1") is pres
+    # the id is positional only, and a refused id caches nothing
+    with pytest.raises(TypeError):
+        builtin_presentation(pres_id="N1")
+    with pytest.raises(ValueError, match="^unknown presentation id: nope$"):
+        builtin_presentation("nope")
+    assert builtin_presentation.cache_info().currsize == size
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -314,6 +326,68 @@ def test_non_primary_rejected():
     }
     with pytest.raises(PresentationError, match="B is not primary of its weight"):
         VaPresentation("bad", gens, brackets, c, "L").validate()
+
+
+def test_central_terms_given_as_text():
+    # scalar text is read by parse_scalar into the same canonical Scalars
+    n2 = builtin_presentation("N2")
+    brackets = presentation_module._conformal_rows("L", n2.generators, None)
+    brackets[("L", "L")][(3, 0, VACUUM)] = "c/12"
+    brackets[("J", "J")] = {(1, 0, VACUUM): "c/3"}
+    brackets[("J", "Gp")] = {(0, 0, "Gp"): 1}
+    brackets[("J", "Gm")] = {(0, 0, "Gm"): -1}
+    brackets[("Gp", "Gm")] = {
+        (0, 0, "L"): 1,
+        (0, 1, "J"): Fraction(1, 2),
+        (1, 0, "J"): 1,
+        (2, 0, VACUUM): "c/6",
+    }
+    pres = VaPresentation("N2", n2.generators, brackets, "c", "L")
+    assert pres._table == n2._table
+    assert pres.central_charge == C
+    assert pres.validate() is True
+
+
+def test_duplicate_generator_name_rejected():
+    gens = [GeneratorSpec("B", 0, Fraction(1)), GeneratorSpec("B", 1, Fraction(1))]
+    with pytest.raises(PresentationError, match="^duplicate generator name$"):
+        VaPresentation("bad", gens, {})
+
+
+def test_bracket_on_undeclared_pair_rejected():
+    gens = [GeneratorSpec("B", 0, Fraction(1))]
+    with pytest.raises(
+        PresentationError, match=r"^bracket on undeclared pair \(B, X\)$"
+    ):
+        VaPresentation("bad", gens, {("B", "X"): {(1, 0, VACUUM): 1}})
+
+
+def test_undeclared_conformal_name_rejected():
+    gens = [GeneratorSpec("B", 0, Fraction(1))]
+    pres = VaPresentation("bad", gens, {("B", "B"): {(1, 0, VACUUM): 1}}, C, "L")
+    with pytest.raises(PresentationError, match="^conformal name L not declared$"):
+        pres.validate()
+
+
+@pytest.mark.parametrize("parity, weight", [(1, Fraction(2)), (0, Fraction(1))])
+def test_conformal_generator_of_other_grade_rejected(parity, weight):
+    # an abelian table, so only the grade of L fails
+    pres = VaPresentation("bad", [GeneratorSpec("L", parity, weight)], {}, C, "L")
+    with pytest.raises(
+        PresentationError, match="^conformal generator must be even weight 2$"
+    ):
+        pres.validate()
+
+
+def test_wrong_conformal_self_bracket_rejected():
+    # the Virasoro rows with the central term c/6 in place of c/12
+    gens = [GeneratorSpec("L", 0, Fraction(2))]
+    brackets = {("L", "L"): {(0, 1, "L"): 1, (1, 0, "L"): 2, (3, 0, VACUUM): C / 6}}
+    with pytest.raises(
+        PresentationError,
+        match=r"^conformal self-bracket is not \(d \+ 2 lam\) L \+ \(c/12\) lam\^3$",
+    ):
+        VaPresentation("bad", gens, brackets, C, "L").validate()
 
 
 # -- regression pins for the corrected central signs --------------------------

@@ -24,8 +24,6 @@ from vazhu import liesuper, presentation
 from vazhu import scalar as scalar_module
 from vazhu.linalg import vec_acc, vec_sum
 from vazhu.scalar import (
-    _MONO_KEY_CACHE,
-    _MONO_MUL_CACHE,
     _ONE_ITEMS,
     _SMALL_INT,
     _heu_gcd,
@@ -72,6 +70,24 @@ def test_basic_arithmetic():
     assert (c + 1) * (c - 1) == c * c - 1
     assert (c**2 - 1) / (c + 1) == c - 1
     assert ONE / (c + 1) * (c + 1) == ONE
+
+
+def test_reflected_operators_and_text_operands():
+    # an int or text on the left reaches __rsub__ and __rtruediv__
+    x = Scalar.param("c") + Scalar.param("a")
+    assert 2 - x == -(x - 2)
+    assert 1 / x == ONE / x
+    assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    assert "c" - x == -Scalar.param("a")
+    assert x * "a/2" == x * Scalar.param("a") / 2
+    assert "1" / x == ONE / x
+
+
+def test_zero_denominators_raise():
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        Scalar({(): 1}, {})
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        Scalar({(): 1}, {(): 0, ((0, 1),): 0})
 
 
 def test_rational_function_canonical_form():
@@ -261,6 +277,8 @@ def test_substitute_and_decompose():
     assert x.substitute({"gamma": 0, "c": Fraction(1, 2)}) == S("1/2")
     with pytest.raises(ZeroDivisionError):
         (ONE / (c - 1)).substitute({"c": 1})
+    with pytest.raises(ValueError, match="^denominator involves c$"):
+        (g / (c + 1)).decompose("c")
 
 
 def test_to_fraction():
@@ -323,14 +341,28 @@ def test_equal_scalars_hash_equal():
 def test_declare_parameter_conflicts():
     assert "tmp_level" not in parameter_names()
     ONE / (Scalar.param("c") + 1)
-    assert _reduced.cache_info().currsize and _MONO_KEY_CACHE and _MONO_MUL_CACHE
+    memos = (_mono_key, _mono_mul, _reduced)
+    assert all(memo.cache_info().currsize for memo in memos)
     declare_parameter("tmp_level")
     # a new parameter empties every memo that the registry feeds
-    assert _reduced.cache_info().currsize == 0
-    assert not _MONO_KEY_CACHE and not _MONO_MUL_CACHE
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
     declare_parameter("tmp_level")  # same declaration is fine
     with pytest.raises(ValueError):
         declare_parameter("tmp_level", square=ONE)
+
+
+def test_declare_parameter_refuses_bad_square_rules():
+    with pytest.raises(ValueError, match="^square rule must be polynomial$"):
+        declare_parameter("tmp_root", square=ONE / Scalar.param("c"))
+    # a rule in the parameter being declared, which no parsed text can hold
+    own = ((len(parameter_names()), 1),)
+    rule = Scalar(((own, 1),), _ONE_ITEMS, _canonical=True)
+    with pytest.raises(
+        ValueError, match="^square rule may only use earlier parameters$"
+    ):
+        declare_parameter("tmp_root", square=rule)
+    # a refused declaration registers nothing
+    assert "tmp_root" not in parameter_names()
 
 
 @pytest.mark.parametrize("name", ["lambda", "None", "\ufb01", "2c", "c-1"])
