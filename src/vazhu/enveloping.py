@@ -4,8 +4,8 @@ States live in the PBW span of normal-ordered monomials
 X_{i1(-m1)} ... X_{ik(-mk)} |0>, stored as dicts from sorted factor tuples
 (generator index, m >= 1) to scalars.  Factors sort ascending by (-m, index),
 repeated odd factors are straightened away, and every operation reduces to
-the memoized single-mode action, so all products, brackets, and axiom checks
-below are exact.
+memoized products of two monomials, so all products, brackets, and axiom
+checks below are exact.
 
 A product of two monomials (`_mono_product`) is a sum of scaled memoized
 states, and deep products sum hundreds of thousands of terms, most onto
@@ -15,15 +15,18 @@ the stored int and Fraction coefficients as they are, with no Scalar per
 term, and builds each monomial's Scalar once at the end (see `scalar`).  A
 product that vanishes by weight returns {} and is not stored.
 
-A single-factor left monomial needs no sum: X_{i(-m)}|0> is the divided
-power T^(m-1) X_i, and (T^(k) a)_(n) = (-1)^k binom(n, k) a_(n-k) (Kac,
-*Vertex Algebras for Beginners*), so
+A single-factor left monomial needs no sum.  By the state-field
+correspondence the mode X_{i(n)} is the n-th product with X_{i(-1)}|0>, so
+the mode action is the one-factor, m = 1 product, memoized under the same
+keys as every other product.  X_{i(-m)}|0> is the divided power
+T^(m-1) X_i, and (T^(k) a)_(n) = (-1)^k binom(n, k) a_(n-k) (Kac, *Vertex
+Algebras for Beginners*), so
 
     (X_{i(-m)}|0>)_(n) b = (-1)^(m-1) binom(n, m-1) X_{i(n-m+1)} b,
 
-one memoized mode vector.  With factor 1 the product memo keeps that very
-vector under its own key; a zero factor stores nothing.  Every
-multi-factor recursion bottoms out there.
+the memoized m = 1 product, scaled.  With factor 1 the memo keeps that very
+vector under both keys; a zero factor stores nothing.  Every multi-factor
+recursion bottoms out there.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 # memoized terms an engine keeps before trim_caches drops its memos
 _MEMO_TERM_BUDGET = 3_000_000
 # factors of the longest monomial apply_mode and nth_product take: their
-# recursions nest up to about three frames per factor, and Python's
-# default recursion limit is 1,000 frames
+# recursions nest up to about three frames per factor (two for a mode),
+# and Python's default recursion limit is 1,000 frames
 _FACTOR_LIMIT = 100
 
 
@@ -85,11 +88,14 @@ class VertexAlgebra:
 
     The weight bounds of the products and of the axiom suite hold on a
     weight-homogeneous table, so the constructor checks homogeneity even
-    when the presentation was never validated (PresentationError).
-    _MEMO_TERM_BUDGET bounds the memoized terms: past it, trim_caches drops
-    every memo between top-level operations.  apply_mode and nth_product
-    refuse a monomial of more than _FACTOR_LIMIT factors with ValueError,
-    so that no recursion of theirs reaches Python's recursion limit.
+    when the presentation was never validated (PresentationError).  Two
+    memos serve every call: `_prod_memo` holds the products of two
+    monomials, single modes included, and `_wt2_memo` their doubled
+    weights.  _MEMO_TERM_BUDGET bounds the memoized terms: past it,
+    trim_caches drops both between top-level operations.  apply_mode and
+    nth_product refuse a monomial of more than _FACTOR_LIMIT factors with
+    ValueError, so that no recursion of theirs reaches Python's recursion
+    limit.
     """
 
     def __init__(self, presentation):
@@ -99,9 +105,9 @@ class VertexAlgebra:
         self.index = {name: i for i, name in enumerate(self.names)}
         self.weights = [presentation.weight[n] for n in self.names]
         self.parities = [presentation.parity[n] for n in self.names]
-        self._mode_memo: dict = {}
+        # X_{i(-1)}|0> of each generator, the left factor of its modes
+        self._gens = [((i, 1),) for i in range(len(self.names))]
         self._prod_memo: dict = {}
-        self._par_memo: dict = {}
         # doubled weights are integers, keeping hot-path bounds in int math
         self._wt2 = [int(2 * w) for w in self.weights]
         self._wt2_memo: dict = {(): 0}
@@ -114,17 +120,14 @@ class VertexAlgebra:
         return {(): ONE}
 
     def generator(self, name: str) -> dict:
-        return {((self.index[name], 1),): ONE}
+        return {self._gens[self.index[name]]: ONE}
 
     def mono_weight(self, mono) -> Fraction:
         return Fraction(self._mono_wt2(mono), 2)
 
     def mono_parity(self, mono) -> int:
-        hit = self._par_memo.get(mono)
-        if hit is None:
-            hit = sum(self.parities[i] for i, _ in mono) % 2
-            self._par_memo[mono] = hit
-        return hit
+        parities = self.parities
+        return sum([parities[i] for i, _ in mono]) & 1
 
     def _mono_wt2(self, mono) -> int:
         # a hit is a plain subscript: the axiom suite reads every weight often
@@ -155,38 +158,32 @@ class VertexAlgebra:
 
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
         out: dict = {}
+        gen = self._gens[i]
         for mono, coeff in state.items():
             if len(mono) > _FACTOR_LIMIT:
                 raise _too_long(mono)
-            vec_acc(out, self._mode_mono(i, n, mono), coeff)
+            vec_acc(out, self._mono_product(gen, n, mono), coeff)
         return out
 
-    def _mode_mono(self, i: int, n: int, mono) -> dict:
-        memo_key = (i, n, mono)
-        hit = self._mode_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        if 2 * n > self._wt2[i] + self._mono_wt2(mono) - 2:
-            res: dict = {}
-        elif not mono:
-            res = {} if n >= 0 else {((i, -n),): ONE}
-        else:
-            (hi, hm), rest = mono[0], mono[1:]
-            if n < 0 and _key(i, -n) < _key(hi, hm):
-                res = {((i, -n),) + mono: ONE}
-            elif n < 0 and (i, -n) == (hi, hm) and self.parities[i] == 0:
-                res = {((i, -n),) + mono: ONE}
-            elif n < 0 and (i, -n) == (hi, hm):
-                # odd square: half the bracket of the mode with itself
-                res = vec_scale(self._bracket_action(i, n, i, hm, rest), _HALF)
-            else:
-                sign = -1 if self.parities[i] and self.parities[hi] else 1
-                res = self.apply_mode(hi, -hm, self._mode_mono(i, n, rest))
-                if sign < 0:
-                    res = {k: -v for k, v in res.items()}
-                vec_acc(res, self._bracket_action(i, n, hi, hm, rest))
-        self._mode_memo[memo_key] = res
-        self._memo_terms += len(res) + 1
+    def _mode(self, i: int, n: int, mono) -> dict:
+        """X_{i(n)} on a sorted monomial, as a new dict.
+
+        `_mono_product` memoizes it as the product by X_{i(-1)}|0>, and
+        only calls it when the weight leaves room for a nonzero result.
+        """
+        if not mono:
+            return {} if n >= 0 else {((i, -n),): ONE}
+        (hi, hm), rest = mono[0], mono[1:]
+        if n < 0 and _key(i, -n) <= _key(hi, hm):
+            if (i, -n) != (hi, hm) or not self.parities[i]:
+                return {((i, -n),) + mono: ONE}
+            # odd square: half the bracket of the mode with itself
+            return vec_scale(self._bracket_action(i, n, i, hm, rest), _HALF)
+        inner = self._mono_product(self._gens[i], n, rest)
+        res = self.apply_mode(hi, -hm, inner)
+        if self.parities[i] and self.parities[hi]:
+            res = {k: -v for k, v in res.items()}
+        vec_acc(res, self._bracket_action(i, n, hi, hm, rest))
         return res
 
     def _bracket_action(self, i: int, n: int, j: int, mj: int, mono) -> dict:
@@ -197,7 +194,8 @@ class VertexAlgebra:
             if target == VACUUM:
                 key_acc(out, mono, coeff)
             else:
-                vec_acc(out, self._mode_mono(self.index[target], p, mono), coeff)
+                gen = self._gens[self.index[target]]
+                vec_acc(out, self._mono_product(gen, p, mono), coeff)
         return out
 
     # -- general products and translation ----------------------------------------
@@ -232,21 +230,19 @@ class VertexAlgebra:
             return {}
         if not ma:
             res = {mb: ONE} if n == -1 else {}
-        elif len(ma) == 1:
-            # X_{i(-m)}|0> = T^(m-1) X_i: one memoized mode, scaled
+        elif len(ma) > 1:
+            res = vec_sum(self._product_terms(ma, n, mb, wb2))
+        elif ma[0][1] == 1:
+            res = self._mode(ma[0][0], n, mb)
+        else:
+            # X_{i(-m)}|0> = T^(m-1) X_i: its m = 1 product, scaled
             (i, m), = ma
             factor = (-1) ** (m - 1) * gbinom(n, m - 1)
             if factor == 0:
                 return {}
-            res = self._mode_mono(i, n - m + 1, mb)
-            if factor == 1:
-                # the mode memo's own vector: only the key is new
-                self._prod_memo[memo_key] = res
-                self._memo_terms += 1
-                return res
-            res = vec_scale(res, Scalar.from_int(factor))
-        else:
-            res = vec_sum(self._product_terms(ma, n, mb, wb2))
+            res = self._mono_product(self._gens[i], n - m + 1, mb)
+            if factor != 1:
+                res = vec_scale(res, Scalar.from_int(factor))
         self._prod_memo[memo_key] = res
         self._memo_terms += len(res) + 1
         return res
@@ -262,16 +258,17 @@ class VertexAlgebra:
         stays the reference that form is tested against.
         """
         (i, m), rest = ma[0], ma[1:]
+        gen = self._gens[i]
         sign = -((-1) ** m)
         if self.parities[i] and self.mono_parity(rest):
             sign = -sign
         for j in range((self._mono_wt2(rest) + wb2 - 2 - 2 * n) // 2 + 1):
             binom = math.comb(m + j - 1, j)
             for mu, cu in self._mono_product(rest, n + j, mb).items():
-                yield binom, cu, self._mode_mono(i, -m - j, mu)
+                yield binom, cu, self._mono_product(gen, -m - j, mu)
         for j in range((self._wt2[i] + wb2 - 2) // 2 + 1):
             binom = math.comb(m + j - 1, j) * sign
-            for mu, cu in self._mode_mono(i, j, mb).items():
+            for mu, cu in self._mono_product(gen, j, mb).items():
                 yield binom, cu, self._mono_product(rest, -m + n - j, mu)
 
     def translation(self, state: dict) -> dict:
@@ -286,9 +283,7 @@ class VertexAlgebra:
         """
         if self._memo_terms <= _MEMO_TERM_BUDGET:
             return False
-        self._mode_memo.clear()
         self._prod_memo.clear()
-        self._par_memo.clear()
         self._wt2_memo = {(): 0}
         self._memo_terms = 0
         return True
@@ -467,10 +462,10 @@ def axiom_suite(
     the later sampling.  Then `triples` sampled basis triples get the full
     battery.  A commutator check is the Borcherds identity at n = 0,
     reported as "commutator".  Every state checked is a PBW monomial with
-    coefficient 1, so the engine's memos serve the products of two of them,
-    their parities and their weights; each ordered (a, b, c) triple keeps
-    only its (a_(i)b)_(j)c products in a dict of its own.  `phase_s`
-    records each phase's seconds.
+    coefficient 1, so the engine's memos serve the products of two of them
+    and their weights; each ordered (a, b, c) triple keeps only its
+    (a_(i)b)_(j)c products in a dict of its own.  `phase_s` records each
+    phase's seconds.
 
     Every check at (m, n, k), in both phases, compares `_borcherds_lhs`
     with `_borcherds_rhs`, the right side from its ordered triple's dict.
@@ -509,7 +504,7 @@ def axiom_suite(
             f"no basis monomial within weight_bound={weight_bound} to sample"
         )
     report = AxiomReport(engine.pres.name, Fraction(weight_bound), triples)
-    gens = [((i, 1),) for i in range(len(engine.names))]
+    gens = engine._gens
     window = range(-_MODE_WINDOW, _MODE_WINDOW + 1)
     modes = range(_MODE_WINDOW + 1)
     commutators = [(m, 0, k) for m in modes for k in modes]

@@ -238,12 +238,17 @@ def test_trim_caches_preserves_results(monkeypatch):
     assert eng.nth_product(G, -1, G) == before
     assert eng._memo_terms > 0
     assert eng.trim_caches() is True
-    assert eng._memo_terms == 0 and not eng._prod_memo
+    assert eng._memo_terms == 0
+    # every memo is trimmed, so none can grow past the budget
+    for name, value in vars(eng).items():
+        if isinstance(value, dict) and name != "index":
+            assert value == ({(): 0} if name == "_wt2_memo" else {}), name
     assert eng.nth_product(G, -1, G) == before
 
 
 def test_monomials_past_the_factor_limit_are_refused():
-    # 1,200 factors used to end in a bare RecursionError inside _mode_mono
+    # 1,200 factors used to end in a bare RecursionError inside the mode
+    # action's recursion
     eng = VertexAlgebra(builtin_presentation("virasoro"))
     limit = enveloping._FACTOR_LIMIT
     L, long = eng.generator("L"), {((0, 2),) * 1200: ONE}
@@ -259,6 +264,10 @@ def test_monomials_past_the_factor_limit_are_refused():
     at = {((0, 1),) * limit: ONE}
     assert eng.apply_mode(0, -1, at) == {((0, 1),) * (limit + 1): ONE}
     assert eng.nth_product(eng.vacuum(), -1, at) == at
+    # L_(1) recurses through every factor to read the weight, 2 limit
+    assert eng.apply_mode(0, 1, at) == {
+        ((0, 1),) * limit: Scalar.from_int(2 * limit)
+    }
 
 
 # -- axiom suite ------------------------------------------------------------------
@@ -752,24 +761,28 @@ def test_single_factor_memo_accounting():
     for _ in range(5):
         state = eng.apply_mode(eng.index["L"], -1, state)
     eng.nth_product(state, 1, state)
-    assert (len(eng._prod_memo), eng._memo_terms) == (2857, 22403)
-    terms = sum(len(v) + 1 for v in eng._mode_memo.values())
-    for (ma, n, mb), vec in eng._prod_memo.items():
-        if len(ma) != 1:
-            terms += len(vec) + 1
+    memo = eng._prod_memo
+    assert (len(memo), eng._memo_terms) == (3051, 20770)
+    # (T L)_(n) on the ladder stores one-factor entries with m = 2
+    tl = eng.apply_mode(eng.index["L"], -2, eng.vacuum())
+    for n in range(-2, 3):
+        eng.nth_product(tl, n, state)
+    factors = set()
+    for (ma, n, mb), vec in memo.items():
+        if len(ma) != 1 or ma[0][1] == 1:
             continue
         (i, m), = ma
-        mode = eng._mode_memo[(i, n - m + 1, mb)]
+        mode = memo[(((i, 1),), n - m + 1, mb)]
         factor = (-1) ** (m - 1) * gbinom(n, m - 1)
         assert factor != 0
+        factors.add(factor == 1)
         if factor == 1:
-            # the mode vector itself, never a copy
+            # the m = 1 entry's vector itself, never a copy
             assert vec is mode
-            terms += 1
         else:
             assert vec is not mode and vec.keys() == mode.keys()
-            terms += len(vec) + 1
-    assert eng._memo_terms == terms
+    assert factors == {True, False}
+    assert eng._memo_terms == sum(len(v) + 1 for v in memo.values())
 
 
 # (A, B) = (:x1 y1:, :x2 y2:); per n = -1..3, digests of A_(n)B and B_(n)A
@@ -804,6 +817,48 @@ def test_composite_products_pinned(case):
         for n in range(-1, 4)
     ]
     assert got == COMPOSITE_PRODUCTS[case]
+
+
+# sha256 of every mode and product result of `_sweep`, per builtin
+ENGINE_SWEEP = {
+    "N1": "c7779ad5d0510200",
+    "N2": "d977e8100bc39e44",
+    "N3": "e36b1f2f8f5941e1",
+    "N4": "3eff4732e6fc8f6d",
+    "big4": "db7cf3a667244e14",
+    "big4_kwmiss1": "4ad4baf00cfbe530",
+    "big4_kwmiss2": "f606e478dcd13d57",
+    "four_fermions_k": "947abd77c29d4ede",
+    "free_boson_k": "940a300220a430b2",
+    "free_fermion": "5a8e34a2439d8b0c",
+    "virasoro": "997348e817f40bb3",
+}
+
+
+def _sweep(pres_id: str) -> str:
+    """X_(n) on every basis monomial of weight <= 3, n = -4..3, then a_(n)b
+    for basis pairs of weight <= 2, n = -3..2 (2 and 1 for big4 ids)."""
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    big = pres_id.startswith("big4")
+    h = hashlib.sha256()
+    monos = eng.basis(2 if big else 3)
+    for i in range(len(eng.names)):
+        for n in range(-4, 4):
+            for mono in monos:
+                xb = eng.apply_mode(i, n, {mono: ONE})
+                h.update(eng.format_state(xb).encode())
+    pairs = eng.basis(1 if big else 2)
+    for a in pairs:
+        for b in pairs:
+            for n in range(-3, 3):
+                ab = eng.nth_product({a: ONE}, n, {b: ONE})
+                h.update(eng.format_state(ab).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_engine_sweep_pinned(pres_id):
+    assert _sweep(pres_id) == ENGINE_SWEEP[pres_id]
 
 
 # -- property checks --------------------------------------------------------------
