@@ -11,9 +11,10 @@ A product of two monomials (`_mono_product`) is a sum of scaled memoized
 states, and deep products sum hundreds of thousands of terms, most onto
 monomials that already hold a coefficient.  The engine lists them as
 (int, Scalar, state) terms and adds them with `linalg.vec_sum`, which sums
-the stored int and Fraction coefficients as they are, with no Scalar per
-term, and builds each monomial's Scalar once at the end (see `scalar`).  A
-product that vanishes by weight returns {} and is not stored.
+every coefficient as an int over one common denominator, with no Scalar or
+Fraction per term, and builds each monomial's Scalar once at the end, with
+one division per coefficient (see `scalar`).  A product that vanishes by
+weight returns {} and is not stored.
 
 A single-factor left monomial needs no sum.  By the state-field
 correspondence the mode X_{i(n)} is the n-th product with X_{i(-1)}|0>, so
@@ -214,6 +215,7 @@ class VertexAlgebra:
         if len(terms) > 1:
             return vec_sum(terms)
         # one term is copied or scaled: a raw sum would rebuild every Scalar
+        # of a scaled term
         out: dict = {}
         if terms:
             vec_acc(out, terms[0][2], terms[0][1])

@@ -9,16 +9,17 @@ Lie elements, Grassmann terms and SuperMatrix entries (keyed by (i, j))
 all take this form.  Every sum of them in the package goes through one
 accumulate pair: vec_acc adds a scaled vector and key_acc adds one
 coefficient, both in place and never storing a zero.  vec_sum adds many
-int-scaled vectors at once and builds each key's Scalar once.  _clean is the
-boundary: it turns outside input (ints, Fractions, strings, zeros) into
-such a vector before anything accumulates.
+int-scaled vectors at once, as ints over one common denominator, and
+builds each key's Scalar once.  _clean is the boundary: it turns outside
+input (ints, Fractions, strings, zeros) into such a vector before anything
+accumulates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Scalar, ZERO, ONE, _coerce, _raw_acc, _raw_scalar
+from .scalar import Scalar, ZERO, ONE, _coerce, _int_sum
 
 __all__ = [
     "SuperMatrix",
@@ -82,20 +83,14 @@ def vec_sum(terms) -> dict:
     """The sum of f * c * vec over the (int f, Scalar c, vector vec) of terms.
 
     It equals one vec_acc per term, but builds each key's Scalar once: the
-    products with denominator 1 are summed raw (scalar._raw_acc) and built
-    at the end (scalar._raw_scalar).  Any other product goes through
-    key_acc into a side vector, added last.  The result is a new dict.
+    products with denominator 1 are summed by scalar._int_sum, as ints over
+    one common denominator.  Any other product goes through key_acc into a
+    side vector, added last.  The result is a new dict.
     """
-    sums: dict = {}
+    out, left = _int_sum(terms)
     side: dict = {}
-    for f, c, vec in terms:
-        for k in _raw_acc(sums, f, c, vec):
-            key_acc(side, k, vec[k] * c * Scalar.from_int(f))
-    out = {}
-    for k, raw in sums.items():
-        s = _raw_scalar(raw)
-        if s._num:
-            out[k] = s
+    for k, s in left:
+        key_acc(side, k, s)
     vec_acc(out, side)
     return out
 

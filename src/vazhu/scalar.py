@@ -69,15 +69,19 @@ Long sums of products skip the per-term Scalars altogether.  The
 enveloping engine adds up hundreds of thousands of products f * c * v (an
 int f, two Scalars) per pass, most of them onto a key that already holds
 a value, and a Scalar product and sum per term would allocate two
-Scalars each time.  `_raw_acc` adds each product whose factors have
-denominator 1 into a raw sum {monomial: int | Fraction}, and
-`_raw_scalar` then builds the result once: it drops the zero sums, passes
-each coefficient through `_q`, orders the terms through `_items`, and
-gives a constant as its `_constant` Scalar.  This is exact.  Ints and
-Fractions add and multiply exactly, a scale that is not an int is refused
-(so no float enters), and nothing divides the raw sums.  Monomials
-multiply through `_mono_mul` and its square rules.  So the result has the
-canonical form that term-by-term `*` and `+` reach.
+Scalars each time.  `_int_sum`, behind `linalg.vec_sum`, adds each
+product whose factors have denominator 1 as ints: all coefficients of one
+sum are numerators over one common positive denominator, which grows by
+the missing factor when a product's denominator does not divide it (the
+c/12 of the Virasoro bracket, the a/2 of s*s), the stored ints rescaled
+once (`_grow`).  This is exact.  Ints add exactly, a scale that is not an
+int is refused (so no float enters), and each coefficient is divided once
+at the end, into an int when the division is exact and else one reduced
+Fraction, the canonical coefficient of that rational.  Monomials multiply
+through `_mono_mul` and its square rules, terms are ordered through
+`_items` and a constant is its `_constant` Scalar, so the result has the
+canonical form that term-by-term `*` and `+` reach.  A key that one
+product alone touches, scaled by 1, keeps that product's Scalar.
 
 Scalar text, the one way to give a coefficient from outside the code, is
 Python's expression syntax with `^` for `**`, parsed by `ast` and
@@ -534,6 +538,9 @@ _REDUCED_MEMO_SIZE = 4096
 _POW_TERM_LIMIT = 1000
 # monomial products __pow__ may spend, counted by _pow_work
 _POW_WORK_LIMIT = 50_000
+# coefficient bits a power may reach, estimated by _pow_bits; (c + 1)^353
+# reaches 353
+_POW_BITS_LIMIT = 2048
 
 
 def _pow_work(e: int, t: int) -> int:
@@ -552,6 +559,21 @@ def _pow_work(e: int, t: int) -> int:
             work += _comb(square + t - 1, t - 1) ** 2
             square *= 2
     return work
+
+
+def _pow_bits(e: int, items) -> int:
+    """Bits a coefficient of the e-th power of the dict-poly items may need.
+
+    With d the lcm of the coefficients' denominators, d * items has int
+    coefficients of absolute sum s, so every coefficient of its e-th power
+    is at most s^e, and the e-th power of items is that over d^e.  The
+    estimate is e * (log2 s + log2 d), each log rounded up, so unit
+    coefficients (s = d = 1) need none.  Square rules are not counted, so
+    this is an estimate, not a bound.
+    """
+    d = _int_lcm(*[c.denominator for _, c in items])
+    s = sum(abs(c.numerator) * (d // c.denominator) for _, c in items)
+    return e * ((s - 1).bit_length() + (d - 1).bit_length())
 
 
 class Scalar:
@@ -720,6 +742,13 @@ class Scalar:
                 f"power {n} of a {t}-term polynomial could take more than "
                 f"{_POW_WORK_LIMIT} monomial products"
             )
+        # a first power is the base itself, whatever its coefficients
+        bits = max(_pow_bits(abs(n), self._num), _pow_bits(abs(n), self._den))
+        if abs(n) > 1 and bits > _POW_BITS_LIMIT:
+            raise ValueError(
+                f"power {n} of a {t}-term polynomial could need coefficients "
+                f"of more than {_POW_BITS_LIMIT} bits"
+            )
         if n < 0:
             return ONE / (self ** (-n))
         out = ONE
@@ -805,55 +834,127 @@ def _constant(q) -> Scalar:
     return Scalar((((), q),), _ONE_ITEMS, _canonical=True)
 
 
-def _raw_acc(sums: dict, f: int, c: Scalar, vec: dict) -> list:
-    """Add f * c * vec into sums, {key: raw sum}, in place.
+def _int_sum(terms) -> tuple:
+    """(sums, left) for the (int f, Scalar c, vector vec) of terms.
 
-    A raw sum is a dict {monomial: int | Fraction}; vec is a vector of
-    Scalars and f an int.  Only products with denominator 1 are added: the
-    keys left out are returned, all of vec's unless c has denominator 1.
-    Coefficients are taken as stored, so integer terms sum as ints; a sum
-    may reach zero, which `_raw_scalar` drops, or an integral Fraction,
-    which it turns into its int.
+    sums is {key: Scalar}, free of zeros: at each key, the sum of the
+    products f * c * vec[key] whose factors have denominator 1.  left lists
+    (key, f * c * vec[key]) for every other product, in term order, for the
+    caller to add.  A key that one term alone touches, with f * c = 1,
+    keeps that term's Scalar object.  A scale f that is not an int raises
+    TypeError.
     """
-    if type(f) is not int:
-        raise TypeError(f"raw sums take int scales, not {type(f).__name__}")
-    if c._den is not _ONE_ITEMS:
-        return list(vec)
-    cs = [(m, f * q) for m, q in c._num]
-    # a constant c, the common case, scales each coefficient of vec
-    scale = cs[0][1] if len(cs) == 1 and not cs[0][0] else None
-    left = []
-    get = sums.get
-    for k, v in vec.items():
-        if v._den is not _ONE_ITEMS:
-            left.append(k)
+    raws: dict = {}  # key -> raw sum, or the Scalar of its one as-is touch
+    left: list = []
+    den = 1
+    get = raws.get
+    for f, c, vec in terms:
+        if type(f) is not int:
+            raise TypeError(f"raw sums take int scales, not {type(f).__name__}")
+        if c._den is not _ONE_ITEMS:
+            for k, v in vec.items():
+                left.append((k, v * c * Scalar.from_int(f)))
             continue
-        raw = get(k)
-        if raw is None:
-            raw = sums[k] = {}
-        rget = raw.get
-        for my, cy in v._num:
-            if scale is not None:
-                raw[my] = rget(my, 0) + scale * cy
+        # c's terms as [monomial, f * coefficient * den], each an int
+        cs = []
+        for m, q in c._num:
+            if type(q) is int:
+                t = f * q * den
+            else:
+                t, den = _grow(raws, cs, f * den, q, den)
+            cs.append([m, t])
+        # a constant c, the common case, scales each coefficient of vec
+        const = cs[0][1] if len(cs) == 1 and not cs[0][0] else None
+        as_is = const == den  # f * c = 1
+        for k, v in vec.items():
+            if v._den is not _ONE_ITEMS:
+                left.append((k, v * c * Scalar.from_int(f)))
                 continue
-            for mx, cx in cs:
-                if not mx or not my:
-                    m = my or mx
-                    raw[m] = rget(m, 0) + cx * cy
+            raw = get(k)
+            if raw is None:
+                if as_is:
+                    raws[k] = v
                     continue
-                for m, cm in _mono_mul(mx, my).items():
-                    raw[m] = rget(m, 0) + cx * cy * cm
-    return left
+                raw = raws[k] = {}
+            elif raw.__class__ is Scalar:
+                # the second touch: the kept Scalar becomes a raw sum
+                kept, raw = raw, {}
+                raws[k] = raw
+                for m, q in kept._num:
+                    if type(q) is int:
+                        raw[m] = q * den
+                    else:
+                        raw[m], den = _grow(raws, cs, den, q, den)
+                if const is not None:
+                    const = cs[0][1]
+            rget = raw.get
+            if const is not None:
+                for my, cy in v._num:
+                    if type(cy) is int:
+                        t = const * cy
+                    else:
+                        t, den = _grow(raws, cs, const, cy, den)
+                        const = cs[0][1]
+                    raw[my] = rget(my, 0) + t
+                continue
+            for my, cy in v._num:
+                # x[1] is read afresh: a growth rescales it in place
+                for x in cs:
+                    mx = x[0]
+                    if not mx or not my:
+                        m = my or mx
+                        if type(cy) is int:
+                            t = x[1] * cy
+                        else:
+                            t, den = _grow(raws, cs, x[1], cy, den)
+                        raw[m] = rget(m, 0) + t
+                        continue
+                    for m, cm in _mono_mul(mx, my).items():
+                        q = cy * cm
+                        if type(q) is int:
+                            t = x[1] * q
+                        else:
+                            t, den = _grow(raws, cs, x[1], q, den)
+                        raw[m] = rget(m, 0) + t
+    sums = {}
+    for k, raw in raws.items():
+        if raw.__class__ is Scalar:
+            sums[k] = raw
+            continue
+        num = {}
+        for m, n in raw.items():
+            if n:
+                q, r = divmod(n, den)
+                num[m] = Fraction(n, den) if r else q
+        if not num:
+            continue
+        if len(num) == 1 and () in num:
+            sums[k] = _constant(num[()])
+        else:
+            sums[k] = Scalar(_items(num), _ONE_ITEMS, _canonical=True)
+    return sums, left
 
 
-def _raw_scalar(raw: dict) -> Scalar:
-    """The canonical Scalar of a raw sum: zeros dropped, _mono_key order."""
-    num = {m: _q(c) for m, c in raw.items() if c}
-    if not num:
-        return ZERO
-    if len(num) == 1 and () in num:
-        return _constant(num[()])
-    return Scalar(_items(num), _ONE_ITEMS, _canonical=True)
+def _grow(raws: dict, cs: list, n: int, q: Fraction, den: int) -> tuple:
+    """(n * q over the new den, the new den) for n over den and a Fraction q.
+
+    When n * q is an int, den stays.  Else den grows by the least factor g
+    that makes n * q * g one, and _int_sum's raw sums and the scaled terms
+    of cs are multiplied by g in place.
+    """
+    n *= q.numerator
+    d = q.denominator
+    t, r = divmod(n, d)
+    if not r:
+        return t, den
+    g = d // _int_gcd(r, d)
+    for raw in raws.values():
+        if raw.__class__ is not Scalar:
+            for m in raw:
+                raw[m] *= g
+    for x in cs:
+        x[1] *= g
+    return n * g // d, den * g
 
 
 @lru_cache(maxsize=_REDUCED_MEMO_SIZE)

@@ -1,8 +1,11 @@
 """Engine-level checks: PBW dimensions, mode pins, axiom suite."""
 
+import collections
+import fractions
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -783,6 +786,31 @@ def test_single_factor_memo_accounting():
             assert vec is not mode and vec.keys() == mode.keys()
     assert factors == {True, False}
     assert eng._memo_terms == sum(len(v) + 1 for v in memo.values())
+
+
+def test_ladder_product_adds_no_fractions():
+    # vec_sum adds ints over one common denominator, so the k = 4 ladder
+    # product, whose coefficients carry the c/12 of [L_lam L], makes few
+    # Fraction sums and products: the mode action's Scalar arithmetic, and
+    # in vec_sum a product by each fractional coefficient.  Summing as
+    # Fractions made 692 sums and 583 products.  Only the two operators
+    # are counted: how a Fraction is built differs between Python versions
+    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    state = eng.vacuum()
+    for _ in range(4):
+        state = eng.apply_mode(eng.index["L"], -1, state)
+    calls: collections.Counter = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        eng.nth_product(state, 1, state)
+    finally:
+        sys.setprofile(None)
+    assert calls["_add"] + calls["_mul"] < 100, calls
 
 
 # (A, B) = (:x1 y1:, :x2 y2:); per n = -1..3, digests of A_(n)B and B_(n)A

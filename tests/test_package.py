@@ -111,6 +111,7 @@ _UNREFERENCED_PUBLIC = {
     "linalg.py:contact_derivation": "oracle of contact_bracket",
     "linalg.py:supertranspose": "oracle of the osp form tests",
     "linalg.py:supertrace": "oracle of the supertrace tests",
+    "linalg.py:scale": "ContactDerivation, the oracle of contact_bracket",
     # callers planned by ROADMAP items 1, 4 and 8
     "enveloping.py:summary_line": "the CLI's record line (item 1)",
     "linalg.py:verify_membership": "re-checks item 4's certificates",

@@ -206,6 +206,36 @@ def test_power_past_the_work_limit_is_a_value_error(monkeypatch):
     assert scalar_module._pow_work(353, 2) <= scalar_module._POW_WORK_LIMIT
 
 
+def test_power_past_the_bits_limit_is_a_value_error():
+    # (c/7 - 5/3)^353 is inside both other limits, but its coefficients
+    # would grow to thousands of bits: refused before anything is built
+    start = time.perf_counter()
+    for text in ["(c/7 - 5/3)^353", "(c/7 - 5/3)^-353", "1/(c/7 - 5/3)^353"]:
+        with pytest.raises(ValueError, match=r"more than 2048 bits"):
+            S(text)
+    assert time.perf_counter() - start < 1
+    # (c + 1)^353 makes the same monomial products with small coefficients
+    assert scalar_module._pow_bits(353, S("c + 1")._num) == 353
+    assert S("(c + 1)^353")._num[-1] == (((0, 353),), 1)
+    # unit coefficients need no bits, and a first power is never refused
+    assert S("c^2000")._num == ((((0, 2000),), 1),)
+    assert S("(-1)^1025") == -1 and S("c^-1025") == 1 / S("c^1025")
+    big = Scalar.from_int(3**2000) * S("c + 1/7")
+    assert scalar_module._pow_bits(1, big._num) > scalar_module._POW_BITS_LIMIT
+    assert big**1 == big and big**-1 == 1 / big
+    # the estimate bounds the bits of every power it lets through (square
+    # rules are not counted, so no base here has a ruled parameter)
+    for text in ["c/7 - 5/3", "c + 1", "3*c^2 - a/4 + 5/6", "-7/2", "a*c/5 - 2"]:
+        base = S(text)
+        for e in (1, 2, 3, 5, 8, 13, 21):
+            power = base**e
+            d = lcm(*[c.denominator for _, c in power._num])
+            top = max(abs(c.numerator) * (d // c.denominator) for _, c in power._num)
+            assert (top - 1).bit_length() + (d - 1).bit_length() <= (
+                scalar_module._pow_bits(e, base._num)
+            ), (text, e)
+
+
 def test_long_polynomial_round_trips():
     # the evaluator folds a chain in a loop, so its length is the parser's limit
     rng = random.Random(20)
@@ -696,9 +726,28 @@ def test_unit_denominator_arithmetic_matches_plain_fractions():
             assert (got is Scalar.from_int(n)) == (abs(n) <= _SMALL_INT), n
 
 
+def _check_vec_sum(terms):
+    """vec_sum(terms) against one vec_acc per term, form for form."""
+    want: dict = {}
+    for f, c, vec in terms:
+        vec_acc(want, vec, c * Scalar.from_int(f))
+    got = vec_sum(iter(terms))
+    assert sorted(got) == sorted(want)
+    for k, v in got.items():
+        assert v._num, (k, terms)
+        assert_canonical(v)
+        assert _form(v) == _form(want[k]), (k, terms)
+        if v.is_polynomial() and not v.parameters():
+            q = v.to_fraction()
+            if q.denominator == 1 and abs(q) <= _SMALL_INT:
+                assert v is Scalar.from_int(q.numerator), (k, v)
+    return got
+
+
 def test_raw_vector_sum_matches_vec_acc():
-    # vec_sum builds each key's Scalar once from raw int and Fraction sums;
-    # one vec_acc per term must give the same canonical forms
+    # vec_sum adds the coefficients as ints over one common denominator and
+    # builds each key's Scalar once; one vec_acc per term must give the
+    # same canonical forms
     rng = random.Random(12)
     a = Scalar.param("a")
     pool = _unit_operands(rng, 60) + [ONE / (a + 1), (a - 1) / (a + 1)]
@@ -716,23 +765,55 @@ def test_raw_vector_sum_matches_vec_acc():
         # small constants whose sums include 0, 1 and other interned ints
         terms.append((1, rng.choice(small), {6: rng.choice(small)}))
         terms.append((rng.choice((-1, 1)), rng.choice(small), {6: ONE}))
-        want: dict = {}
-        for f, c, vec in terms:
-            vec_acc(want, vec, c * Scalar.from_int(f))
-        got = vec_sum(iter(terms))
-        assert sorted(got) == sorted(want)
-        for k, v in got.items():
-            assert v._num, (k, terms)
-            assert _form(v) == _form(want[k]), (k, terms)
-            if v.is_polynomial() and not v.parameters():
-                q = v.to_fraction()
-                if q.denominator == 1 and abs(q) <= _SMALL_INT:
-                    assert v is Scalar.from_int(q.numerator), (k, v)
+        _check_vec_sum(terms)
     one = vec_sum([(3, ONE, {0: ONE}), (-2, ONE, {0: ONE}), (1, ONE, {1: ONE})])
     assert one[0] is ONE and one[1] is ONE
     assert vec_sum([(2, ONE, {0: ONE}), (-1, Scalar.from_int(2), {0: ONE})]) == {}
     with pytest.raises(TypeError):
         vec_sum([(-1.0, ONE, {0: ONE})])
+    c, s = Scalar.param("c"), Scalar.param("s")
+    # denominators that first come once keys hold sums: 12, then 5 and 7
+    # rescale the stored ints, in a constant, a polynomial and a vector
+    _check_vec_sum([
+        (3, ONE, {0: c + 2, 1: S("5"), 2: c * c}),
+        (1, c / 12, {0: c, 1: ONE, 2: c - 1}),
+        (-2, c + 1, {0: c / 5 + 1, 2: ONE}),
+        (1, S("1/7"), {1: c, 2: c / 5, 3: S("2")}),
+        (5, c * c / 3 - 1, {0: c / 12, 3: c}),
+    ])
+    # the square rule s*s = a/2, alone and beside other denominators
+    _check_vec_sum([
+        (1, s, {0: s, 1: s + a}),
+        (3, s / 3, {0: s * a - 1, 1: s, 2: s * s * a}),
+        (-1, s * a / 5 + 1, {1: s / 7, 2: a / 2}),
+    ])
+    # sums that cancel to integral coefficients come out as ints, the
+    # interned one for a small constant, and a zero sum drops its key
+    got = _check_vec_sum([
+        (1, ONE, {0: S("1/2"), 1: S("5/4"), 2: S("c/3 + 1/2")}),
+        (1, ONE, {0: S("1/2"), 1: S("3/4")}),
+        (2, S("1/3"), {2: S("c + 3/4"), 3: c / 12}),
+        (1, c / 12, {3: S("-2")}),
+        (-1, S("1/2"), {4: ONE}),
+        (1, ONE, {4: S("1/2")}),
+    ])
+    assert got[0] is ONE and got[1] is Scalar.from_int(2)
+    assert got[2]._num == (((), 1), (((0, 1),), 1))
+    assert got[3]._num == ((((0, 1),), Fraction(-1, 9)),) and 4 not in got
+
+
+def test_vec_sum_keeps_a_single_touch():
+    # a key that one term touches with f * c = 1 keeps its stored Scalar
+    v = {0: S("c/12 + 1"), 1: S("3"), 2: S("c^2 - 5/7")}
+    got = vec_sum([(1, ONE, v)])
+    assert got == v and all(got[k] is v[k] for k in v)
+    for f, c in ((-1, Scalar.from_int(-1)), (2, S("1/2"))):
+        got = vec_sum([(f, c, v), (1, ONE, {3: S("c")})])
+        assert all(got[k] is v[k] for k in v)
+    # a second touch, or another scale, builds the key anew
+    got = vec_sum([(1, ONE, v), (1, S("c/12"), {0: ONE})])
+    assert got[0] == S("c/6 + 1") and got[1] is v[1]
+    assert vec_sum([(3, ONE, v)])[1] == S("9")
 
 
 # ---------------------------------------------------------------------------
