@@ -542,7 +542,8 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
     wt a - 1, b, wt b - 1)` with each zero mode X_(wt X - 1) read as X and
     |0>_(-1) as the even central Z.  The rule reads each target's mode off
     the weights, so the table must be homogeneous (PresentationError).
-    After the shift L -> L - (c/24) Z, Z joins the basis right after the
+    After the shift L -> L - (c/24) Z, made only when pres has both a
+    conformal name and a central charge, Z joins the basis right after the
     last even generator, and only if some bracket still has a term on it.
     """
     pres.check_homogeneity()
@@ -555,10 +556,11 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
                 "Z" if target == VACUUM else target: coeff
                 for (target, _), coeff in modes.items()
             }
-    shift = pres.central_charge / 24
-    for out in table.values():
-        if pres.conformal_name in out:
-            key_acc(out, "Z", out[pres.conformal_name] * shift)
+    if pres.conformal_name is not None and pres.central_charge is not None:
+        shift = pres.central_charge / 24
+        for out in table.values():
+            if pres.conformal_name in out:
+                key_acc(out, "Z", out[pres.conformal_name] * shift)
     parities = dict(pres.parity)
     even = [n for n in names if parities[n] == 0]
     if any("Z" in out for out in table.values()):

@@ -77,9 +77,9 @@ class VaPresentation:
     VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text,
     and a vector may be any mapping, such as another presentation's
     read-only one.  The constructor checks structure only: parities 0 or
-    1, int or Fraction weights, declared names, declaration order, declared
-    targets and no derivative of the vacuum.  validate() checks the
-    brackets.
+    1, int or Fraction weights, declared names, declaration order, keys of
+    three entries with non-negative int lam and der, declared targets and
+    no derivative of the vacuum.  validate() checks the brackets.
 
     The stored table `_table`, its vectors, the skew-completed
     `pair_bracket` vectors, `index`, `parity` and `weight` are read-only
@@ -134,7 +134,17 @@ class VaPresentation:
                     f"bracket of ({x}, {y}) is not a "
                     "{(lam, der, target): coeff} dict"
                 )
-            for _, der, target in value:
+            for key in value:
+                if not (
+                    isinstance(key, tuple)
+                    and len(key) == 3
+                    and all(type(i) is int and i >= 0 for i in key[:2])
+                ):
+                    raise PresentationError(
+                        f"bad key {key!r} in [{x}, {y}]: not (lam, der, target) "
+                        "with non-negative ints lam and der"
+                    )
+                _, der, target = key
                 if target == VACUUM:
                     if der:
                         raise PresentationError(

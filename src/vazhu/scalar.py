@@ -36,9 +36,10 @@ zero sums.  Below that, the gcd runs on integer polynomials, dict-polys
 whose coefficients are all ints: they sum through the same `_poly_acc`,
 multiply through `_int_mul`, which adds exponents and applies no square
 rule, and divide through `_int_quo`, the one exact division, which serves
-GCDHEU's check, the PRS's content and the final cancellation.  Every
-view of a polynomial as univariate in a variable (the gcd's PRS and
-`decompose`) goes through `_uni_view`.
+GCDHEU's check, the PRS's content and the final cancellation.  Only
+`_uni_view` splits a monomial by one variable and only `_uni_build` joins
+it back, for GCDHEU's evaluation and digit reading, the PRS, the
+conjugation of s and I and `decompose`; exponents sum only in `_mono_add`.
 
 The unit denominator is one shared tuple, `_ONE_ITEMS`: every Scalar whose
 denominator is 1 holds that very object, so the hot paths test it with
@@ -199,17 +200,22 @@ def _reduce_mono(exps: dict[int, int], coeff) -> dict:
     """
     for v in sorted(exps, reverse=True):
         if exps[v] >= 2 and v in _SQUARE_RULES:
-            base = dict(exps)
-            base[v] -= 2
             out: dict = {}
             for rm, rc in _SQUARE_RULES[v].items():
-                merged = dict(base)
-                for vv, ee in rm:
-                    merged[vv] = merged.get(vv, 0) + ee
+                # exps with v^2 replaced by the rule's monomial rm
+                merged = dict(_mono_add(exps.items(), ((v, -2),) + rm))
                 _poly_acc(out, _reduce_mono(merged, _q(coeff * rc)).items())
             return out
     mono = tuple(sorted((v, e) for v, e in exps.items() if e))
     return {mono: coeff}
+
+
+def _mono_add(m1, m2):
+    # the monomial m1 * m2 with no square rule; the module's one exponent sum
+    e = dict(m1)
+    for v, x in m2:
+        e[v] = e.get(v, 0) + x
+    return tuple(sorted(e.items()))
 
 
 @cache
@@ -218,12 +224,7 @@ def _mono_mul(m1, m2):
 
     The result is shared by every caller, so none may change it.
     """
-    exps: dict[int, int] = {}
-    for v, e in m1:
-        exps[v] = exps.get(v, 0) + e
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return _reduce_mono(exps, 1)
+    return _reduce_mono(dict(_mono_add(m1, m2)), 1)
 
 
 def _poly_acc(out, terms, f=None):
@@ -291,8 +292,12 @@ def _uni_view(p, v):
     """
     out: dict = {}
     for m, c in p.items():
-        rest = tuple(ve for ve in m if ve[0] != v)
-        out.setdefault(dict(m).get(v, 0), {})[rest] = c
+        e, rest = 0, m
+        for i, (w, x) in enumerate(m):
+            if w == v:
+                e, rest = x, m[:i] + m[i + 1 :]
+                break
+        out.setdefault(e, {})[rest] = c
     return out
 
 
@@ -327,14 +332,6 @@ def _q_poly(p, q):
     if q == 1:
         return p
     return {m: _q(c * q) for m, c in p.items()}
-
-
-def _mono_add(m1, m2):
-    # the monomial m1 * m2 with no square rule
-    e = dict(m1)
-    for v, x in m2:
-        e[v] = e.get(v, 0) + x
-    return tuple(sorted(e.items()))
 
 
 def _int_mul(p, q):
@@ -447,24 +444,14 @@ def _heu_gcd(f, g):
 def _int_eval(p, v, xi):
     """p with the variable v set to the integer xi."""
     out: dict = {}
-    for m, c in p.items():
-        e = 0
-        rest = m
-        for i, (w, x) in enumerate(m):
-            if w == v:
-                e, rest = x, m[:i] + m[i + 1 :]
-                break
-        c = out.get(rest, 0) + c * xi**e
-        if c:
-            out[rest] = c
-        else:
-            del out[rest]
+    for e, coeff in _uni_view(p, v).items():
+        _poly_acc(out, coeff.items(), xi**e)
     return out
 
 
 def _int_digits(h, v, xi):
     """The polynomial in v whose balanced base-xi digits are h's coefficients."""
-    out: dict = {}
+    u: dict = {}
     half = xi // 2
     for m, c in h.items():
         e = 0
@@ -473,10 +460,10 @@ def _int_digits(h, v, xi):
             if d > half:
                 d -= xi
             if d:
-                out[tuple(sorted(m + ((v, e),))) if e else m] = d
+                u.setdefault(e, {})[m] = d
             c = (c - d) // xi
             e += 1
-    return out
+    return _uni_build(u, v)
 
 
 def _uni_content_pp(u):
@@ -512,13 +499,11 @@ def _uni_prem(a, b, v):
 
 def _conjugate_poly(p, v):
     """Flip the sign of algebraic variable v (sound: v^2 is v-free)."""
-    out = {}
-    for m, c in p.items():
-        if any(vv == v for vv, _ in m):
-            out[m] = -c
-        else:
-            out[m] = c
-    return out
+    u = _uni_view(p, v)
+    for e in u:
+        if e & 1:
+            u[e] = {m: -c for m, c in u[e].items()}
+    return _uni_build(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +553,12 @@ def _pow_bits(e: int, items) -> int:
     coefficients of absolute sum s, so every coefficient of its e-th power
     is at most s^e, and the e-th power of items is that over d^e.  The
     estimate is e * (log2 s + log2 d), each log rounded up, so unit
-    coefficients (s = d = 1) need none.  Square rules are not counted, so
-    this is an estimate, not a bound.
+    coefficients (s = d = 1) need none, and nor does zero (no items).
+    Square rules are not counted, so this is an estimate, not a bound.
     """
     d = _int_lcm(*[c.denominator for _, c in items])
     s = sum(abs(c.numerator) * (d // c.denominator) for _, c in items)
-    return e * ((s - 1).bit_length() + (d - 1).bit_length())
+    return e * ((s - 1).bit_length() + (d - 1).bit_length()) if s else 0
 
 
 class Scalar:

@@ -625,6 +625,20 @@ def test_zero_modes_of_corrupted_big4_fail_jacobi(which, triple):
     assert str(err.value) == f"Jacobi fails at triple ({triple})"
 
 
+def test_zero_modes_without_a_conformal_vector():
+    # no conformal name and no central charge, so no L -> L - (c/24) Z shift
+    clifford = liesuper._zero_mode_algebra(builtin_presentation("free_fermion"))
+    assert clifford.names == ("Z", "psi")
+    assert clifford.superdim() == (1, 1)
+    assert clifford.bracket({"psi": ONE}, {"psi": ONE}) == {"Z": ONE}
+    boson = liesuper._zero_mode_algebra(builtin_presentation("free_boson_k"))
+    assert boson.names == ("xi",)
+    assert boson.superdim() == (1, 0)
+    assert all(not row for row in boson.table.values())
+    fermions = liesuper._zero_mode_algebra(builtin_presentation("four_fermions_k"))
+    assert fermions.superdim() == (1, 4)
+
+
 def test_r_n3_bracket_relations():
     g = build_algebra("R_N3")
 

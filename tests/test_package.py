@@ -127,15 +127,55 @@ _UNREFERENCED_PUBLIC = {
 
 
 def _public_defs(tree):
-    """(name, node) of each module-level public def or class and method."""
+    """(name, node, is_method) of each module-level public def or class and
+    each public method of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node.name, node
+                yield node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for m in node.body:
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                        yield m.name, m
+                        yield m.name, m, True
+
+
+def _unreferenced_public(sources):
+    """file:name of each public def in sources that nothing there uses.
+
+    sources are (file, text, defines) triples.  Only the public defs of a
+    file that defines count.  A method is used only through an attribute
+    of its name, a module-level def or class also through a loaded name or
+    an import alias; in a file that does not define, a string constant
+    equal to the name is a use of either.  A use inside the def itself
+    does not count.
+    """
+    defs, uses = [], {}
+    for file, text, defines in sources:
+        tree = ast.parse(text)
+        if defines:
+            defs += [(name, file, node, m) for name, node, m in _public_defs(tree)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                name, by_attr = n.attr, True
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                name, by_attr = n.id, False
+            elif isinstance(n, ast.alias):
+                name, by_attr = n.name, False
+            elif isinstance(n, ast.Constant) and not defines:
+                name, by_attr = n.value, True
+            else:
+                continue
+            if isinstance(name, str):
+                uses.setdefault(name, []).append((file, n.lineno, by_attr))
+    return {
+        f"{file}:{name}"
+        for name, file, node, method in defs
+        if all(
+            (method and not by_attr)
+            or (f == file and node.lineno <= line <= node.end_lineno)
+            for f, line, by_attr in uses.get(name, ())
+        )
+    }
 
 
 def test_no_unreferenced_public_code():
@@ -143,32 +183,29 @@ def test_no_unreferenced_public_code():
     # besides its own definition is dead unless it is listed above; bench
     # is only read, and its tracer names its targets as strings
     root = Path(__file__).resolve().parents[1]
-    src = root / "src" / "vazhu"
-    defs, refs = [], {}
-    for path in sorted(src.glob("*.py")) + sorted((root / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        if path.parent == src:
-            defs += [(name, path.name, node) for name, node in _public_defs(tree)]
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                name = n.id
-            elif isinstance(n, ast.Attribute):
-                name = n.attr
-            elif isinstance(n, ast.Constant) and path.parent != src:
-                name = n.value
-            else:
-                continue
-            if isinstance(name, str):
-                refs.setdefault(name, []).append((path, n.lineno))
-    unused = {
-        f"{file}:{name}"
-        for name, file, node in defs
-        if all(
-            p == src / file and node.lineno <= line <= node.end_lineno
-            for p, line in refs.get(name, ())
-        )
-    }
-    assert unused == set(_UNREFERENCED_PUBLIC)
+    src, bench = root / "src" / "vazhu", root / "bench"
+    sources = [(p.name, p.read_text(), True) for p in sorted(src.glob("*.py"))]
+    sources += [
+        (f"bench/{p.name}", p.read_text(), False) for p in sorted(bench.glob("*.py"))
+    ]
+    assert _unreferenced_public(sources) == set(_UNREFERENCED_PUBLIC)
+
+
+def test_a_local_name_does_not_use_a_method():
+    # a local variable named like a method is no use of the method
+    snippet = (
+        "class Box:\n"
+        "    def scale(self):\n"
+        "        return 1\n"
+        "def run():\n"
+        "    scale = Box()\n"
+        "    return scale\n"
+    )
+    defining = ("m.py", snippet, True)
+    assert _unreferenced_public([defining]) == {"m.py:scale", "m.py:run"}
+    # an attribute uses a method, a string in a reading file either kind
+    reading = ("b.py", "box.scale\n'run'\n", False)
+    assert _unreferenced_public([defining, reading]) == set()
 
 
 def test_no_dict_display_repeats_a_key():

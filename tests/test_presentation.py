@@ -276,6 +276,18 @@ def test_vacuum_derivative_rejected():
         VaPresentation("bad", gens, brackets)
 
 
+@pytest.mark.parametrize(
+    "key", [(-1, 1, "x"), (1, "x"), (Fraction(1), 0, "x"), (0, True, "x")]
+)
+def test_malformed_bracket_key_rejected(key):
+    # (-1, 1, x) has the pair's weight, so check_homogeneity would pass it
+    # and validate() fail on (-1) ** -1 in _skew; (1, x) would not unpack
+    gens = [GeneratorSpec("x", 0, Fraction(1))]
+    with pytest.raises(PresentationError) as err:
+        VaPresentation("bad", gens, {("x", "x"): {key: 1}})
+    assert str(err.value).startswith(f"bad key {key!r} in [x, x]")
+
+
 def test_parity_other_than_0_or_1_rejected():
     # pair_sign would read parity 2 as odd, check_homogeneity as even
     gens = [GeneratorSpec("B", 2, Fraction(1))]

@@ -26,7 +26,11 @@ from vazhu.linalg import vec_acc, vec_sum
 from vazhu.scalar import (
     _ONE_ITEMS,
     _SMALL_INT,
+    _SQUARE_RULES,
+    _conjugate_poly,
     _heu_gcd,
+    _int_digits,
+    _int_eval,
     _int_mul,
     _int_poly,
     _int_quo,
@@ -37,6 +41,7 @@ from vazhu.scalar import (
     _poly_acc,
     _poly_gcd,
     _poly_mul,
+    _q,
     _q_poly,
     _reduced,
     _uni_build,
@@ -234,6 +239,17 @@ def test_power_past_the_bits_limit_is_a_value_error():
             assert (top - 1).bit_length() + (d - 1).bit_length() <= (
                 scalar_module._pow_bits(e, base._num)
             ), (text, e)
+
+
+def test_powers_of_zero():
+    # zero has no terms, so no coefficient of its powers needs a bit
+    assert S("0^5000") == 0 and S("(c - c)^3000") == 0
+    assert ZERO**3000 == 0 and ZERO**0 == 1
+    assert scalar_module._pow_bits(3000, ZERO._num) == 0
+    with pytest.raises(ZeroDivisionError):
+        S("0^-1")
+    with pytest.raises(ValueError, match=r"more than 2048 bits"):
+        S("(c/7 - 5/3)^353")
 
 
 def test_long_polynomial_round_trips():
@@ -569,6 +585,131 @@ def test_prs_primitive_part_is_integer_primitive(text, var):
     assert reduce(gcd, coeffs) == 1
     product = {e: _int_mul(cont, c) for e, c in pp.items()}
     assert _uni_build(product, v) == p
+
+
+# ---------------------------------------------------------------------------
+# the univariate helpers against their bodies from before they split and
+# joined monomials through _uni_view and _uni_build and summed exponents
+# through _mono_add
+
+
+def _int_eval_ref(p, v, xi):
+    out: dict = {}
+    for m, c in p.items():
+        e = 0
+        rest = m
+        for i, (w, x) in enumerate(m):
+            if w == v:
+                e, rest = x, m[:i] + m[i + 1 :]
+                break
+        c = out.get(rest, 0) + c * xi**e
+        if c:
+            out[rest] = c
+        else:
+            del out[rest]
+    return out
+
+
+def _int_digits_ref(h, v, xi):
+    out: dict = {}
+    half = xi // 2
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[tuple(sorted(m + ((v, e),))) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _conjugate_poly_ref(p, v):
+    out = {}
+    for m, c in p.items():
+        if any(vv == v for vv, _ in m):
+            out[m] = -c
+        else:
+            out[m] = c
+    return out
+
+
+def _reduce_mono_ref(exps, coeff):
+    for v in sorted(exps, reverse=True):
+        if exps[v] >= 2 and v in _SQUARE_RULES:
+            base = dict(exps)
+            base[v] -= 2
+            out: dict = {}
+            for rm, rc in _SQUARE_RULES[v].items():
+                merged = dict(base)
+                for vv, ee in rm:
+                    merged[vv] = merged.get(vv, 0) + ee
+                _poly_acc(out, _reduce_mono_ref(merged, _q(coeff * rc)).items())
+            return out
+    mono = tuple(sorted((v, e) for v, e in exps.items() if e))
+    return {mono: coeff}
+
+
+def _mono_mul_ref(m1, m2):
+    exps: dict = {}
+    for v, e in m1:
+        exps[v] = exps.get(v, 0) + e
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return _reduce_mono_ref(exps, 1)
+
+
+_HELPER_VARS = ("c", "a", "k", "s", "I")
+
+
+@st.composite
+def _int_polys(draw):
+    """(variables, p): an integer dict-poly in 1 to 3 registry variables."""
+    names = st.lists(st.sampled_from(_HELPER_VARS), min_size=1, max_size=3, unique=True)
+    vs = sorted(parameter_names().index(n) for n in draw(names))
+    exps = st.tuples(*[st.integers(0, 3) for _ in vs])
+    monos = draw(st.lists(exps, min_size=1, max_size=8, unique=True))
+    c = st.integers(-60, 60).filter(bool)
+    return vs, {tuple((v, e) for v, e in zip(vs, es) if e): draw(c) for es in monos}
+
+
+def _monomial(exps):
+    return tuple(sorted((parameter_names().index(n), e) for n, e in exps.items()))
+
+
+_monomials = st.dictionaries(st.sampled_from(_HELPER_VARS), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_polys(), st.data())
+def test_univariate_helpers_match_their_references(vp, data):
+    vs, p = vp
+    v = data.draw(st.sampled_from(vs))
+    # an xi past twice the largest coefficient makes each one a balanced digit
+    top = max(map(abs, p.values()))
+    wide = data.draw(st.integers(2 * top + 1, 4 * top))
+    for xi in (data.draw(st.integers(3, 9)), wide):
+        image = _int_eval(p, v, xi)
+        assert image == _int_eval_ref(p, v, xi)
+        assert _int_digits(image, v, xi) == _int_digits_ref(image, v, xi)
+    assert _int_digits(_int_eval(p, v, wide), v, wide) == p
+    # the reference flips the sign of v^2 as well, but an algebraic
+    # variable never reaches a power past 1 in a stored polynomial
+    q = {m: c for m, c in p.items() if dict(m).get(v, 0) <= 1}
+    assert _conjugate_poly(q, v) == _conjugate_poly_ref(q, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomials, _monomials)
+def test_mono_mul_matches_its_reference(e1, e2):
+    # s and I carry square rules, s^2 -> a/2 and I^2 -> -1
+    m1, m2 = _monomial(e1), _monomial(e2)
+    got, want = _mono_mul(m1, m2), _mono_mul_ref(m1, m2)
+    assert [(m, type(c), c) for m, c in sorted(got.items())] == [
+        (m, type(c), c) for m, c in sorted(want.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
