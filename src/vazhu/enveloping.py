@@ -13,8 +13,10 @@ monomials that already hold a coefficient.  The engine lists them as
 (int, Scalar, state) terms and adds them with `linalg.vec_sum`, which sums
 every coefficient as an int over one common denominator, with no Scalar or
 Fraction per term, and builds each monomial's Scalar once at the end, with
-one division per coefficient (see `scalar`).  A product that vanishes by
-weight returns {} and is not stored.
+one division per coefficient (see `scalar`).  The axiom suite builds each
+side of its skew and Borcherds checks the same way, as one `vec_sum` over
+memoized products.  A product that vanishes by weight returns {} and is
+not stored.
 
 A single-factor left monomial needs no sum.  By the state-field
 correspondence the mode X_{i(n)} is the n-th product with X_{i(-1)}|0>, so
@@ -158,6 +160,12 @@ class VertexAlgebra:
     # -- the single-mode action -------------------------------------------------
 
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
+        """X_{i(n)} on a state; i is a generator index, an int, not a bool."""
+        if type(i) is not int or not 0 <= i < len(self._gens):
+            raise ValueError(
+                f"generator index {i!r} is not an int in 0..{len(self._gens) - 1}"
+                f" for the {len(self._gens)} generators"
+            )
         out: dict = {}
         gen = self._gens[i]
         for mono, coeff in state.items():
@@ -274,8 +282,8 @@ class VertexAlgebra:
                 yield binom, cu, self._mono_product(rest, -m + n - j, mu)
 
     def translation(self, state: dict) -> dict:
-        """T a = a_(-2)|0>."""
-        return self.nth_product(state, -2, self.vacuum())
+        """T a = a_(-2)|0>, the first divided derivative."""
+        return self.divided_derivative(state, 1)
 
     def trim_caches(self) -> bool:
         """Drop memoized states once the term budget is exceeded.
@@ -365,19 +373,22 @@ class AxiomReport:
 def _skew_holds(engine: VertexAlgebra, ma, mb, n: int) -> bool:
     """Skew symmetry a_(n)b = p(a, b) sum_j (-1)^(n+j+1) T^(j)(b_(n+j)a).
 
-    a and b are the monomials ma and mb with coefficient 1.
+    a and b are the monomials ma and mb with coefficient 1.  The right side
+    is one raw sum: T^(j) mu = mu_(-j-1)|0>, so each monomial mu of
+    b_(n+j)a adds its memoized product with the vacuum to `vec_sum`.
     """
     sign = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
     wt2 = engine._mono_wt2(ma) + engine._mono_wt2(mb)
-    rhs: dict = {}
+    prod = engine._mono_product
+    terms: list = []
     for j in range((wt2 - 2 * n) // 2):
-        flipped = engine._mono_product(mb, n + j, ma)
-        if not flipped:
-            continue
         # % 2 keeps the power an int: (-1) ** e is a float for e < 0
-        factor = Scalar.from_int(sign * (-1) ** ((j + n + 1) % 2))
-        vec_acc(rhs, engine.divided_derivative(flipped, j), factor)
-    return engine._mono_product(ma, n, mb) == rhs
+        f = sign * (-1) ** ((j + n + 1) % 2)
+        for mu, cu in prod(mb, n + j, ma).items():
+            vec = prod(mu, -j - 1, ())
+            if vec:
+                terms.append((f, cu, vec))
+    return prod(ma, n, mb) == (vec_sum(terms) if terms else {})
 
 
 def _open_checks(engine: VertexAlgebra, ma, mb, mc, mnks) -> list:
@@ -393,25 +404,27 @@ def _open_checks(engine: VertexAlgebra, ma, mb, mc, mnks) -> list:
 
 
 def _borcherds_rhs(
-    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int, abc: dict
+    engine: VertexAlgebra, ma, mb, mc, m: int, n: int, k: int
 ) -> dict:
     """sum_j binom(m, j) (a_(n+j)b)_(m+k-j) c, the Borcherds right side.
 
-    abc holds (a_(i)b)_(j)c under (i, j); pass one dict per (a, b, c)
-    triple to share it across the triple's checks, a fresh one otherwise.
-    The sum stops at its weight bound and, since binom(m, j) = 0 for
+    It is one raw sum: each monomial mu of the memoized a_(n+j)b adds its
+    memoized product mu_(m+k-j)c to `vec_sum`, so no state between the two
+    products is built.  A product that vanishes adds no term, and a side
+    with no term is {} without a sum: most generator-phase sides of big4
+    are.  The sum stops at its weight bound and, since binom(m, j) = 0 for
     j > m >= 0, also at j = m when m >= 0.
     """
-    c = {mc: ONE}
-    rhs: dict = {}
+    prod = engine._mono_product
+    terms: list = []
     top = (engine._mono_wt2(ma) + engine._mono_wt2(mb) - 2 * n) // 2
     for j in range(min(top, m + 1) if m >= 0 else top):
-        key = (n + j, m + k - j)
-        if key not in abc:
-            ab = engine._mono_product(ma, n + j, mb)
-            abc[key] = engine.nth_product(ab, key[1], c)
-        vec_acc(rhs, abc[key], Scalar.from_int(gbinom(m, j)))
-    return rhs
+        f, q = gbinom(m, j), m + k - j
+        for mu, cu in prod(ma, n + j, mb).items():
+            vec = prod(mu, q, mc)
+            if vec:
+                terms.append((f, cu, vec))
+    return vec_sum(terms) if terms else {}
 
 
 def _borcherds_lhs(
@@ -420,9 +433,11 @@ def _borcherds_lhs(
     """The Borcherds left side, as a new dict: sum_j (-1)^j binom(n, j) of
     a_(m+n-j)(b_(k+j)c) - p(a, b) (-1)^n b_(n+k-j)(a_(m+j)c).
 
-    At n = 0 it is the supercommutator [a_(m), b_(k)] c.  Products of two
-    monomials come from the engine's memo.  The sum stops at j = n when
-    n >= 0, since binom(n, j) = 0 for j > n, and else at its weight bound.
+    At n = 0 it is the supercommutator [a_(m), b_(k)] c.  It is one raw
+    sum, like `_borcherds_rhs`: each monomial of the memoized inner product
+    adds its memoized outer product to `vec_sum`.  The sum stops at j = n
+    when n >= 0, since binom(n, j) = 0 for j > n, and else at its weight
+    bound.
     """
     if n >= 0:
         stop = n + 1
@@ -430,19 +445,21 @@ def _borcherds_lhs(
         wt2 = engine._mono_wt2
         stop = max(wt2(mb) + wt2(mc) - 2 * k, wt2(ma) + wt2(mc) - 2 * m) // 2
     p_ab = -1 if engine.mono_parity(ma) and engine.mono_parity(mb) else 1
-    a, b = {ma: ONE}, {mb: ONE}
-    sign_ba = Scalar.from_int(-p_ab * (-1) ** (n % 2))
-    lhs: dict = {}
+    sign_ba = -p_ab * (-1) ** (n % 2)
+    prod = engine._mono_product
+    terms: list = []
     for j in range(stop):
-        bc = engine._mono_product(mb, k + j, mc)
-        ac = engine._mono_product(ma, m + j, mc)
-        term = engine.nth_product(a, m + n - j, bc)
-        vec_acc(term, engine.nth_product(b, n + k - j, ac), sign_ba)
-        if j:
-            vec_acc(lhs, term, Scalar.from_int((-1) ** j * gbinom(n, j)))
-        else:
-            lhs = term  # binom(n, 0) = 1, so the first term needs no copy
-    return lhs
+        f, p = (-1) ** j * gbinom(n, j), m + n - j
+        for mu, cu in prod(mb, k + j, mc).items():
+            vec = prod(ma, p, mu)
+            if vec:
+                terms.append((f, cu, vec))
+        f, p = f * sign_ba, n + k - j
+        for mu, cu in prod(ma, m + j, mc).items():
+            vec = prod(mb, p, mu)
+            if vec:
+                terms.append((f, cu, vec))
+    return vec_sum(terms) if terms else {}
 
 
 _MODE_WINDOW = 3
@@ -465,19 +482,18 @@ def axiom_suite(
     battery.  A commutator check is the Borcherds identity at n = 0,
     reported as "commutator".  Every state checked is a PBW monomial with
     coefficient 1, so the engine's memos serve the products of two of them
-    and their weights; each ordered (a, b, c) triple keeps only its
-    (a_(i)b)_(j)c products in a dict of its own.  `phase_s` records each
-    phase's seconds.
+    and their weights, and no triple keeps a dict of its own: each side of
+    a check is one raw `vec_sum` over memoized products.  `phase_s` records
+    each phase's seconds.
 
     Every check at (m, n, k), in both phases, compares `_borcherds_lhs`
-    with `_borcherds_rhs`, the right side from its ordered triple's dict.
-    The generator phase loops over unordered pairs x <= y.  For each z and
-    each open (m, k) it builds the left side at (m, 0, k), the state
-    [a_(m), b_(k)]c, once and compares it with the (x, y) right side; as
-    [b_(k), a_(m)] = -p(a, b) [a_(m), b_(k)], -p(a, b) times that state
-    is compared with the (y, x) right side at (k, m).  On the diagonal
-    x = y the checks (m, k) and (k, m) share one state, and m = k is one
-    check.  Failures are tagged with their ordered (x, y, z, m, k) position
+    with `_borcherds_rhs`.  The generator phase loops over unordered pairs
+    x <= y.  For each z and each open (m, k) it builds the left side at
+    (m, 0, k), the state [a_(m), b_(k)]c, once and compares it with the
+    (x, y) right side; as [b_(k), a_(m)] = -p(a, b) [a_(m), b_(k)],
+    -p(a, b) times that state is compared with the (y, x) right side at
+    (k, m).  On the diagonal x = y the checks (m, k) and (k, m) share one
+    state, and m = k is one check.  Failures are tagged with their ordered (x, y, z, m, k) position
     and reported in the ordered-pair order: for each (x, y), its skew
     failures, then its commutator failures by z, m and k.  The engine's
     memos are trimmed after each (pair, z) batch of the generator phase,
@@ -520,11 +536,11 @@ def axiom_suite(
         report.by_weight += len(mnks) - len(left)
         return left
 
-    def battery(kind, names, a, b, c, mnks, abc) -> None:
+    def battery(kind, names, a, b, c, mnks) -> None:
         # a commutator failure reads (m, k), a Borcherds one (m, n, k)
         for m, n, k in graded(a, b, c, mnks):
             lhs = _borcherds_lhs(engine, a, b, c, m, n, k)
-            if lhs != _borcherds_rhs(engine, a, b, c, m, n, k, abc):
+            if lhs != _borcherds_rhs(engine, a, b, c, m, n, k):
                 at = (m, k) if kind == "commutator" else (m, n, k)
                 report.failures.append((kind, (*names, *at)))
         engine.trim_caches()
@@ -534,9 +550,9 @@ def axiom_suite(
     tagged: list = []
     names = engine.names
 
-    def commutator(xi, yi, zi, m, k, state, abc) -> None:
+    def commutator(xi, yi, zi, m, k, state) -> None:
         a, b, c = gens[xi], gens[yi], gens[zi]
-        if state != _borcherds_rhs(engine, a, b, c, m, 0, k, abc):
+        if state != _borcherds_rhs(engine, a, b, c, m, 0, k):
             failure = ("commutator", (names[xi], names[yi], names[zi], m, k))
             tagged.append(((xi, yi, 1, zi, m, k), failure))
 
@@ -553,20 +569,17 @@ def axiom_suite(
             flip = not (engine.mono_parity(a) and engine.mono_parity(b))
             for zi, c in enumerate(gens):
                 left = graded(a, b, c, commutators)
-                abc: dict = {}
-                cba = abc
                 if xi < yi:
                     graded(b, a, c, commutators)
-                    cba = {}
                 for m, _, k in left:
                     if xi == yi and k < m:
                         continue  # the mirror of (k, m), checked with it
                     state = _borcherds_lhs(engine, a, b, c, m, 0, k)
-                    commutator(xi, yi, zi, m, k, state, abc)
+                    commutator(xi, yi, zi, m, k, state)
                     if xi < yi or m < k:
                         if flip:
                             state = {key: -v for key, v in state.items()}
-                        commutator(yi, xi, zi, k, m, state, cba)
+                        commutator(yi, xi, zi, k, m, state)
                 engine.trim_caches()
     report.failures.extend(failure for _, failure in sorted(tagged))
     split = time.perf_counter()
@@ -579,14 +592,13 @@ def axiom_suite(
             if not _skew_holds(engine, a, b, n):
                 report.failures.append(("skew", (desc[0], desc[1], n)))
             engine.trim_caches()
-        abc: dict = {}
         mnks = [(0, 0, 0), (1, 0, -1)] + [
             (draw(), 0, draw()) for _ in range(2)
         ]
-        battery("commutator", desc, a, b, c, mnks, abc)
+        battery("commutator", desc, a, b, c, mnks)
         mnks = [(0, 0, -1), (-1, 1, 0)] + [
             (draw(), draw(), draw()) for _ in range(2)
         ]
-        battery("borcherds", desc, a, b, c, mnks, abc)
+        battery("borcherds", desc, a, b, c, mnks)
     report.phase_s["sampled"] = time.perf_counter() - split
     return report

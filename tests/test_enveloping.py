@@ -140,6 +140,18 @@ def test_modes_on_vacuum():
         assert eng.apply_mode(1, n, vac) == {}
 
 
+def test_apply_mode_refuses_an_index_that_is_no_generator():
+    # a negative index once read a generator from the end of the list, a
+    # bool acted as 0 or 1, and an index past the end raised IndexError
+    eng = engine("N2")
+    assert eng.names == ["L", "J", "Gp", "Gm"]
+    vac = eng.vacuum()
+    for i in (-1, True, 4):
+        message = rf"generator index {i!r} is not an int in 0\.\.3 for the 4 "
+        with pytest.raises(ValueError, match=message):
+            eng.apply_mode(i, -1, vac)
+
+
 def test_virasoro_mode_pins():
     eng = engine("virasoro")
     L = eng.generator("L")
@@ -489,7 +501,7 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
                 continue
             decided.append((m, n, k))
             # the real sides, imported before the suite's are stubbed
-            assert _holds(engine_, ma, mb, mc, m, n, k, {})
+            assert _holds(engine_, ma, mb, mc, m, n, k)
             a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
             wa2, wb2, wc2 = (engine_._mono_wt2(x) for x in (ma, mb, mc))
             terms = []
@@ -506,24 +518,26 @@ def test_weight_rule_is_sound(pres_id, monkeypatch):
     monkeypatch.setattr(enveloping, "_open_checks", spy)
     # the checks the grading leaves are the suite tests' business: both
     # phases compare two stubbed sides
-    monkeypatch.setattr(enveloping, "_borcherds_lhs", lambda *args: {})
-    monkeypatch.setattr(enveloping, "_borcherds_rhs", lambda *args: {})
+    def stub(engine_, ma, mb, mc, m, n, k):
+        return {}
+
+    monkeypatch.setattr(enveloping, "_borcherds_lhs", stub)
+    monkeypatch.setattr(enveloping, "_borcherds_rhs", stub)
     rep = axiom_suite(eng, **suite)
     assert rep.by_weight == len(decided) > 0
 
 
-def _holds(eng, ma, mb, mc, m: int, n: int, k: int, abc: dict) -> bool:
+def _holds(eng, ma, mb, mc, m: int, n: int, k: int) -> bool:
     """The Borcherds identity for the monomials ma, mb, mc at (m, n, k)."""
     lhs = _borcherds_lhs(eng, ma, mb, mc, m, n, k)
-    return lhs == _borcherds_rhs(eng, ma, mb, mc, m, n, k, abc)
+    return lhs == _borcherds_rhs(eng, ma, mb, mc, m, n, k)
 
 
 def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
     """(checks, by_weight, failures) of axiom_suite, every check in full.
 
     The suite's checks in its order, each counted by `_vanishes_by_weight`
-    and run through both whole Borcherds sides with a fresh product dict,
-    whatever the grading says.
+    and run through both whole Borcherds sides, whatever the grading says.
     """
     rng = random.Random(seed)
     pool = [m for m in eng.basis(weight_bound) if m]
@@ -542,7 +556,7 @@ def _reference_suite(eng, weight_bound, triples: int, seed: int = 0):
         for m, n, k in mnks:
             out[0] += 1
             out[1] += _vanishes_by_weight(eng, a, b, c, m, n, k)
-            if not _holds(eng, a, b, c, m, n, k, {}):
+            if not _holds(eng, a, b, c, m, n, k):
                 at = (m, k) if kind == "commutator" else (m, n, k)
                 out[2].append((kind, (*names, *at)))
 
@@ -957,25 +971,133 @@ def test_derivative_mode_shift(a, b, n):
 def test_commutator_property(a, b, c, m, n):
     # the commutator formula is the Borcherds identity at (m, 0, n)
     eng = engine("N1")
-    assert _holds(eng, a, b, c, m, 0, n, {})
+    assert _holds(eng, a, b, c, m, 0, n)
 
 
 POOLS = {"N1": N1_POOL, "N2": engine("N2").basis(2)[1:]}
 
 
+# -- the accumulating sides, as references ------------------------------------------
+#
+# The suite's helpers once built each side from intermediate nth_product and
+# divided_derivative states, added with a scaled vec_acc, and the right side
+# kept the (a_(i)b)_(j)c states of a triple in a dict of its own.  The raw-sum
+# helpers must give the same canonical Scalars and the same skew verdicts.
+
+
+def _ref_skew_holds(eng, ma, mb, n: int) -> bool:
+    sign = -1 if eng.mono_parity(ma) and eng.mono_parity(mb) else 1
+    wt2 = eng._mono_wt2(ma) + eng._mono_wt2(mb)
+    rhs: dict = {}
+    for j in range((wt2 - 2 * n) // 2):
+        flipped = eng._mono_product(mb, n + j, ma)
+        if not flipped:
+            continue
+        factor = Scalar.from_int(sign * (-1) ** ((j + n + 1) % 2))
+        vec_acc(rhs, eng.divided_derivative(flipped, j), factor)
+    return eng._mono_product(ma, n, mb) == rhs
+
+
+def _ref_borcherds_rhs(eng, ma, mb, mc, m: int, n: int, k: int, abc: dict):
+    c = {mc: ONE}
+    rhs: dict = {}
+    top = (eng._mono_wt2(ma) + eng._mono_wt2(mb) - 2 * n) // 2
+    for j in range(min(top, m + 1) if m >= 0 else top):
+        key = (n + j, m + k - j)
+        if key not in abc:
+            ab = eng._mono_product(ma, n + j, mb)
+            abc[key] = eng.nth_product(ab, key[1], c)
+        vec_acc(rhs, abc[key], Scalar.from_int(gbinom(m, j)))
+    return rhs
+
+
+def _ref_borcherds_lhs(eng, ma, mb, mc, m: int, n: int, k: int) -> dict:
+    if n >= 0:
+        stop = n + 1
+    else:
+        wt2 = eng._mono_wt2
+        stop = max(wt2(mb) + wt2(mc) - 2 * k, wt2(ma) + wt2(mc) - 2 * m) // 2
+    p_ab = -1 if eng.mono_parity(ma) and eng.mono_parity(mb) else 1
+    a, b = {ma: ONE}, {mb: ONE}
+    sign_ba = Scalar.from_int(-p_ab * (-1) ** (n % 2))
+    lhs: dict = {}
+    for j in range(stop):
+        bc = eng._mono_product(mb, k + j, mc)
+        ac = eng._mono_product(ma, m + j, mc)
+        term = eng.nth_product(a, m + n - j, bc)
+        vec_acc(term, eng.nth_product(b, n + k - j, ac), sign_ba)
+        if j:
+            vec_acc(lhs, term, Scalar.from_int((-1) ** j * gbinom(n, j)))
+        else:
+            lhs = term
+    return lhs
+
+
+def _sides_match_references(eng, triples, mnks) -> tuple:
+    """Compare both sides and the skew verdicts with the references.
+
+    Each (a, b, c) triple shares one abc dict across its checks, as the
+    suite once did.  Returns the number of nonzero sides compared and the
+    number of checks whose two sides differ.
+    """
+    nonzero = broken = 0
+    for ma, mb, mc in triples:
+        abc: dict = {}
+        for m, n, k in mnks:
+            lhs = _borcherds_lhs(eng, ma, mb, mc, m, n, k)
+            rhs = _borcherds_rhs(eng, ma, mb, mc, m, n, k)
+            assert lhs == _ref_borcherds_lhs(eng, ma, mb, mc, m, n, k)
+            assert rhs == _ref_borcherds_rhs(eng, ma, mb, mc, m, n, k, abc)
+            nonzero += bool(lhs) + bool(rhs)
+            broken += lhs != rhs
+        for n in sorted({n for _, n, _ in mnks}):
+            assert _skew_holds(eng, ma, mb, n) == _ref_skew_holds(eng, ma, mb, n)
+        eng.trim_caches()
+    return nonzero, broken
+
+
+@pytest.mark.parametrize("pres_id", ["N2", "N3", "big4_kwmiss1"])
+def test_raw_sum_sides_match_the_accumulated_ones_on_generators(pres_id):
+    # m, k in 0..3 and n in -2..2 on generator triples; big4_kwmiss1 breaks
+    # the identity, so both computations must also agree on sides that
+    # differ.  Its 4,096 triples are sampled: all of them take about 19 s.
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    gens = [((i, 1),) for i in range(len(eng.names))]
+    triples = [(a, b, c) for a in gens for b in gens for c in gens]
+    if pres_id == "big4_kwmiss1":
+        triples = random.Random(1).sample(triples, 250)
+    mnks = [(m, n, k) for m in range(4) for n in range(-2, 3) for k in range(4)]
+    nonzero, broken = _sides_match_references(eng, triples, mnks)
+    assert nonzero > 0
+    assert (broken > 0) == (pres_id == "big4_kwmiss1")
+
+
+@pytest.mark.parametrize("pres_id", ["virasoro", "N2"])
+def test_raw_sum_sides_match_the_accumulated_ones_on_basis_triples(pres_id):
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    pool = eng.basis(3)[1:]
+    rng = random.Random(3)
+    triples = [tuple(rng.choice(pool) for _ in "abc") for _ in range(12)]
+    mnks = [tuple(rng.randint(-2, 2) for _ in "mnk") for _ in range(8)]
+    nonzero, broken = _sides_match_references(eng, triples, mnks)
+    assert nonzero > 0 and broken == 0
+
+
 @settings(max_examples=12, deadline=None)
 @given(pres_id=st.sampled_from(sorted(POOLS)), data=st.data())
 def test_shared_commutator_memo_matches_fresh(pres_id, data):
-    # one abc dict across a triple's checks gives the fresh-dict verdicts,
-    # and every entry it holds is the one computed from scratch
+    # the accumulating right side with one abc dict across a triple's
+    # checks gives the raw-sum verdicts, and every entry it holds is the
+    # one computed from scratch
     eng = engine(pres_id)
     ma, mb, mc = (data.draw(st.sampled_from(POOLS[pres_id])) for _ in "abc")
     modes = st.integers(min_value=-1, max_value=2)
     abc: dict = {}
     for _ in range(6):
         m, n, k = data.draw(st.tuples(modes, modes, modes))
-        shared = _holds(eng, ma, mb, mc, m, n, k, abc)
-        assert shared == _holds(eng, ma, mb, mc, m, n, k, {})
+        lhs = _borcherds_lhs(eng, ma, mb, mc, m, n, k)
+        shared = lhs == _ref_borcherds_rhs(eng, ma, mb, mc, m, n, k, abc)
+        assert shared == _holds(eng, ma, mb, mc, m, n, k)
     a, b, c = {ma: ONE}, {mb: ONE}, {mc: ONE}
     for (i, j), value in abc.items():
         assert value == eng.nth_product(eng.nth_product(a, i, b), j, c)

@@ -449,6 +449,52 @@ def test_osp32_centralizer_embeds_into_the_n3_zero_modes():
     assert mor.check() is None
 
 
+@pytest.mark.parametrize(
+    "aid, target, images, dims",
+    [
+        ("osp12", "R_N1", {"L": {"f": ONE}, "G": {"g": ONE}}, (1, 1)),
+        (
+            "sl12",
+            "R_N2",
+            {
+                "J": {"t1": ONE, "t2": ONE},
+                "L": {"f": ONE},
+                "Gp": {"gp": ONE},
+                "Gm": {"gm": ONE},
+            },
+            (2, 2),
+        ),
+        (
+            "psl22",
+            "R_N4small",
+            {
+                "L": {"fa": ONE},
+                "J0": {"hd": ONE},
+                "Jp": {"ed": ONE},
+                "Jm": {"fd": ONE},
+                "Gp": {"c20": ONE},
+                "Gm": {"c30": ONE},
+                "GBp": {"b13": ONE},
+                "GBm": {"b12": ONE},
+            },
+            (4, 4),
+        ),
+    ],
+)
+def test_centralizer_is_isomorphic_to_the_zero_modes(aid, target, images, dims):
+    # the images lie in g^f and span a subalgebra of its superdimension, so
+    # they are g^f, and the identity on names preserves brackets into R_N
+    g, r = build_algebra(aid), build_algebra(target)
+    f = g.element(MINIMAL_NILPOTENT[aid])
+    for x in images.values():
+        assert g.bracket(f, x) == {}
+    sub = g.subalgebra(images)
+    assert sub.superdim() == g.centralizer(f).superdim() == dims
+    assert r.superdim() == dims
+    mor = LieMorphism(sub, r, {n: {n: ONE} for n in sub.names})
+    assert mor.check() is None
+
+
 def test_d21a_centralizer_embeds_into_the_big_n4_zero_modes():
     d = build_algebra("d21a")
     r = build_algebra("R_N4")
