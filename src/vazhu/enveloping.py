@@ -79,6 +79,13 @@ _MEMO_TERM_BUDGET = 3_000_000
 _FACTOR_LIMIT = 100
 
 
+def _weight_bound(bound) -> Fraction:
+    # Fraction(2.3) is a binary float's value, not 23/10
+    if isinstance(bound, (int, Fraction)):
+        return Fraction(bound)
+    raise TypeError(f"weight bound is a {type(bound).__name__}, not an int or Fraction")
+
+
 def _too_long(mono) -> ValueError:
     return ValueError(
         f"monomial of {len(mono)} factors is longer than the limit of "
@@ -89,12 +96,11 @@ def _too_long(mono) -> ValueError:
 class VertexAlgebra:
     """The enveloping vertex algebra of a validated presentation.
 
-    The weight bounds of the products and of the axiom suite hold on a
-    weight-homogeneous table, so the constructor checks homogeneity even
-    when the presentation was never validated (PresentationError).  Two
-    memos serve every call: `_prod_memo` holds the products of two
-    monomials, single modes included, and `_wt2_memo` their doubled
-    weights.  _MEMO_TERM_BUDGET bounds the memoized terms: past it,
+    The weight bounds of the products and of the axiom suite hold on the
+    weight-homogeneous table that a VaPresentation has from its constructor,
+    validated or not.  Two memos serve every call: `_prod_memo` holds the
+    products of two monomials, single modes included, and `_wt2_memo` their
+    doubled weights.  _MEMO_TERM_BUDGET bounds the memoized terms: past it,
     trim_caches drops both between top-level operations.  apply_mode and
     nth_product refuse a monomial of more than _FACTOR_LIMIT factors with
     ValueError, so that no recursion of theirs reaches Python's recursion
@@ -102,7 +108,6 @@ class VertexAlgebra:
     """
 
     def __init__(self, presentation):
-        presentation.check_homogeneity()
         self.pres = presentation
         self.names = presentation.names()
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -305,8 +310,8 @@ class VertexAlgebra:
     # -- basis enumeration --------------------------------------------------------
 
     def basis(self, max_weight) -> list:
-        """All sorted monomials with weight <= max_weight, vacuum included."""
-        bound = Fraction(max_weight)
+        """Sorted monomials of weight <= max_weight (int or Fraction), vacuum too."""
+        bound = _weight_bound(max_weight)
         factors = []
         for i, wt in enumerate(self.weights):
             m = 1
@@ -507,7 +512,7 @@ def axiom_suite(
     at (m, n, k) vanishes exactly when the room is below 2(m + n + k).
     Such a check is decided without computing a product: it counts in
     `checks` and in `by_weight`, and it passes.  This is exact because the
-    engine only accepts weight-homogeneous tables, on which every product
+    presentation is weight-homogeneous from its constructor: every product
     lowers weight as above; most generator-phase commutator checks of big4
     are decided this way.  The rule is symmetric in (a, m) and (b, k), so
     the (y, x) checks left open are the mirrors of the (x, y) ones; each
@@ -515,13 +520,14 @@ def axiom_suite(
     sums that decide the open checks stop at their last nonzero binomial.
     """
     start = time.perf_counter()
+    bound = _weight_bound(weight_bound)
     rng = random.Random(seed)
-    pool = [m for m in engine.basis(weight_bound) if m] if triples > 0 else []
+    pool = [m for m in engine.basis(bound) if m] if triples > 0 else []
     if triples > 0 and not pool:
         raise ValueError(
             f"no basis monomial within weight_bound={weight_bound} to sample"
         )
-    report = AxiomReport(engine.pres.name, Fraction(weight_bound), triples)
+    report = AxiomReport(engine.pres.name, bound, triples)
     gens = engine._gens
     window = range(-_MODE_WINDOW, _MODE_WINDOW + 1)
     modes = range(_MODE_WINDOW + 1)

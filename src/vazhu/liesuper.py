@@ -541,12 +541,11 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
     For generators a, b the bracket [a, b] is `pres.mode_commutator(a,
     wt a - 1, b, wt b - 1)` with each zero mode X_(wt X - 1) read as X and
     |0>_(-1) as the even central Z.  The rule reads each target's mode off
-    the weights, so the table must be homogeneous (PresentationError).
+    the weights, which is sound as pres is homogeneous from its constructor.
     After the shift L -> L - (c/24) Z, made only when pres has both a
     conformal name and a central charge, Z joins the basis right after the
     last even generator, and only if some bracket still has a term on it.
     """
-    pres.check_homogeneity()
     names, wt = pres.names(), pres.weight
     table = {}
     for i, x in enumerate(names):

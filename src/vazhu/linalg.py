@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Scalar, ZERO, ONE, _coerce, _int_sum
+from .scalar import Scalar, ZERO, ONE, _as_scalar, _coerce, _int_sum
 
 __all__ = [
     "SuperMatrix",
@@ -38,12 +38,7 @@ def _clean(d: dict) -> dict:
     """A zero-free Scalar vector with the entries of d."""
     out = {}
     for k, v in d.items():
-        s = _coerce(v)
-        if s is NotImplemented:
-            name = type(v).__name__
-            raise TypeError(
-                f"coefficient at {k!r} is a {name}, not a Scalar, int, Fraction or text"
-            )
+        s = v if type(v) is Scalar else _as_scalar(v, "coefficient at {!r}", k)
         if s._num:
             out[k] = s
     return out
@@ -106,12 +101,7 @@ def key_acc(out: dict, key, coeff) -> None:
 
 
 def vec_scale(u: dict, f) -> dict:
-    s = _coerce(f)
-    if s is NotImplemented:
-        name = type(f).__name__
-        raise TypeError(
-            f"scale factor is a {name}, not a Scalar, int, Fraction or text"
-        )
+    s = _as_scalar(f, "scale factor")
     if s.is_zero():
         return {}
     return {k: c * s for k, c in u.items()}
@@ -196,8 +186,8 @@ def solve_membership(target: dict, spanning: list[dict], key_order=None):
 def verify_membership(target: dict, spanning: list[dict], cert: dict) -> bool:
     """Independent recombination check of a membership certificate."""
     total: dict = {}
-    for idx, coeff in cert.items():
-        vec_acc(total, _clean(spanning[idx]), _coerce(coeff))
+    for idx, coeff in _clean(cert).items():
+        vec_acc(total, _clean(spanning[idx]), coeff)
     return total == _clean(target)
 
 
@@ -324,10 +314,10 @@ class GrassmannElement:
 
     def __init__(self, terms: dict | None = None):
         out: dict = {}
-        for (te, thetas), c in (terms or {}).items():
+        for (te, thetas), c in _clean(terms or {}).items():
             if len(set(thetas)) == len(thetas):
                 sign, ordered = _sort_sign(thetas)
-                key_acc(out, (te, ordered), _coerce(c) * sign)
+                key_acc(out, (te, ordered), c * sign)
         self.terms = out
 
     @classmethod
@@ -472,7 +462,7 @@ class ContactDerivation:
         )
 
     def scale(self, f) -> "ContactDerivation":
-        f = _coerce(f)
+        f = _as_scalar(f, "scale factor")
         return ContactDerivation(
             self.n_theta,
             self.parity,

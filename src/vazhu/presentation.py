@@ -6,10 +6,10 @@ given and stored as one vector {(n, k, target): coeff} of terms
 coeff * lam^n * d^k(target), the target a generator or the vacuum VACUUM:
 a central term c lam^n is the term (n, 0, VACUUM), as in a Lie conformal
 algebra with values in the generators plus C|0>.  Two rules cover the
-vacuum: d|0> = 0 and [|0>_lam X] = 0.  The module validates weight
-homogeneity, skew consistency, primary normalization against the conformal
-field, and the conformal-level Jacobi identity, and it serves the one mode
-commutator rule that the enveloping engine and the zero-mode algebras read.
+vacuum: d|0> = 0 and [|0>_lam X] = 0.  A presentation is homogeneous and
+skew-complete from its constructor.  validate() checks diagonal skew,
+primary normalization and conformal-level Jacobi, and the module serves
+the one mode commutator rule that the engine and the zero-mode algebras read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 
 from .linalg import _clean, key_acc, vec_acc
-from .scalar import Scalar, ONE, _coerce
+from .scalar import Scalar, ONE, _as_scalar, _coerce
 
 __all__ = [
     "GeneratorSpec",
@@ -76,15 +76,17 @@ class VaPresentation:
     vector {(lam, der, target): coeff} of [x_lam y], central terms on
     VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text,
     and a vector may be any mapping, such as another presentation's
-    read-only one.  The constructor checks structure only: parities 0 or
-    1, int or Fraction weights, declared names, declaration order, keys of
-    three entries with non-negative int lam and der, declared targets and
-    no derivative of the vacuum.  validate() checks the brackets.
+    read-only one.  The constructor checks parities 0 or 1, int or
+    Fraction weights, declared names, declaration order, keys of three
+    entries with non-negative int lam and der, declared targets, no
+    derivative of the vacuum, and that each bracket term has its pair's
+    weight and parity.  It then builds `_pairs`, the complete table: the
+    stored pairs and the skew of each off-diagonal one.  validate() checks
+    the rest.
 
-    The stored table `_table`, its vectors, the skew-completed
-    `pair_bracket` vectors, `index`, `parity` and `weight` are read-only
-    `types.MappingProxyType` views and `generators` is a tuple, so writing
-    into one raises TypeError.
+    The tables `_table`, as given, and `_pairs`, their vectors, `index`,
+    `parity` and `weight` are read-only `types.MappingProxyType` views and
+    `generators` is a tuple, so writing into one raises TypeError.
     A verdict on them is then fixed with the object: `jacobi_witness()`
     computes its result once and returns it on every later call.
     """
@@ -117,9 +119,9 @@ class VaPresentation:
         self.weight = MappingProxyType(
             {g.name: Fraction(g.weight) for g in self.generators}
         )
-        self.central_charge = (
-            None if central_charge is None else _coerce(central_charge)
-        )
+        if central_charge is not None:
+            central_charge = _as_scalar(central_charge, "central charge")
+        self.central_charge = central_charge
         self.conformal_name = conformal_name
         table = {}
         for (x, y), value in brackets.items():
@@ -156,7 +158,27 @@ class VaPresentation:
                     )
             table[(x, y)] = MappingProxyType(_clean(value))
         self._table = MappingProxyType(table)
-        self._pair_cache: dict = {}
+        self._check_homogeneity()
+        pairs = dict(table)
+        for (x, y), v in table.items():
+            if x != y:
+                pairs[(y, x)] = MappingProxyType(self._skew(v, self.pair_sign(x, y)))
+        self._pairs = MappingProxyType(pairs)
+
+    def _check_homogeneity(self):
+        # the vacuum, the only target outside the weights, is even of weight 0
+        for (x, y), value in self._table.items():
+            wsum = self.weight[x] + self.weight[y]
+            psum = (self.parity[x] + self.parity[y]) % 2
+            for n, k, target in value:
+                if self.parity.get(target, 0) != psum:
+                    raise PresentationError(
+                        f"parity mismatch in [{x}, {y}] -> {target}"
+                    )
+                if self.weight.get(target, 0) + k + n + 1 != wsum:
+                    raise PresentationError(
+                        f"weight mismatch in [{x}, {y}] -> lam^{n} d^{k} {target}"
+                    )
 
     # -- basic data ----------------------------------------------------------
 
@@ -170,34 +192,22 @@ class VaPresentation:
         """Canonical bracket of an ordered pair as one vector.
 
         Keys are (lam_power, der_order, target), central terms on VACUUM.
-        Pairs stored in the other orientation are completed by skew
-        symmetry; a pair with the vacuum in it brackets to zero.  The vector
-        is a read-only view, built once per pair.
+        It is read off the complete table; a pair with no bracket there,
+        such as one with the vacuum in it, brackets to zero.
         """
-        if (x, y) in self._pair_cache:
-            return self._pair_cache[(x, y)]
-        if (x, y) in self._table:
-            out = self._table[(x, y)]
-        elif (y, x) in self._table:
-            skew = self._skew(self._table[(y, x)], self.pair_sign(x, y))
-            out = MappingProxyType(skew)
-        else:
-            out = _EMPTY
-        self._pair_cache[(x, y)] = out
-        return out
+        return self._pairs.get((x, y), _EMPTY)
 
     @staticmethod
     def _skew(value, sign: int):
         # [y_lam x] = -p(x,y) [x_{-lam-d} y]
-        s = Scalar.from_int(-sign)
         out: dict = {}
         for (n, k, target), coeff in value.items():
-            base = coeff * s * Scalar.from_int((-1) ** n)
+            base = -sign * (-1) ** n
             for j in _ders(target, n):
                 key_acc(
                     out,
                     (n - j, k + j, target),
-                    base * Scalar.from_int(math.comb(n, j)),
+                    coeff * Scalar.from_int(base * math.comb(n, j)),
                 )
         return out
 
@@ -227,12 +237,11 @@ class VaPresentation:
     def validate(self):
         """True, or PresentationError at the first failing check.
 
-        Homogeneity, diagonal skew symmetry, the conformal rows when there
-        is a conformal field, then Jacobi as `jacobi_witness()` gives it, so
-        the lambda-Jacobi identity runs once per object, however often
-        validate() is called.
+        The constructor has checked homogeneity; validate() checks diagonal
+        skew symmetry, the conformal rows when there is a conformal field,
+        then Jacobi as `jacobi_witness()` gives it, so the lambda-Jacobi
+        identity runs once per object, however often validate() is called.
         """
-        self.check_homogeneity()
         self._check_diagonal_skew()
         if self.conformal_name is not None:
             self._check_conformal()
@@ -244,27 +253,8 @@ class VaPresentation:
             )
         return True
 
-    def check_homogeneity(self):
-        """PresentationError unless every bracket term has its pair's weight
-        and parity; the engine relies on this, so it runs without validate().
-        """
-        # the vacuum, the only target outside the weights, is even of weight 0
-        for (x, y), value in self._table.items():
-            wsum = self.weight[x] + self.weight[y]
-            psum = (self.parity[x] + self.parity[y]) % 2
-            for n, k, target in value:
-                if self.parity.get(target, 0) != psum:
-                    raise PresentationError(
-                        f"parity mismatch in [{x}, {y}] -> {target}"
-                    )
-                if self.weight.get(target, 0) + k + n + 1 != wsum:
-                    raise PresentationError(
-                        f"weight mismatch in [{x}, {y}] -> lam^{n} d^{k} {target}"
-                    )
-
     def _check_diagonal_skew(self):
-        for g in self.generators:
-            x = g.name
+        for x in self.index:
             stored = self.pair_bracket(x, x)
             if stored != self._skew(stored, self.pair_sign(x, x)):
                 raise PresentationError(f"diagonal skew fails for {x}")

@@ -137,7 +137,7 @@ def declare_parameter(name: str, square=None) -> None:
         raise ValueError(f"bad parameter name: {name!r}")
     rule = None
     if square is not None:
-        sq = _coerce(square)
+        sq = _as_scalar(square, "square rule")
         if sq._den is not _ONE_ITEMS:
             raise ValueError("square rule must be polynomial")
         rule = dict(sq._num)
@@ -715,21 +715,22 @@ class Scalar:
         return other / self
 
     def __pow__(self, n: int):
+        # a first power is the base or its inverse, whatever its size
+        if -1 <= n <= 1:
+            return ONE / self if n < 0 else self if n else ONE
         # the e-th power of t terms has up to comb(e + t - 1, t - 1) terms
-        t = max(len(self._num), len(self._den))
-        if _comb(abs(n) + t - 1, t - 1) > _POW_TERM_LIMIT:
+        t, e = max(len(self._num), len(self._den)), abs(n)
+        if _comb(e + t - 1, t - 1) > _POW_TERM_LIMIT:
             raise ValueError(
                 f"power {n} of a {t}-term polynomial could exceed "
                 f"{_POW_TERM_LIMIT} terms"
             )
-        if _pow_work(abs(n), t) > _POW_WORK_LIMIT:
+        if _pow_work(e, t) > _POW_WORK_LIMIT:
             raise ValueError(
                 f"power {n} of a {t}-term polynomial could take more than "
                 f"{_POW_WORK_LIMIT} monomial products"
             )
-        # a first power is the base itself, whatever its coefficients
-        bits = max(_pow_bits(abs(n), self._num), _pow_bits(abs(n), self._den))
-        if abs(n) > 1 and bits > _POW_BITS_LIMIT:
+        if max(_pow_bits(e, self._num), _pow_bits(e, self._den)) > _POW_BITS_LIMIT:
             raise ValueError(
                 f"power {n} of a {t}-term polynomial could need coefficients "
                 f"of more than {_POW_BITS_LIMIT} bits"
@@ -751,7 +752,7 @@ class Scalar:
         """Evaluate with parameters replaced by scalars; others kept."""
         repl = {}
         for name, val in assignment.items():
-            repl[_param_index(name)] = _coerce(val)
+            repl[_param_index(name)] = _as_scalar(val, "value of {}", name)
         num = _eval_poly(dict(self._num), repl)
         den = _eval_poly(dict(self._den), repl)
         if den.is_zero():
@@ -970,6 +971,17 @@ def _coerce(x):
     if isinstance(x, str):
         return parse_scalar(x)
     return NotImplemented
+
+
+def _as_scalar(x, what: str, *args) -> Scalar:
+    """_coerce(x) for a caller that uses it: TypeError naming what.format(*args)."""
+    s = _coerce(x)
+    if s is NotImplemented:
+        raise TypeError(
+            f"{what.format(*args)} is a {type(x).__name__}, "
+            "not a Scalar, int, Fraction or text"
+        )
+    return s
 
 
 def _eval_poly(p, repl) -> Scalar:

@@ -12,7 +12,7 @@ import pytest
 from vazhu.enveloping import VertexAlgebra, axiom_suite
 from vazhu import liesuper
 from vazhu.liesuper import LieMorphism, LieSuperalgebra, build_algebra
-from vazhu.linalg import SuperMatrix
+from vazhu.linalg import GrassmannElement, SuperMatrix, verify_membership
 from vazhu.presentation import (
     GeneratorSpec,
     VACUUM,
@@ -22,7 +22,7 @@ from vazhu.presentation import (
     builtin_presentation,
     check_embedding,
 )
-from vazhu.scalar import ONE
+from vazhu.scalar import ONE, Scalar, declare_parameter
 
 def _bad_coefficients(vectors):
     """(key, coefficient) of each stored coefficient off the format."""
@@ -68,6 +68,18 @@ def _check_embedding(x):
     check_embedding(src, tgt, dict(images, L={"L": x}))
 
 
+def _central_charge(x):
+    VaPresentation("float", [GeneratorSpec("B", 0, Fraction(1))], {}, x)
+
+
+def _certificate(x):
+    verify_membership({"v": ONE}, [{"v": ONE}], {0: x})
+
+
+def _square_rule(x):
+    declare_parameter("tmp_float", square=x)
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
@@ -77,9 +89,15 @@ def _check_embedding(x):
         (_lie_superalgebra, "coefficient at 'h' is a float"),
         (_lie_morphism, "coefficient at 'L' is a float"),
         (_check_embedding, "coefficient at 'L' is a float"),
+        (_central_charge, "central charge is a float"),
+        (lambda x: Scalar.param("c").substitute({"c": x}), "value of c is a float"),
+        (_certificate, "coefficient at 0 is a float"),
+        (_square_rule, "square rule is a float"),
+        (lambda x: GrassmannElement({(0, (1,)): x}), r"at \(0, \(1,\)\) is a float"),
     ],
 )
 def test_float_coefficients_are_refused_by_name(build, match):
     # Fraction(0.5) would be exact, but Fraction(0.1) is a binary float's value
     with pytest.raises(TypeError, match=match):
         build(0.5)
+

@@ -22,7 +22,6 @@ from vazhu.enveloping import (
     _skew_holds,
 )
 from vazhu import enveloping
-from vazhu.liesuper import _zero_mode_algebra
 from vazhu.linalg import vec_acc, vec_sum
 from vazhu.presentation import (
     GeneratorSpec,
@@ -451,20 +450,27 @@ def test_virasoro_deep_suite_counts_pinned():
 
 
 def test_engine_rejects_inhomogeneous_table():
-    # N1 with [L_lam G] = d^2 G + ...: the weight bounds would be unsound
+    # N1 with [L_lam G] = d^2 G + ...: the engine's weight bounds and the
+    # zero-mode rule would be unsound, so no such presentation is built
     base = builtin_presentation("N1")
     brackets = dict(base._table)
     brackets[("L", "G")] = {
         (n, 2 if (n, k) == (0, 1) else k, x): co
         for (n, k, x), co in base._table[("L", "G")].items()
     }
-    pres = VaPresentation(
-        "N1_d2G", base.generators, brackets, base.central_charge, "L"
-    )
-    # the zero-mode rule reads each target's mode off the weights too
-    for build in (VertexAlgebra, _zero_mode_algebra):
-        with pytest.raises(PresentationError, match=r"weight mismatch in \[L, G\]"):
-            build(pres)
+    with pytest.raises(PresentationError, match=r"weight mismatch in \[L, G\]"):
+        VaPresentation("N1_d2G", base.generators, brackets, base.central_charge, "L")
+
+
+@pytest.mark.parametrize("bound", [2.3, 2.0, "2", None])
+def test_weight_bound_that_is_not_rational_refused(bound):
+    # Fraction(2.3) would be the float's binary value, not 23/10
+    eng = engine("N1")
+    match = f"^weight bound is a {type(bound).__name__}, not an int or Fraction$"
+    with pytest.raises(TypeError, match=match):
+        eng.basis(bound)
+    with pytest.raises(TypeError, match=match):
+        axiom_suite(eng, weight_bound=bound, triples=0)
 
 
 def _vanishes_by_weight(eng, ma, mb, mc, m: int, n: int, k: int) -> bool:

@@ -280,7 +280,7 @@ def test_vacuum_derivative_rejected():
     "key", [(-1, 1, "x"), (1, "x"), (Fraction(1), 0, "x"), (0, True, "x")]
 )
 def test_malformed_bracket_key_rejected(key):
-    # (-1, 1, x) has the pair's weight, so check_homogeneity would pass it
+    # (-1, 1, x) has the pair's weight, so the homogeneity check would pass it
     # and validate() fail on (-1) ** -1 in _skew; (1, x) would not unpack
     gens = [GeneratorSpec("x", 0, Fraction(1))]
     with pytest.raises(PresentationError) as err:
@@ -289,7 +289,7 @@ def test_malformed_bracket_key_rejected(key):
 
 
 def test_parity_other_than_0_or_1_rejected():
-    # pair_sign would read parity 2 as odd, check_homogeneity as even
+    # pair_sign would read parity 2 as odd, the homogeneity check as even
     gens = [GeneratorSpec("B", 2, Fraction(1))]
     with pytest.raises(PresentationError, match="B has parity 2, not 0 or 1"):
         VaPresentation("bad", gens, {("B", "B"): {(1, 0, VACUUM): 1}})
@@ -558,6 +558,11 @@ def test_builtin_tables_are_read_only():
     pres = builtin_presentation("big4")
     _write_raises(pres._table, ("L", "L"), {})
     _write_raises(pres._table[("L", "L")], (0, 0, "L"), ONE)
+    # the complete table, skew pairs included, is built and read-only
+    _write_raises(pres._pairs, ("Gpp", "J0"), {})
+    assert pres._pairs[("Gpp", "J0")] is pres.pair_bracket("Gpp", "J0")
+    mutable = [k for k, v in vars(pres).items() if isinstance(v, (dict, list, set))]
+    assert mutable == []
     # a stored vector, a skew-completed one and an empty one
     for x, y in (("J0", "Gpp"), ("Gpp", "J0"), ("Spp", "Spm")):
         _write_raises(pres.pair_bracket(x, y), (0, 0, "L"), ONE)

@@ -228,6 +228,14 @@ def test_power_past_the_bits_limit_is_a_value_error():
     big = Scalar.from_int(3**2000) * S("c + 1/7")
     assert scalar_module._pow_bits(1, big._num) > scalar_module._POW_BITS_LIMIT
     assert big**1 == big and big**-1 == 1 / big
+    # nor is one past the term limit, where a square is refused
+    big = S("(c+a+k+1)^16") * S("c+a+k+1")
+    assert len(big._num) == 1140 and big._den == _ONE_ITEMS
+    assert big**0 == 1 and big**1 == big
+    inverse = big**-1
+    assert inverse._num == _ONE_ITEMS and inverse._den == big._num
+    with pytest.raises(ValueError, match="^power -2 of a 1140-term"):
+        big**-2
     # the estimate bounds the bits of every power it lets through (square
     # rules are not counted, so no base here has a ruled parameter)
     for text in ["c/7 - 5/3", "c + 1", "3*c^2 - a/4 + 5/6", "-7/2", "a*c/5 - 2"]:
