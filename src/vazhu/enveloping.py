@@ -86,6 +86,11 @@ def _weight_bound(bound) -> Fraction:
     raise TypeError(f"weight bound is a {type(bound).__name__}, not an int or Fraction")
 
 
+def _not_a_mode(n) -> ValueError:
+    # a Fraction mode would build a monomial the weights cannot read
+    return ValueError(f"mode index {n!r} is not an int")
+
+
 def _too_long(mono) -> ValueError:
     return ValueError(
         f"monomial of {len(mono)} factors is longer than the limit of "
@@ -165,12 +170,14 @@ class VertexAlgebra:
     # -- the single-mode action -------------------------------------------------
 
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
-        """X_{i(n)} on a state; i is a generator index, an int, not a bool."""
+        """X_{i(n)} on a state; i is a generator index and n a mode, ints."""
         if type(i) is not int or not 0 <= i < len(self._gens):
             raise ValueError(
                 f"generator index {i!r} is not an int in 0..{len(self._gens) - 1}"
                 f" for the {len(self._gens)} generators"
             )
+        if type(n) is not int:
+            raise _not_a_mode(n)
         out: dict = {}
         gen = self._gens[i]
         for mono, coeff in state.items():
@@ -215,6 +222,8 @@ class VertexAlgebra:
     # -- general products and translation ----------------------------------------
 
     def nth_product(self, a: dict, n: int, b: dict) -> dict:
+        if type(n) is not int:
+            raise _not_a_mode(n)
         terms = []
         for ma, ca in a.items():
             if len(ma) > _FACTOR_LIMIT:

@@ -8,7 +8,8 @@ R_N1, R_N2, R_N3, R_N4small and R_N4 of the Zhu algebras of the N=1, 2, 3, 4
 and big N=4 superconformal vertex algebras.  Every realized algebra
 (matrices, contact generating functions, the tensor model, a subalgebra's
 elements) gets its structure constants from one routine,
-_structure_constants.
+_structure_constants, and keeps only them: a matrix realization fixes the
+basis, its order and every parity, and is not stored with the algebra.
 
 A contact algebra is built from its generating functions t theta_I,
 |I| <= 3, under the contact bracket of `linalg.contact_bracket` (Kac,
@@ -68,23 +69,16 @@ class LieSuperalgebra:
 
     table may be any mapping of mappings, such as another algebra's
     read-only one.  The constructor validates every new object.  `table`,
-    its entries, `parity`, `index`, the matrix realization `matrices` and
-    a subalgebra's `embedding` and its vectors are read-only
-    `types.MappingProxyType` views (`names` and `modulo_matrices` tuples),
-    so writing into one raises TypeError, and a verdict on them is fixed
-    with the object: validate() records its pass and returns True on every
-    later call without checking again.
+    its entries, `parity`, `index` and a subalgebra's `embedding` and its
+    vectors are read-only `types.MappingProxyType` views (`names` a
+    tuple), so writing into one raises TypeError, and a verdict on them is
+    fixed with the object: validate() records its pass and returns True on
+    every later call without checking again.  An algebra holds no
+    realization: a realized one is built by _structure_constants, whose
+    table is exact by construction.
     """
 
-    def __init__(
-        self,
-        names,
-        parities,
-        table,
-        matrices=None,
-        modulo_matrices=(),
-        embedding=None,
-    ):
+    def __init__(self, names, parities, table, embedding=None):
         self.names = tuple(names)
         self.parity = MappingProxyType(dict(parities))
         for n in self.names:
@@ -94,9 +88,6 @@ class LieSuperalgebra:
         self.index = MappingProxyType({n: i for i, n in enumerate(self.names)})
         if len(self.index) != len(self.names):
             raise ValueError("duplicate basis name")
-        # a matrix realization, exact modulo the span of modulo_matrices
-        self.matrices = None if matrices is None else MappingProxyType(dict(matrices))
-        self.modulo_matrices = tuple(modulo_matrices)
         # coordinates of each basis vector in the parent algebra
         self.embedding = None if embedding is None else MappingProxyType(
             {n: MappingProxyType(dict(v)) for n, v in embedding.items()}
@@ -149,7 +140,7 @@ class LieSuperalgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Super antisymmetry and Jacobi on all basis triples; matrix check.
+        """Super antisymmetry, parity and Jacobi on all basis triples.
 
         True, or JacobiError at the first failure.  The data it reads is
         read-only, so a pass is recorded and a later call returns True
@@ -176,8 +167,6 @@ class LieSuperalgebra:
                     z = self.names[k]
                     if not self._jacobi_ok(x, y, z):
                         raise JacobiError(f"Jacobi fails at triple ({x}, {y}, {z})")
-        if self.matrices is not None:
-            self._validate_matrices()
         return True
 
     def _jacobi_ok(self, x, y, z):
@@ -188,19 +177,6 @@ class LieSuperalgebra:
         rhs = self.bracket(self.bracket(ex, ey), ez)
         vec_acc(rhs, self.bracket(ey, self.bracket(ex, ez)), sign)
         return lhs == rhs
-
-    def _validate_matrices(self):
-        mats = self.matrices
-        modulo = span_echelon([m.entries for m in self.modulo_matrices])
-        # super-antisymmetry of the table is checked, so i <= j suffices
-        for i, x in enumerate(self.names):
-            for y in self.names[i:]:
-                # [x, y] minus its table expansion must lie in the modulo span
-                diff = dict(mats[x].supercommutator(mats[y]).entries)
-                for n, c in self.table[(x, y)].items():
-                    vec_acc(diff, mats[n].entries, -c)
-                if modulo.solve(diff) is None:
-                    raise JacobiError(f"matrix bracket mismatch at ({x}, {y})")
 
     # -- derived algebras ----------------------------------------------------
 
@@ -306,20 +282,27 @@ def _structure_constants(names, flat, bracket, key_order=None, modulo=()):
     return table
 
 
-def _from_matrices(names, parities, mats: dict, modulo=()):
-    """Structure constants from supercommutators; optional central quotient."""
+def _from_matrices(mats: dict, modulo=()) -> LieSuperalgebra:
+    """The algebra of a matrix realization, modulo the span of modulo.
+
+    The basis is list(mats), each parity its matrix's block position (a
+    mixed matrix has none and is refused), and the table is read off one
+    exact echelon certificate per pair x <= y of supercommutators.
+    """
+    names = list(mats)
     table = _structure_constants(
         names,
-        {n: mats[n].entries for n in names},
+        {n: m.entries for n, m in mats.items()},
         lambda x, y: mats[x].supercommutator(mats[y]).entries,
         modulo=[m.entries for m in modulo],
     )
-    return LieSuperalgebra(
-        names, parities, table, matrices=mats, modulo_matrices=modulo
-    )
+    return LieSuperalgebra(names, {n: m.parity() for n, m in mats.items()}, table)
 
 
-def _osp12() -> LieSuperalgebra:
+# Each realization is (matrices by basis name, in basis order; modulo).
+
+
+def _osp12():
     m = partial(SuperMatrix, 1, 2)
     mats = {
         "h": m({(1, 1): 1, (2, 2): -1}),
@@ -328,11 +311,10 @@ def _osp12() -> LieSuperalgebra:
         "q": m({(0, 2): 1, (1, 0): -1}),
         "g": m({(0, 1): 1, (2, 0): 1}),
     }
-    parities = {"h": 0, "e": 0, "f": 0, "q": 1, "g": 1}
-    return _from_matrices(["h", "e", "f", "q", "g"], parities, mats)
+    return mats, ()
 
 
-def _sl12() -> LieSuperalgebra:
+def _sl12():
     m = partial(SuperMatrix, 1, 2)
     mats = {
         "t1": m({(0, 0): 1, (1, 1): 1}),
@@ -344,12 +326,10 @@ def _sl12() -> LieSuperalgebra:
         "qp": m({(0, 2): 1}),
         "qm": m({(1, 0): 1}),
     }
-    parities = {n: 0 for n in ("t1", "t2", "e", "f")}
-    parities.update({n: 1 for n in ("gp", "gm", "qp", "qm")})
-    return _from_matrices(list(mats), parities, mats)
+    return mats, ()
 
 
-def _psl22() -> LieSuperalgebra:
+def _psl22():
     m = partial(SuperMatrix, 2, 2)
     mats = {
         "ha": m({(0, 0): 1, (1, 1): -1}),
@@ -363,14 +343,10 @@ def _psl22() -> LieSuperalgebra:
         for j in (2, 3):
             mats[f"b{i}{j}"] = m({(i, j): 1})
             mats[f"c{j}{i}"] = m({(j, i): 1})
-    parities = {n: 0 for n in ("ha", "ea", "fa", "hd", "ed", "fd")}
-    for n in mats:
-        parities.setdefault(n, 1)
-    ident = m({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1})
-    return _from_matrices(list(mats), parities, mats, modulo=[ident])
+    return mats, (m({(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1}),)
 
 
-def _osp32() -> LieSuperalgebra:
+def _osp32():
     m = partial(SuperMatrix, 3, 2)
     mats = {
         "a1": m({(1, 2): -1, (2, 1): 1}),
@@ -383,10 +359,7 @@ def _osp32() -> LieSuperalgebra:
     for p in (0, 1, 2):
         mats[f"u{p + 1}"] = m({(p, 3): 1, (4, p): 1})
         mats[f"v{p + 1}"] = m({(p, 4): 1, (3, p): -1})
-    parities = {n: 0 for n in ("a1", "a2", "a3", "hd", "ed", "fd")}
-    for n in mats:
-        parities.setdefault(n, 1)
-    return _from_matrices(list(mats), parities, mats)
+    return mats, ()
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +460,7 @@ def _d21a() -> LieSuperalgebra:
         ("f121", ONE, "f010", "f111"),
     ):
         images[name] = vec_scale(bracket(images[x], images[y]), coeff)
-    names = ["h1", "h2", "h3"] + [
-        f"{kind}{root}"
-        for root in ("100", "010", "001", "110", "011", "111", "121")
-        for kind in "ef"
-    ]
+    names = list(images)
     parities = {n: int(n[-2]) % 2 if n[0] != "h" else 0 for n in names}
     table = _structure_constants(
         names, images, lambda x, y: bracket(images[x], images[y])
@@ -576,10 +545,10 @@ def _zero_mode_algebra(pres) -> LieSuperalgebra:
 # several times the derivation, and the Lie Jacobi check in the constructor
 # still guards the result.
 _BUILDERS = {
-    "osp12": _osp12,
-    "sl12": _sl12,
-    "psl22": _psl22,
-    "osp32": _osp32,
+    "osp12": lambda: _from_matrices(*_osp12()),
+    "sl12": lambda: _from_matrices(*_sl12()),
+    "psl22": lambda: _from_matrices(*_psl22()),
+    "osp32": lambda: _from_matrices(*_osp32()),
     "d21a": _d21a,
     "R_N1": lambda: _zero_mode_algebra(_PRESENTATIONS["N1"]()),
     "R_N2": lambda: _zero_mode_algebra(_PRESENTATIONS["N2"]()),

@@ -76,13 +76,13 @@ class VaPresentation:
     vector {(lam, der, target): coeff} of [x_lam y], central terms on
     VACUUM; a coefficient is a Scalar, an int, a Fraction or scalar text,
     and a vector may be any mapping, such as another presentation's
-    read-only one.  The constructor checks parities 0 or 1, int or
-    Fraction weights, declared names, declaration order, keys of three
-    entries with non-negative int lam and der, declared targets, no
-    derivative of the vacuum, and that each bracket term has its pair's
-    weight and parity.  It then builds `_pairs`, the complete table: the
-    stored pairs and the skew of each off-diagonal one.  validate() checks
-    the rest.
+    read-only one.  The constructor checks parities 0 or 1, weights that
+    are positive half-integers given as ints or Fractions, declared names,
+    declaration order, keys of three entries with non-negative int lam and
+    der, declared targets, no derivative of the vacuum, and that each
+    bracket term has its pair's weight and parity.  It then builds
+    `_pairs`, the complete table: the stored pairs and the skew of each
+    off-diagonal one.  validate() checks the rest.
 
     The tables `_table`, as given, and `_pairs`, their vectors, `index`,
     `parity` and `weight` are read-only `types.MappingProxyType` views and
@@ -115,6 +115,12 @@ class VaPresentation:
             if not isinstance(g.weight, (int, Fraction)):
                 kind = type(g.weight).__name__
                 raise PresentationError(f"{g.name} has a {kind} weight, not a rational")
+            # the engine reads doubled int weights, and a factor of weight
+            # 0 or less would make its basis endless
+            if g.weight <= 0 or (2 * g.weight) % 1:
+                raise PresentationError(
+                    f"{g.name} has weight {g.weight}, not a positive half-integer"
+                )
         self.parity = MappingProxyType({g.name: g.parity for g in self.generators})
         self.weight = MappingProxyType(
             {g.name: Fraction(g.weight) for g in self.generators}
@@ -166,16 +172,18 @@ class VaPresentation:
         self._pairs = MappingProxyType(pairs)
 
     def _check_homogeneity(self):
-        # the vacuum, the only target outside the weights, is even of weight 0
+        # the vacuum, the only target outside the weights, is even of weight 0;
+        # doubled weights are ints, which compare faster than Fractions
+        wt2 = {x: int(2 * w) for x, w in self.weight.items()}
         for (x, y), value in self._table.items():
-            wsum = self.weight[x] + self.weight[y]
+            wsum2 = wt2[x] + wt2[y] - 2
             psum = (self.parity[x] + self.parity[y]) % 2
             for n, k, target in value:
                 if self.parity.get(target, 0) != psum:
                     raise PresentationError(
                         f"parity mismatch in [{x}, {y}] -> {target}"
                     )
-                if self.weight.get(target, 0) + k + n + 1 != wsum:
+                if wt2.get(target, 0) + 2 * (k + n) != wsum2:
                     raise PresentationError(
                         f"weight mismatch in [{x}, {y}] -> lam^{n} d^{k} {target}"
                     )

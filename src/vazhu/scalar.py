@@ -715,6 +715,9 @@ class Scalar:
         return other / self
 
     def __pow__(self, n: int):
+        # 0.5 or True would pass the first-power shortcut below
+        if type(n) is not int:
+            raise TypeError(f"power takes an int exponent, not {type(n).__name__}")
         # a first power is the base or its inverse, whatever its size
         if -1 <= n <= 1:
             return ONE / self if n < 0 else self if n else ONE

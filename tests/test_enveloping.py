@@ -5,6 +5,7 @@ import fractions
 import hashlib
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -149,6 +150,21 @@ def test_apply_mode_refuses_an_index_that_is_no_generator():
         message = rf"generator index {i!r} is not an int in 0\.\.3 for the 4 "
         with pytest.raises(ValueError, match=message):
             eng.apply_mode(i, -1, vac)
+
+
+def test_a_mode_index_that_is_no_int_is_refused():
+    # a Fraction mode once built L(-3/2)|0>, a monomial of no weight
+    eng = engine("virasoro")
+    L = eng.generator("L")
+    for n in (Fraction(1, 2), 0.5, True, Fraction(-2)):
+        message = "^" + re.escape(f"mode index {n!r} is not an int") + "$"
+        with pytest.raises(ValueError, match=message):
+            eng.nth_product(L, n, L)
+        with pytest.raises(ValueError, match=message):
+            eng.apply_mode(0, n, L)
+    # divided_derivative and translation reach the check through nth_product
+    with pytest.raises(ValueError, match=r"^mode index Fraction\(-5, 2\) is not"):
+        eng.divided_derivative(L, Fraction(3, 2))
 
 
 def test_virasoro_mode_pins():

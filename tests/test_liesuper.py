@@ -116,31 +116,32 @@ def _span_equal(mats_a, mats_b):
 
 
 def test_osp12_matrices_span_the_form_condition():
-    g = build_algebra("osp12")
+    mats, _ = liesuper._osp12()
     sols = _ortho_sympl_condition(1, 1)
     assert len(sols) == 5
-    assert _span_equal(sols, list(g.matrices.values()))
+    assert _span_equal(sols, list(mats.values()))
 
 
 def test_osp32_matrices_span_the_form_condition():
-    g = build_algebra("osp32")
+    mats, _ = liesuper._osp32()
     sols = _ortho_sympl_condition(3, 1)
     assert len(sols) == 12
-    assert _span_equal(sols, list(g.matrices.values()))
+    assert _span_equal(sols, list(mats.values()))
 
 
 def test_sl12_matrices_have_supertrace_zero():
-    g = build_algebra("sl12")
-    for name, m in g.matrices.items():
+    mats, _ = liesuper._sl12()
+    for name, m in mats.items():
         assert m.supertrace().is_zero(), name
     # and they span the full str = 0 space: dimension (1+2)^2 - 1
-    assert len(g.names) == 8
+    assert len(build_algebra("sl12").names) == 8
 
 
 def test_psl22_is_a_quotient_by_the_identity():
     g = build_algebra("psl22")
-    assert len(g.modulo_matrices) == 1
-    ident = g.modulo_matrices[0]
+    _, modulo = liesuper._psl22()
+    assert len(modulo) == 1
+    ident = modulo[0]
     assert ident.supertrace().is_zero()
     # ha + hd lifts the identity's diagonal complement: [x, ha+hd] = 0 for all
     center_like = g.bracket(g.element("ha"), g.element("ea"))
@@ -149,11 +150,64 @@ def test_psl22_is_a_quotient_by_the_identity():
 
 def test_structure_constants_match_supercommutators_spot():
     g = build_algebra("osp12")
-    got = g.matrices["q"].supercommutator(g.matrices["q"])
+    mats, _ = liesuper._osp12()
+    got = mats["q"].supercommutator(mats["q"])
     want = SuperMatrix(1, 2)
     for n, coeff in g.table[("q", "q")].items():
-        want = want + coeff * g.matrices[n]
+        want = want + coeff * mats[n]
     assert got == want
+
+
+REALIZATIONS = {
+    "osp12": liesuper._osp12,
+    "sl12": liesuper._sl12,
+    "psl22": liesuper._psl22,
+    "osp32": liesuper._osp32,
+}
+
+
+@pytest.mark.parametrize("aid", sorted(REALIZATIONS))
+def test_matrix_tables_match_their_realization(aid):
+    # every pair's supercommutator minus its table expansion lies in the
+    # span of the modulo matrices, and the basis and parities are the
+    # realization's own
+    g = build_algebra(aid)
+    mats, modulo = REALIZATIONS[aid]()
+    assert g.names == tuple(mats)
+    assert dict(g.parity) == {n: m.parity() for n, m in mats.items()}
+    for i, x in enumerate(g.names):
+        for y in g.names[i:]:
+            diff = mats[x].supercommutator(mats[y])
+            for n, coeff in g.table[(x, y)].items():
+                diff = diff - coeff * mats[n]
+            assert solve_membership(
+                diff.entries, [m.entries for m in modulo]
+            ) is not None, (x, y)
+
+
+@pytest.mark.parametrize("aid", sorted(REALIZATIONS))
+def test_matrix_build_takes_one_supercommutator_per_pair(aid, monkeypatch):
+    calls = []
+    real = SuperMatrix.supercommutator
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SuperMatrix, "supercommutator", counted)
+    g = liesuper._BUILDERS[aid]()
+    size = len(g.names)
+    assert len(calls) == size * (size + 1) // 2
+
+
+def test_swapped_realization_builds_its_own_table():
+    # the e/f-swapped osp12 matrices give [h, e] = -2e: the table follows
+    # the matrices it is built from
+    mats, modulo = liesuper._osp12()
+    swapped = dict(mats, e=mats["f"], f=mats["e"])
+    g = liesuper._from_matrices(swapped, modulo)
+    assert g.table[("h", "e")] == {"e": Scalar.from_int(-2)}
+    assert build_algebra("osp12").table[("h", "e")] == {"e": Scalar.from_int(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +225,13 @@ def test_validation_rejects_a_corrupted_table():
 
 def _count_checks(monkeypatch):
     calls = []
-    for name in ("_jacobi_ok", "_validate_matrices"):
-        real = getattr(LieSuperalgebra, name)
+    real = LieSuperalgebra._jacobi_ok
 
-        def counted(self, *args, real=real, name=name):
-            calls.append(name)
-            return real(self, *args)
+    def counted(self, *args):
+        calls.append("_jacobi_ok")
+        return real(self, *args)
 
-        monkeypatch.setattr(LieSuperalgebra, name, counted)
+    monkeypatch.setattr(LieSuperalgebra, "_jacobi_ok", counted)
     return calls
 
 
@@ -189,7 +242,6 @@ def test_algebra_tables_are_read_only():
         (g.table[("h1", "e100")], "e100", ONE),
         (g.table[("h1", "h1")], "h1", ONE),
         (g.parity, "h1", 1),
-        (build_algebra("osp12").matrices, "h", None),
     ):
         with pytest.raises(TypeError):
             mapping[key] = value
@@ -232,22 +284,12 @@ def test_copy_of_a_validated_table_is_checked_again(monkeypatch):
     # the recorded pass belongs to the object, not to the table it read
     g = build_algebra("psl22")
     calls = _count_checks(monkeypatch)
-    copy = LieSuperalgebra(
-        g.names, g.parity, g.table, g.matrices, g.modulo_matrices
-    )
-    assert "_jacobi_ok" in calls and "_validate_matrices" in calls
+    copy = LieSuperalgebra(g.names, g.parity, g.table)
+    assert "_jacobi_ok" in calls
     calls.clear()
     assert copy.validate() is True
     assert calls == []
     assert copy.table == g.table
-
-
-def test_validation_rejects_a_wrong_matrix_realization():
-    # swapping the matrices of e and f breaks [h, e] = 2e
-    g = build_algebra("osp12")
-    mats = dict(g.matrices, e=g.matrices["f"], f=g.matrices["e"])
-    with pytest.raises(JacobiError, match=r"matrix bracket mismatch at \(h, e\)"):
-        LieSuperalgebra(g.names, g.parity, g.table, matrices=mats)
 
 
 def test_antisymmetry_completion_and_check():
@@ -640,7 +682,7 @@ def test_matrix_supercommutators_pinned(aid):
     def flat(m):
         return sorted((k, str(v)) for k, v in _entries(m).items())
 
-    mats = build_algebra(aid).matrices
+    mats, _ = REALIZATIONS[aid]()
     rows = []
     for x, mx in mats.items():
         rows.append((x, flat(mx.supertranspose())))

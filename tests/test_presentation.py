@@ -302,6 +302,19 @@ def test_float_weight_rejected():
         VaPresentation("bad", gens, {})
 
 
+@pytest.mark.parametrize(
+    "weight, shown",
+    [(0, "0"), (-1, "-1"), (Fraction(1, 3), "1/3"), (Fraction(-1, 2), "-1/2")],
+)
+def test_weight_that_is_no_positive_half_integer_rejected(weight, shown):
+    # weight 0 or -1 made the engine's basis recurse without end, and 1/3
+    # was read as doubled weight 0
+    gens = [GeneratorSpec("B", 0, weight)]
+    message = f"^B has weight {shown}, not a positive half-integer$"
+    with pytest.raises(PresentationError, match=message):
+        VaPresentation("bad", gens, {})
+
+
 def test_vacuum_generator_name_rejected():
     gens = [GeneratorSpec(VACUUM, 0, Fraction(0))]
     with pytest.raises(PresentationError, match=r"generator name \|0> is the vacuum"):

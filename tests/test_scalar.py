@@ -260,6 +260,18 @@ def test_powers_of_zero():
         S("(c/7 - 5/3)^353")
 
 
+def test_power_takes_only_an_int_exponent():
+    # a fractional or bool exponent once passed the first-power shortcut:
+    # c ** 0.5 was c and c ** -0.5 was 1/c
+    c = Scalar.param("c")
+    for n in (0.5, Fraction(1, 2), -0.5, Fraction(-1, 3), True, 2.0):
+        kind = type(n).__name__
+        message = f"^power takes an int exponent, not {kind}$"
+        with pytest.raises(TypeError, match=message):
+            c**n
+    assert c**1 == c and c**-1 == ONE / c and c**0 == ONE
+
+
 def test_long_polynomial_round_trips():
     # the evaluator folds a chain in a loop, so its length is the parser's limit
     rng = random.Random(20)
