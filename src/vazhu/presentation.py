@@ -19,6 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .linalg import _clean, key_acc, vec_acc
@@ -250,7 +251,8 @@ class VaPresentation:
         then Jacobi as `jacobi_witness()` gives it, so the lambda-Jacobi
         identity runs once per object, however often validate() is called.
         """
-        self._check_diagonal_skew()
+        if self._skew_failure is not None:
+            raise PresentationError(f"diagonal skew fails for {self._skew_failure}")
         if self.conformal_name is not None:
             self._check_conformal()
         witness = self.jacobi_witness()
@@ -261,11 +263,18 @@ class VaPresentation:
             )
         return True
 
-    def _check_diagonal_skew(self):
+    @cached_property
+    def _skew_failure(self):
+        """First generator whose self-bracket is not skew, or None.
+
+        The off-diagonal pairs are skew from the constructor, so None means
+        the complete table is; validate() and the Jacobi scan both read it.
+        """
         for x in self.index:
             stored = self.pair_bracket(x, x)
             if stored != self._skew(stored, self.pair_sign(x, x)):
-                raise PresentationError(f"diagonal skew fails for {x}")
+                return x
+        return None
 
     def _check_conformal(self):
         L = self.conformal_name
@@ -338,24 +347,36 @@ class VaPresentation:
     def jacobi_witness(self):
         """First failing triple with its read-only residual vector, or None.
 
-        Only y at or after x is tried: pair_bracket completes each pair by
-        skew symmetry, so residual(y, x, z)(lam, mu) = -p(x, y)
-        residual(x, y, z)(mu, lam), and the first failing triple in the
-        full order already has x at or before y.  The brackets are
-        read-only, so the result is computed on the first call and returned
-        as it is on every later one.
+        The scan runs x, then y at or after x, then z, and on a skew table
+        tries each unordered triple once, as (x, y, z) with z at or after
+        y.  pair_bracket completes each pair by skew symmetry, which gives
+
+            residual(y, x, z)(lam, mu) = -p(x, y) residual(x, y, z)(mu, lam)
+            residual(x, z, y)(lam, nu) = -p(y, z) residual(x, y, z)(lam, -lam-nu-d)
+
+        with d acting on the target and killing VACUUM.  The two swaps
+        generate all permutations, so the triples that fail are closed
+        under permuting, and the first failing triple of the scan is the
+        first of its permutations that the scan meets, which has z at or
+        after y.  The identities need the diagonal pairs skew too; when
+        one is not, every z is tried.  The brackets are read-only, so the
+        result is computed on the first call and returned as it is on
+        every later one.
         """
         return self._jacobi
 
     @cached_property
     def _jacobi(self):
         names = self.names()
-        for i, x in enumerate(names):
-            for y in names[i:]:
-                for z in names:
-                    residual = self.jacobi_residual(x, y, z)
-                    if residual:
-                        return (x, y, z, MappingProxyType(residual))
+        if self._skew_failure is None:
+            triples = combinations_with_replacement(names, 3)
+        else:
+            pairs = combinations_with_replacement(names, 2)
+            triples = ((x, y, z) for x, y in pairs for z in names)
+        for x, y, z in triples:
+            residual = self.jacobi_residual(x, y, z)
+            if residual:
+                return (x, y, z, MappingProxyType(residual))
         return None
 
 

@@ -1,7 +1,9 @@
 """Presentation-level checks: homogeneity, skew, Jacobi, embeddings."""
 
 import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from vazhu.presentation import (
     check_embedding,
     _big4_brackets,
 )
+from vazhu.linalg import key_acc
 from vazhu.scalar import Scalar, ONE
 
 C = Scalar.param("c")
@@ -418,44 +421,50 @@ def test_wrong_conformal_self_bracket_rejected():
 # -- regression pins for the corrected central signs --------------------------
 
 
-def test_displayed_diagonal_current_central_fails_jacobi():
+def _n3_displayed():
     # +(c/3) lam on the diagonal current pair contradicts the odd sector
     c = Scalar.param("c")
     base = builtin_presentation("N3")
     brackets = dict(base._table)
     for i in (1, 2, 3):
         brackets[(f"A{i}", f"A{i}")] = {(1, 0, VACUUM): c / 3}
-    bad = VaPresentation("N3_displayed", base.generators, brackets, c, "L")
-    witness = bad.jacobi_witness()
+    return VaPresentation("N3_displayed", base.generators, brackets, c, "L")
+
+
+def test_displayed_diagonal_current_central_fails_jacobi():
+    witness = _n3_displayed().jacobi_witness()
     assert witness is not None
     x, y, z, residual = witness
     assert {x, y, z} <= {"A1", "A2", "A3", "G1", "G2", "G3", "Phi"}
     assert any(target == VACUUM for *_, target in residual)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        # boson action with a doubled lam coefficient
-        lambda b, s, a: b.__setitem__(
-            ("Xi", "Gpp"), {(1, 0, "Spp"): 2 * s, (0, 1, "Spp"): s}
-        ),
-        # flipped current-half of one odd-odd cross bracket
-        lambda b, s, a: b.__setitem__(
-            ("Gmm", "Spp"),
-            {
-                (0, 0, "J0"): ONE / (a + 1) / 2,
-                (0, 0, "K0"): ONE / (a + 1) / 2,
-                (0, 0, "Xi"): s / a,
-            },
-        ),
-    ],
-)
-def test_big4_single_entry_perturbations_fail_jacobi(mutate):
+BIG4_PERTURBATIONS = [
+    # boson action with a doubled lam coefficient
+    lambda b, s, a: b.__setitem__(
+        ("Xi", "Gpp"), {(1, 0, "Spp"): 2 * s, (0, 1, "Spp"): s}
+    ),
+    # flipped current-half of one odd-odd cross bracket
+    lambda b, s, a: b.__setitem__(
+        ("Gmm", "Spp"),
+        {
+            (0, 0, "J0"): ONE / (a + 1) / 2,
+            (0, 0, "K0"): ONE / (a + 1) / 2,
+            (0, 0, "Xi"): s / a,
+        },
+    ),
+]
+
+
+def _big4_perturbed(mutate):
     gens, brackets, c = _big4_brackets(None)
     mutate(brackets, Scalar.param("s"), Scalar.param("a"))
-    bad = VaPresentation("big4_perturbed", gens, brackets, c, "L")
-    assert bad.jacobi_witness() is not None
+    return VaPresentation("big4_perturbed", gens, brackets, c, "L")
+
+
+@pytest.mark.parametrize("mutate", BIG4_PERTURBATIONS)
+def test_big4_single_entry_perturbations_fail_jacobi(mutate):
+    assert _big4_perturbed(mutate).jacobi_witness() is not None
 
 
 def _swap_lam_mu(residual, sign):
@@ -486,8 +495,8 @@ def _doubled_first_off_diagonal(pres):
 
 @pytest.mark.parametrize("pres_id", ["N2", "N3", "N4"])
 def test_jacobi_residual_is_skew_in_the_first_pair(pres_id):
-    # residual(y, x, z)(lam, mu) = -p(x, y) residual(x, y, z)(mu, lam), which
-    # lets jacobi_witness try only y at or after x
+    # residual(y, x, z)(lam, mu) = -p(x, y) residual(x, y, z)(mu, lam), one of
+    # the two swaps that let jacobi_witness try each unordered triple once
     clean = builtin_presentation(pres_id)
     doubled = _doubled_first_off_diagonal(clean)
     assert doubled.jacobi_witness() is not None
@@ -500,6 +509,152 @@ def test_jacobi_residual_is_skew_in_the_first_pair(pres_id):
                         pres.jacobi_residual(x, y, z), pres.pair_sign(x, y)
                     )
                     assert pres.jacobi_residual(y, x, z) == want, (x, y, z)
+
+
+def _swap_mu_nu(residual, sign):
+    # -sign residual(lam, -lam-nu-d), d acting on the target and killing VACUUM
+    out: dict = {}
+    for (l, m, k, t), c in residual.items():
+        for a in range(m + 1):
+            for b in range(m - a + 1):
+                d = m - a - b
+                if t == VACUUM and k + d:
+                    continue
+                multinomial = math.comb(m, a) * math.comb(m - a, b)
+                factor = Scalar.from_int(-sign * (-1) ** m * multinomial)
+                key_acc(out, (l + a, b, k + d, t), c * factor)
+    return out
+
+
+@pytest.mark.parametrize("pres_id", ["N2", "N3", "N4"])
+def test_jacobi_residual_is_skew_in_the_last_pair(pres_id):
+    # residual(x, z, y)(lam, nu) = -p(y, z) residual(x, y, z)(lam, -lam-nu-d),
+    # the other swap that lets jacobi_witness try each unordered triple once
+    clean = builtin_presentation(pres_id)
+    doubled = _doubled_first_off_diagonal(clean)
+    assert doubled.jacobi_witness() is not None
+    for pres in (clean, doubled):
+        for x, y, z in itertools.product(pres.names(), repeat=3):
+            want = _swap_mu_nu(pres.jacobi_residual(x, y, z), pres.pair_sign(y, z))
+            assert pres.jacobi_residual(x, z, y) == want, (x, y, z)
+
+
+def _reference_jacobi_witness(pres):
+    # the scan that tries every z: x, then y at or after x, then z
+    names = pres.names()
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            for z in names:
+                residual = pres.jacobi_residual(x, y, z)
+                if residual:
+                    return (x, y, z, _vector_digest(residual))
+    return None
+
+
+def _witness_digest(pres):
+    witness = pres.jacobi_witness()
+    return None if witness is None else (*witness[:3], _vector_digest(witness[3]))
+
+
+def _coefficient_doubled(pres_id, seed):
+    # a copy with one seeded stored coefficient doubled; on a diagonal pair
+    # that can break skew symmetry
+    pres = builtin_presentation(pres_id)
+    rng = random.Random(seed)
+    pair = rng.choice([p for p, v in pres._table.items() if v])
+    value = dict(pres._table[pair])
+    key = rng.choice(sorted(value, key=repr))
+    value[key] = 2 * value[key]
+    brackets = {**pres._table, pair: value}
+    return VaPresentation(
+        f"{pres_id}_seed{seed}",
+        pres.generators,
+        brackets,
+        pres.central_charge,
+        pres.conformal_name,
+    )
+
+
+CORRUPTION_SEEDS = [(pid, s) for pid in ("N1", "N2", "N3", "N4") for s in range(3)]
+
+# fresh objects, so that every case computes its own witness
+DIFFERENTIAL_CASES = {
+    **{
+        pid: lambda pid=pid: presentation_module._BUILTINS[pid]()
+        for pid in builtin_ids()
+    },
+    **{
+        f"big4_perturbed{i}": lambda m=m: _big4_perturbed(m)
+        for i, m in enumerate(BIG4_PERTURBATIONS)
+    },
+    "N3_displayed": _n3_displayed,
+    **{
+        f"{pid}_doubled": lambda pid=pid: _doubled_first_off_diagonal(
+            builtin_presentation(pid)
+        )
+        for pid in ("N2", "N3", "N4")
+    },
+    **{
+        f"{pid}_seed{s}": lambda pid=pid, s=s: _coefficient_doubled(pid, s)
+        for pid, s in CORRUPTION_SEEDS
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_witness_matches_the_scan_over_every_z(case):
+    pres = DIFFERENTIAL_CASES[case]()
+    assert _witness_digest(pres) == _reference_jacobi_witness(pres)
+
+
+@pytest.mark.parametrize(
+    "case", ["N2_doubled", "N3_doubled", "N3_displayed", "N2_seed0", "N3_seed1"]
+)
+def test_failing_triples_are_closed_under_permutation(case):
+    pres = DIFFERENTIAL_CASES[case]()
+    assert pres._skew_failure is None
+    failing = {
+        t
+        for t in itertools.product(pres.names(), repeat=3)
+        if pres.jacobi_residual(*t)
+    }
+    assert failing
+    for t in failing:
+        assert set(itertools.permutations(t)) <= failing, t
+
+
+@pytest.mark.parametrize(
+    "pres_id, x, term, first",
+    [
+        # [L_lam L] with its lam coefficient doubled
+        ("N1", "L", {(1, 0, "L"): 4}, ("L", "L", "L")),
+        # [J_lam J] + J: the first failing triple has z before y, and the
+        # triples with z at or after y would give (J, J, J) instead
+        ("N2", "J", {(0, 0, "J"): 1}, ("J", "J", "L")),
+    ],
+)
+def test_diagonal_skew_failure_scans_every_z(pres_id, x, term, first, monkeypatch):
+    # with a diagonal pair not skew the swap identities fail, so the scan is
+    # the one that tries every z, and validate() refuses the pair first
+    base = builtin_presentation(pres_id)
+    brackets = {**base._table, (x, x): {**base._table[(x, x)], **term}}
+    pres = VaPresentation(
+        f"{pres_id}_skewless",
+        base.generators,
+        brackets,
+        base.central_charge,
+        base.conformal_name,
+    )
+    assert pres._skew_failure == x
+    with pytest.raises(PresentationError, match=f"^diagonal skew fails for {x}$"):
+        pres.validate()
+    calls = _count_residuals(monkeypatch)
+    got = _witness_digest(pres)
+    scanned = list(calls)
+    calls.clear()
+    assert got == _reference_jacobi_witness(pres)
+    assert got[:3] == first
+    assert scanned == calls
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -610,6 +765,31 @@ def _count_residuals(monkeypatch):
 
     monkeypatch.setattr(VaPresentation, "jacobi_residual", counted)
     return calls
+
+
+# residual calls of a first jacobi_witness() per builtin
+RESIDUAL_COUNTS = {
+    "N1": 4,
+    "N2": 20,
+    "N3": 120,
+    "N4": 120,
+    "big4": 816,
+    "big4_kwmiss1": 195,
+    "big4_kwmiss2": 102,
+    "four_fermions_k": 20,
+    "free_boson_k": 1,
+    "free_fermion": 1,
+    "virasoro": 1,
+}
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_jacobi_tries_each_unordered_triple_once(pres_id, monkeypatch):
+    calls = _count_residuals(monkeypatch)
+    pres = presentation_module._BUILTINS[pres_id]()
+    pres.jacobi_witness()
+    assert len(calls) == RESIDUAL_COUNTS[pres_id]
+    assert len({tuple(sorted(t)) for t in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("pres_id", ["N2", "big4"])
