@@ -5,7 +5,8 @@ X_{i1(-m1)} ... X_{ik(-mk)} |0>, stored as dicts from sorted factor tuples
 (generator index, m >= 1) to scalars.  Factors sort ascending by (-m, index),
 repeated odd factors are straightened away, and every operation reduces to
 memoized products of two monomials, so all products, brackets, and axiom
-checks below are exact.
+checks below are exact.  `nth_product` is the one product of states: it
+adds its monomials' memoized products with `linalg.vec_acc`.
 
 A product of two monomials (`_mono_product`) is a sum of scaled memoized
 states, and deep products sum hundreds of thousands of terms, most onto
@@ -20,8 +21,8 @@ not stored.
 
 A single-factor left monomial needs no sum.  By the state-field
 correspondence the mode X_{i(n)} is the n-th product with X_{i(-1)}|0>, so
-the mode action is the one-factor, m = 1 product, memoized under the same
-keys as every other product.  X_{i(-m)}|0> is the divided power
+`apply_mode` is that `nth_product`, memoized under the same keys as every
+other product.  X_{i(-m)}|0> is the divided power
 T^(m-1) X_i, and (T^(k) a)_(n) = (-1)^k binom(n, k) a_(n-k) (Kac, *Vertex
 Algebras for Beginners*), so
 
@@ -73,9 +74,10 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 
 # memoized terms an engine keeps before trim_caches drops its memos
 _MEMO_TERM_BUDGET = 3_000_000
-# factors of the longest monomial apply_mode and nth_product take: their
-# recursions nest up to about three frames per factor (two for a mode),
-# and Python's default recursion limit is 1,000 frames
+# factors of the longest monomial nth_product (and so apply_mode) takes,
+# under Python's default recursion limit of 1,000 frames: a mode nests
+# about 2 frames per factor (L_(1) on 100 factors needs a limit of 212 from
+# a script's top level), a long left monomial about 4 (T on 100: 410)
 _FACTOR_LIMIT = 100
 
 
@@ -86,18 +88,6 @@ def _weight_bound(bound) -> Fraction:
     raise TypeError(f"weight bound is a {type(bound).__name__}, not an int or Fraction")
 
 
-def _not_a_mode(n) -> ValueError:
-    # a Fraction mode would build a monomial the weights cannot read
-    return ValueError(f"mode index {n!r} is not an int")
-
-
-def _too_long(mono) -> ValueError:
-    return ValueError(
-        f"monomial of {len(mono)} factors is longer than the limit of "
-        f"{_FACTOR_LIMIT} factors"
-    )
-
-
 class VertexAlgebra:
     """The enveloping vertex algebra of a validated presentation.
 
@@ -106,10 +96,10 @@ class VertexAlgebra:
     validated or not.  Two memos serve every call: `_prod_memo` holds the
     products of two monomials, single modes included, and `_wt2_memo` their
     doubled weights.  _MEMO_TERM_BUDGET bounds the memoized terms: past it,
-    trim_caches drops both between top-level operations.  apply_mode and
-    nth_product refuse a monomial of more than _FACTOR_LIMIT factors with
-    ValueError, so that no recursion of theirs reaches Python's recursion
-    limit.
+    trim_caches drops both between top-level operations.  nth_product, the
+    one product of states, apply_mode's too, refuses a monomial of more
+    than _FACTOR_LIMIT factors with ValueError, so that no recursion of its
+    reaches Python's recursion limit.
     """
 
     def __init__(self, presentation):
@@ -170,21 +160,13 @@ class VertexAlgebra:
     # -- the single-mode action -------------------------------------------------
 
     def apply_mode(self, i: int, n: int, state: dict) -> dict:
-        """X_{i(n)} on a state; i is a generator index and n a mode, ints."""
+        """X_{i(n)} on a state, nth_product by X_{i(-1)}|0>; i and n are ints."""
         if type(i) is not int or not 0 <= i < len(self._gens):
             raise ValueError(
                 f"generator index {i!r} is not an int in 0..{len(self._gens) - 1}"
                 f" for the {len(self._gens)} generators"
             )
-        if type(n) is not int:
-            raise _not_a_mode(n)
-        out: dict = {}
-        gen = self._gens[i]
-        for mono, coeff in state.items():
-            if len(mono) > _FACTOR_LIMIT:
-                raise _too_long(mono)
-            vec_acc(out, self._mono_product(gen, n, mono), coeff)
-        return out
+        return self.nth_product({self._gens[i]: ONE}, n, state)
 
     def _mode(self, i: int, n: int, mono) -> dict:
         """X_{i(n)} on a sorted monomial, as a new dict.
@@ -201,7 +183,7 @@ class VertexAlgebra:
             # odd square: half the bracket of the mode with itself
             return vec_scale(self._bracket_action(i, n, i, hm, rest), _HALF)
         inner = self._mono_product(self._gens[i], n, rest)
-        res = self.apply_mode(hi, -hm, inner)
+        res = self.nth_product({self._gens[hi]: ONE}, -hm, inner)
         if self.parities[i] and self.parities[hi]:
             res = {k: -v for k, v in res.items()}
         vec_acc(res, self._bracket_action(i, n, hi, hm, rest))
@@ -223,24 +205,18 @@ class VertexAlgebra:
 
     def nth_product(self, a: dict, n: int, b: dict) -> dict:
         if type(n) is not int:
-            raise _not_a_mode(n)
-        terms = []
-        for ma, ca in a.items():
-            if len(ma) > _FACTOR_LIMIT:
-                raise _too_long(ma)
-            for mb, cb in b.items():
-                if len(mb) > _FACTOR_LIMIT:
-                    raise _too_long(mb)
-                vec = self._mono_product(ma, n, mb)
-                if vec:
-                    terms.append((1, ca * cb, vec))
-        if len(terms) > 1:
-            return vec_sum(terms)
-        # one term is copied or scaled: a raw sum would rebuild every Scalar
-        # of a scaled term
+            # a Fraction mode would build a monomial the weights cannot read
+            raise ValueError(f"mode index {n!r} is not an int")
+        for mono in (*a, *b):
+            if len(mono) > _FACTOR_LIMIT:
+                raise ValueError(
+                    f"monomial of {len(mono)} factors is longer than the limit of "
+                    f"{_FACTOR_LIMIT} factors"
+                )
         out: dict = {}
-        if terms:
-            vec_acc(out, terms[0][2], terms[0][1])
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                vec_acc(out, self._mono_product(ma, n, mb), ca * cb)
         return out
 
     def _mono_product(self, ma, n: int, mb) -> dict:
@@ -530,6 +506,12 @@ def axiom_suite(
     """
     start = time.perf_counter()
     bound = _weight_bound(weight_bound)
+    # a None seed draws from OS entropy, and True triples run one triple
+    for name, value in (("seed", seed), ("triples", triples)):
+        if type(value) is not int:
+            raise TypeError(f"{name} is a {type(value).__name__}, not an int")
+    if triples < 0:
+        raise ValueError(f"triples is {triples}, not a non-negative int")
     rng = random.Random(seed)
     pool = [m for m in engine.basis(bound) if m] if triples > 0 else []
     if triples > 0 and not pool:

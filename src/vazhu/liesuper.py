@@ -31,6 +31,7 @@ it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement
@@ -224,6 +225,8 @@ class LieMorphism:
         if extra:
             raise ValueError(f"images of unknown source names {extra}")
         for n, v in images.items():
+            if not isinstance(v, Mapping):
+                raise ValueError(f"image of {n} is a {type(v).__name__}, not a dict")
             outside = v.keys() - target.index.keys()
             if outside:
                 raise ValueError(f"image of {n} uses {sorted(outside)}")

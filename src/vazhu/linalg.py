@@ -184,7 +184,10 @@ def solve_membership(target: dict, spanning: list[dict], key_order=None):
 
 
 def verify_membership(target: dict, spanning: list[dict], cert: dict) -> bool:
-    """Independent recombination check of a membership certificate."""
+    """Independent recombination check of a membership certificate; False
+    when a key of cert is no index into spanning (-1 would read the last)."""
+    if any(type(i) is not int or not 0 <= i < len(spanning) for i in cert):
+        return False
     total: dict = {}
     for idx, coeff in _clean(cert).items():
         vec_acc(total, _clean(spanning[idx]), coeff)

@@ -391,8 +391,9 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     generators, and VACUUM maps to itself; weights and parities must line
     up termwise, so the check is plain bilinear expansion and exact
     comparison.  PresentationError when images leaves a source generator
-    out, keys an image by a name that is not one, puts one on a name the
-    target does not declare, or on one of another parity or weight.
+    out, keys an image by a name that is not one, gives one an image that
+    is not a mapping, puts one on a name the target does not declare, or on
+    one of another parity or weight.
     """
     names = source.names()
     missing = [x for x in names if x not in images]
@@ -401,6 +402,11 @@ def check_embedding(source: VaPresentation, target: VaPresentation, images: dict
     extra = sorted(images.keys() - set(names))
     if extra:
         raise PresentationError(f"images of unknown source generators {extra}")
+    for x in names:
+        if not isinstance(images[x], Mapping):
+            raise PresentationError(
+                f"image of {x} is a {type(images[x]).__name__}, not a dict"
+            )
     declared = set(target.names())
     unknown = sorted({g for x in names for g in images[x]} - declared)
     if unknown:

@@ -300,6 +300,31 @@ def test_monomials_past_the_factor_limit_are_refused():
     }
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_factor_limit_fits_its_recursion_budget():
+    # the limit promises at most about three frames per factor: a change
+    # that adds frames per factor fails here, not as a caller's
+    # RecursionError; a fresh engine has no memo to shorten the recursion
+    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    limit = enveloping._FACTOR_LIMIT
+    at = {((0, 1),) * limit: ONE}
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 3 * limit + 25)
+    try:
+        weighed = eng.apply_mode(0, 1, at)
+        kept = eng.nth_product(eng.vacuum(), -1, at)
+    finally:
+        sys.setrecursionlimit(old)
+    assert weighed == {((0, 1),) * limit: Scalar.from_int(2 * limit)}
+    assert kept == at
+
+
 # -- axiom suite ------------------------------------------------------------------
 
 
@@ -487,6 +512,29 @@ def test_weight_bound_that_is_not_rational_refused(bound):
         eng.basis(bound)
     with pytest.raises(TypeError, match=match):
         axiom_suite(eng, weight_bound=bound, triples=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,message",
+    [
+        # None would seed from OS entropy: the report would vary per run
+        ({"seed": None}, TypeError, "seed is a NoneType, not an int"),
+        ({"seed": 1.5}, TypeError, "seed is a float, not an int"),
+        ({"seed": "1"}, TypeError, "seed is a str, not an int"),
+        ({"seed": True}, TypeError, "seed is a bool, not an int"),
+        ({"triples": -3}, ValueError, "triples is -3, not a non-negative int"),
+        ({"triples": True}, TypeError, "triples is a bool, not an int"),
+        ({"triples": 1.5}, TypeError, "triples is a float, not an int"),
+    ],
+    ids=[
+        "seed_None", "seed_float", "seed_str", "seed_bool",
+        "triples_negative", "triples_bool", "triples_float",
+    ],
+)
+def test_axiom_suite_refuses_a_bad_seed_or_triple_count(kwargs, error, message):
+    args = dict({"weight_bound": 2, "triples": 0, "seed": 0}, **kwargs)
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        axiom_suite(engine("N1"), **args)
 
 
 def _vanishes_by_weight(eng, ma, mb, mc, m: int, n: int, k: int) -> bool:
@@ -923,6 +971,78 @@ def _sweep(pres_id: str) -> str:
 @pytest.mark.parametrize("pres_id", builtin_ids())
 def test_engine_sweep_pinned(pres_id):
     assert _sweep(pres_id) == ENGINE_SWEEP[pres_id]
+
+
+def _reference_nth_product(eng, a: dict, n: int, b: dict) -> dict:
+    """nth_product as it once summed: two or more nonzero monomial products
+    as one `vec_sum`, a single one copied or scaled by `vec_acc`."""
+    terms = []
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            vec = eng._mono_product(ma, n, mb)
+            if vec:
+                terms.append((1, ca * cb, vec))
+    if len(terms) > 1:
+        return vec_sum(terms)
+    out: dict = {}
+    if terms:
+        vec_acc(out, terms[0][2], terms[0][1])
+    return out
+
+
+def _reference_apply_mode(eng, i: int, n: int, state: dict) -> dict:
+    """apply_mode as its own loop, before it was nth_product by a generator."""
+    out: dict = {}
+    for mono, coeff in state.items():
+        vec_acc(out, eng._mono_product(eng._gens[i], n, mono), coeff)
+    return out
+
+
+def _seeded_states(eng, pres_id: str, seed: int) -> list:
+    """Three-term states on low basis monomials, coefficients in c and, on
+    big4, in a/(a+1), so the reference's summed path meets denominators."""
+    rng = random.Random(seed)
+    pool = eng.basis(2 if pres_id.startswith("big4") else 4)[1:13]
+    frac = Scalar.param("a") / (Scalar.param("a") + 1)
+    states = []
+    for _ in range(3):
+        state: dict = {}
+        for mono in rng.sample(pool, 3):
+            coeff = Scalar.from_int(rng.randint(-3, 3)) + rng.randint(1, 3) * C
+            if pres_id == "big4":
+                coeff = coeff + rng.randint(1, 3) * frac
+            state[mono] = coeff
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("pres_id", builtin_ids())
+def test_one_accumulate_loop_matches_the_summed_products(pres_id):
+    # results compare as dicts and by sorted text: a state's key order is
+    # not part of the contract, and vec_sum and vec_acc may order keys apart
+    eng = VertexAlgebra(builtin_presentation(pres_id))
+    states = _seeded_states(eng, pres_id, seed=1)
+    new, ref = hashlib.sha256(), hashlib.sha256()
+    summed = 0  # products the reference sent to vec_sum
+    for n in range(-2, 3):
+        for a in states:
+            for b in states:
+                got = eng.nth_product(a, n, b)
+                want = _reference_nth_product(eng, a, n, b)
+                assert got == want, (n, a, b)
+                new.update(eng.format_state(got).encode())
+                ref.update(eng.format_state(want).encode())
+                hits = [1 for ma in a for mb in b if eng._mono_product(ma, n, mb)]
+                summed += len(hits) > 1
+        for i in range(len(eng.names)):
+            for state in states:
+                got = eng.apply_mode(i, n, state)
+                want = _reference_apply_mode(eng, i, n, state)
+                assert got == want, (i, n, state)
+                new.update(eng.format_state(got).encode())
+                ref.update(eng.format_state(want).encode())
+    assert new.hexdigest() == ref.hexdigest()
+    assert summed > 0
 
 
 # -- property checks --------------------------------------------------------------

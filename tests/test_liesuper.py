@@ -358,6 +358,8 @@ def test_morphism_needs_every_image_on_target_names():
         LieMorphism(r, r, {"L": {"L": ONE}})
     with pytest.raises(ValueError, match=r"image of G uses \['X'\]"):
         LieMorphism(r, r, {"L": {"L": ONE}, "G": {"X": ONE}})
+    with pytest.raises(ValueError, match=r"^image of G is a list, not a dict$"):
+        LieMorphism(r, r, {"L": {"L": ONE}, "G": ["G"]})
     identity = {"L": {"L": ONE}, "G": {"G": ONE}}
     with pytest.raises(ValueError, match=r"unknown source names \['Q'\]"):
         LieMorphism(r, r, dict(identity, Q={"L": ONE}))

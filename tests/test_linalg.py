@@ -408,6 +408,14 @@ def test_membership_failure():
     # zero target is always a member with the empty certificate
     cert = solve_membership({}, spanning)
     assert cert == {}
+    # a certificate key that is no index into spanning fails: -1 once read
+    # the last spanning vector, and 5 raised IndexError
+    target, spanning = {"a": ONE}, [{"a": ONE}]
+    assert verify_membership(target, spanning, {0: 1})
+    for key in (-1, 5, 1, True, "0", 0.0):
+        assert verify_membership(target, spanning, {key: 1}) is False, key
+    with pytest.raises(TypeError):
+        verify_membership(target, spanning, {0: 1.0})
 
 
 def test_membership_symbolic():

@@ -694,6 +694,10 @@ def test_embedding_onto_undeclared_target_rejected():
     images = dict(images, G={"Gp": ONE, "Q": ONE})
     with pytest.raises(PresentationError, match=r"unknown target generators \['Q'\]"):
         check_embedding(src, tgt, images)
+    # a list image once raised AttributeError on .items()
+    images = dict(images, G=["Gp"])
+    with pytest.raises(PresentationError, match=r"^image of G is a list, not a dict$"):
+        check_embedding(src, tgt, images)
 
 
 @pytest.mark.parametrize(
