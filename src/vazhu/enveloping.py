@@ -75,15 +75,15 @@ _HALF = Scalar.from_fraction(Fraction(1, 2))
 # memoized terms an engine keeps before trim_caches drops its memos
 _MEMO_TERM_BUDGET = 3_000_000
 # factors of the longest monomial nth_product (and so apply_mode) takes,
-# under Python's default recursion limit of 1,000 frames: a mode nests
-# about 2 frames per factor (L_(1) on 100 factors needs a limit of 212 from
-# a script's top level), a long left monomial about 4 (T on 100: 410)
+# under Python's default recursion limit of 1,000 frames: every product
+# nests about 2 frames per factor (L_(1) and T on 100 factors each need a
+# limit of 211 from a script's top level)
 _FACTOR_LIMIT = 100
 
 
 def _weight_bound(bound) -> Fraction:
-    # Fraction(2.3) is a binary float's value, not 23/10
-    if isinstance(bound, (int, Fraction)):
+    # Fraction(2.3) is a binary float's value, not 23/10, and True is 1
+    if isinstance(bound, (int, Fraction)) and type(bound) is not bool:
         return Fraction(bound)
     raise TypeError(f"weight bound is a {type(bound).__name__}, not an int or Fraction")
 
@@ -247,7 +247,7 @@ class VertexAlgebra:
         self._memo_terms += len(res) + 1
         return res
 
-    def _product_terms(self, ma, n: int, mb, wb2: int):
+    def _product_terms(self, ma, n: int, mb, wb2: int) -> list:
         """The (int, Scalar, state) terms of ma_(n)mb for ma = X_{i(-m)} rest.
 
         (X_{i(-m)} r)_(n) = sum_j binom(m + j - 1, j) (X_{i(-m-j)} r_(n+j)
@@ -255,21 +255,25 @@ class VertexAlgebra:
         bound.  `_mono_product` calls it for two or more factors only; at
         r = |0> the sum collapses to the closed form (-1)^(m-1)
         binom(n, m-1) X_{i(n-m+1)} it uses instead, and this generic sum
-        stays the reference that form is tested against.
+        stays the reference that form is tested against.  The list is
+        complete before `vec_sum` reads it, so the recursion into the
+        memoized products nests no frame of that sum.
         """
         (i, m), rest = ma[0], ma[1:]
         gen = self._gens[i]
         sign = -((-1) ** m)
         if self.parities[i] and self.mono_parity(rest):
             sign = -sign
+        terms: list = []
         for j in range((self._mono_wt2(rest) + wb2 - 2 - 2 * n) // 2 + 1):
             binom = math.comb(m + j - 1, j)
             for mu, cu in self._mono_product(rest, n + j, mb).items():
-                yield binom, cu, self._mono_product(gen, -m - j, mu)
+                terms.append((binom, cu, self._mono_product(gen, -m - j, mu)))
         for j in range((self._wt2[i] + wb2 - 2) // 2 + 1):
             binom = math.comb(m + j - 1, j) * sign
             for mu, cu in self._mono_product(gen, j, mb).items():
-                yield binom, cu, self._mono_product(rest, -m + n - j, mu)
+                terms.append((binom, cu, self._mono_product(rest, -m + n - j, mu)))
+        return terms
 
     def translation(self, state: dict) -> dict:
         """T a = a_(-2)|0>, the first divided derivative."""
@@ -295,8 +299,13 @@ class VertexAlgebra:
     # -- basis enumeration --------------------------------------------------------
 
     def basis(self, max_weight) -> list:
-        """Sorted monomials of weight <= max_weight (int or Fraction), vacuum too."""
+        """Sorted monomials of weight <= max_weight (int or Fraction).
+
+        The vacuum, of weight 0, is the first; a negative bound has none.
+        """
         bound = _weight_bound(max_weight)
+        if bound < 0:
+            return []
         factors = []
         for i, wt in enumerate(self.weights):
             m = 1

@@ -352,9 +352,8 @@ class GrassmannElement:
                 for (t2, s2), c2 in other.terms.items():
                     if set(s1) & set(s2):
                         continue
-                    sign = _merge_sign(s1, s2)
-                    key = (t1 + t2, tuple(sorted(s1 + s2)))
-                    key_acc(out, key, c1 * c2 * sign)
+                    sign, thetas = _sort_sign(s1 + s2)
+                    key_acc(out, (t1 + t2, thetas), c1 * c2 * sign)
             return GrassmannElement._from_clean(out)
         f = _coerce(other)
         if f is NotImplemented:
@@ -423,11 +422,6 @@ def _sort_sign(seq):
     # (sign of the sorting permutation, sorted tuple) for distinct thetas
     inv = sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y)
     return Scalar.from_int(-1 if inv % 2 else 1), tuple(sorted(seq))
-
-
-def _merge_sign(s1, s2) -> Scalar:
-    inv = sum(1 for x in s1 for y in s2 if x > y)
-    return Scalar.from_int((-1) ** inv)
 
 
 # ---------------------------------------------------------------------------

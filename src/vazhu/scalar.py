@@ -60,11 +60,12 @@ a+1 and their products, repeat the same few hundred operand pairs
 thousands of times per check.  Sharing a cached result is exact, because
 a Scalar's form depends only on its operands and Scalars are immutable.
 `_reduced` holds at most `_REDUCED_MEMO_SIZE` entries, a fixed bound.
-`declare_parameter` empties all three through `cache_clear()`, and
-`cache_info()` reads their hits, misses and sizes.  The plain-rational and
-unit-denominator paths are not cached: their operands rarely repeat.  A
-polynomial sum accumulates the second term tuple into a dict of the first
-through `_poly_acc` and sorts the result once by `_mono_key`.
+The parameter registry and its square rules are fixed at import, so no
+cache is ever invalidated; `cache_info()` reads their hits, misses and
+sizes.  The plain-rational and unit-denominator paths are not cached:
+their operands rarely repeat.  A polynomial sum accumulates the second
+term tuple into a dict of the first through `_poly_acc` and sorts the
+result once by `_mono_key`.
 
 Long sums of products skip the per-term Scalars altogether.  The
 enveloping engine adds up hundreds of thousands of products f * c * v (an
@@ -104,7 +105,6 @@ _Q = Fraction
 
 __all__ = [
     "Scalar",
-    "declare_parameter",
     "parameter_names",
     "parse_scalar",
     "ZERO",
@@ -115,54 +115,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # parameter registry
 
-_PARAMS: list[str] = []
-_PARAM_INDEX: dict[str, int] = {}
-# var index -> replacement dict-poly for var^2
-_SQUARE_RULES: dict[int, dict] = {}
-
-
-def declare_parameter(name: str, square=None) -> None:
-    """Register a parameter name; optional square rule var^2 -> polynomial.
-
-    The square polynomial must only involve previously declared parameters.
-    Re-declaring with the same rule is a no-op; conflicting rules raise.
-    The name must be one that parse_scalar reads back as itself, so no
-    Python keyword and nothing that NFKC normalization changes.
-    """
-    try:
-        node = ast.parse(name, mode="eval").body
-    except SyntaxError:
-        node = None
-    if not (isinstance(node, ast.Name) and node.id == name):
-        raise ValueError(f"bad parameter name: {name!r}")
-    rule = None
-    if square is not None:
-        sq = _as_scalar(square, "square rule")
-        if sq._den is not _ONE_ITEMS:
-            raise ValueError("square rule must be polynomial")
-        rule = dict(sq._num)
-    if name in _PARAM_INDEX:
-        idx = _PARAM_INDEX[name]
-        old = _SQUARE_RULES.get(idx)
-        if (old is None) != (rule is None) or (old is not None and old != rule):
-            raise ValueError(f"parameter {name!r} already declared differently")
-        return
-    idx = len(_PARAMS)
-    if rule is not None and any(v >= idx for mono in rule for v, _ in mono):
-        raise ValueError("square rule may only use earlier parameters")
-    _PARAMS.append(name)
-    _PARAM_INDEX[name] = idx
-    if rule is not None:
-        _SQUARE_RULES[idx] = rule
-    # cached keys embed the registry size, cached products and normalized
-    # results its square rules
-    _mono_key.cache_clear()
-    _mono_mul.cache_clear()
-    _reduced.cache_clear()
+# the parameters, in the order that sorts the monomials of every canonical
+# form; gamma0 and gamma keep their slots, and a new one goes at the end
+_PARAMS = ("c", "a", "gamma0", "gamma", "k", "s", "I")
+_PARAM_INDEX = {name: i for i, name in enumerate(_PARAMS)}
+# var index -> dict-poly of var^2, in strictly earlier parameters only
+_SQUARE_RULES = {
+    _PARAM_INDEX["s"]: {((_PARAM_INDEX["a"], 1),): Fraction(1, 2)},
+    _PARAM_INDEX["I"]: {(): -1},
+}
 
 
 def parameter_names() -> tuple[str, ...]:
-    return tuple(_PARAMS)
+    return _PARAMS
 
 
 def _param_index(name: str) -> int:
@@ -516,7 +481,6 @@ def _items(p) -> tuple:
 _ONE_ITEMS = (((), 1),)
 # the constant Scalars of the ints with |n| <= _SMALL_INT are shared objects
 _SMALL_INT = 256
-_INT_CACHE: dict = {}
 # about 6x the most distinct normalizing operand pairs a big4 pass makes (647)
 _REDUCED_MEMO_SIZE = 4096
 # terms a power may reach before __pow__ refuses it; stored ones reach 3
@@ -812,6 +776,15 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+ZERO = Scalar((), _ONE_ITEMS, _canonical=True)
+ONE = Scalar(_ONE_ITEMS, _ONE_ITEMS, _canonical=True)
+_INT_CACHE = {0: ZERO, 1: ONE} | {
+    n: Scalar((((), n),), _ONE_ITEMS, _canonical=True)
+    for n in range(-_SMALL_INT, _SMALL_INT + 1)
+    if n not in (0, 1)
+}
 
 
 def _constant(q) -> Scalar:
@@ -1112,30 +1085,3 @@ def parse_scalar(text: str) -> Scalar:
         return _eval_node(tree.body)
     except (SyntaxError, RecursionError) as err:
         raise ValueError(f"cannot parse scalar {text!r}: {err}") from None
-
-
-# ---------------------------------------------------------------------------
-# default registry: engine-wide parameter order is part of canonical printing
-
-ZERO = None  # placeholder, replaced below
-ONE = None
-
-# gamma0 and gamma keep their registry slots: variable indices order the
-# monomials of every canonical form
-declare_parameter("c")
-declare_parameter("a")
-declare_parameter("gamma0")
-declare_parameter("gamma")
-declare_parameter("k")
-
-ZERO = Scalar({})
-ONE = Scalar(_ONE_ITEMS, _ONE_ITEMS, _canonical=True)
-_INT_CACHE.update(
-    {n: Scalar((((), n),), _ONE_ITEMS, _canonical=True)
-     for n in range(-_SMALL_INT, _SMALL_INT + 1) if n not in (0, 1)}
-)
-_INT_CACHE[0] = ZERO
-_INT_CACHE[1] = ONE
-
-declare_parameter("s", square=Scalar.param("a") / 2)
-declare_parameter("I", square=Scalar.from_int(-1))

@@ -22,7 +22,7 @@ from vazhu.presentation import (
     builtin_presentation,
     check_embedding,
 )
-from vazhu.scalar import ONE, Scalar, declare_parameter
+from vazhu.scalar import ONE, Scalar
 
 def _bad_coefficients(vectors):
     """(key, coefficient) of each stored coefficient off the format."""
@@ -76,10 +76,6 @@ def _certificate(x):
     verify_membership({"v": ONE}, [{"v": ONE}], {0: x})
 
 
-def _square_rule(x):
-    declare_parameter("tmp_float", square=x)
-
-
 @pytest.mark.parametrize(
     "build, match",
     [
@@ -92,7 +88,6 @@ def _square_rule(x):
         (_central_charge, "central charge is a float"),
         (lambda x: Scalar.param("c").substitute({"c": x}), "value of c is a float"),
         (_certificate, "coefficient at 0 is a float"),
-        (_square_rule, "square rule is a float"),
         (lambda x: GrassmannElement({(0, (1,)): x}), r"at \(0, \(1,\)\) is a float"),
     ],
 )

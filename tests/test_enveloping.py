@@ -127,6 +127,16 @@ def test_basis_is_sorted_and_starts_at_vacuum():
     assert len(set(basis)) == len(basis)
 
 
+@pytest.mark.parametrize("bound", [-1, Fraction(-1, 2)])
+def test_basis_below_the_vacuum_weight_is_empty(bound):
+    # the vacuum has weight 0, above a negative bound
+    eng = engine("N2")
+    assert eng.basis(bound) == []
+    assert eng.dimension_by_weight(bound) == {}
+    assert eng.basis(0) == [()]
+    assert eng.dimension_by_weight(0) == {0: 1}
+
+
 # -- single modes and pins ------------------------------------------------------
 
 
@@ -308,10 +318,12 @@ def _stack_depth() -> int:
 
 
 def test_factor_limit_fits_its_recursion_budget():
-    # the limit promises at most about three frames per factor: a change
-    # that adds frames per factor fails here, not as a caller's
-    # RecursionError; a fresh engine has no memo to shorten the recursion
-    eng = VertexAlgebra(builtin_presentation("virasoro"))
+    # the limit promises at most about three frames per factor, for a mode
+    # and for a long left monomial alike: a change that adds frames per
+    # factor fails here, not as a caller's RecursionError; a fresh engine
+    # has no memo to shorten the recursion
+    pres = builtin_presentation("virasoro")
+    eng, fresh = VertexAlgebra(pres), VertexAlgebra(pres)
     limit = enveloping._FACTOR_LIMIT
     at = {((0, 1),) * limit: ONE}
     old = sys.getrecursionlimit()
@@ -319,10 +331,14 @@ def test_factor_limit_fits_its_recursion_budget():
     try:
         weighed = eng.apply_mode(0, 1, at)
         kept = eng.nth_product(eng.vacuum(), -1, at)
+        derived = fresh.divided_derivative(at, 1)
     finally:
         sys.setrecursionlimit(old)
     assert weighed == {((0, 1),) * limit: Scalar.from_int(2 * limit)}
     assert kept == at
+    # T is L_(0) on the Virasoro algebra
+    assert derived == eng.apply_mode(0, 0, at)
+    assert derived[((0, 2),) + ((0, 1),) * (limit - 1)] == limit
 
 
 # -- axiom suite ------------------------------------------------------------------
@@ -503,9 +519,10 @@ def test_engine_rejects_inhomogeneous_table():
         VaPresentation("N1_d2G", base.generators, brackets, base.central_charge, "L")
 
 
-@pytest.mark.parametrize("bound", [2.3, 2.0, "2", None])
+@pytest.mark.parametrize("bound", [2.3, 2.0, "2", None, True])
 def test_weight_bound_that_is_not_rational_refused(bound):
-    # Fraction(2.3) would be the float's binary value, not 23/10
+    # Fraction(2.3) would be the float's binary value, not 23/10, and
+    # Fraction(True) would be 1
     eng = engine("N1")
     match = f"^weight bound is a {type(bound).__name__}, not an int or Fraction$"
     with pytest.raises(TypeError, match=match):

@@ -16,7 +16,6 @@ from vazhu.scalar import (
     ONE,
     ZERO,
     Scalar,
-    declare_parameter,
     parameter_names,
     parse_scalar,
 )
@@ -404,37 +403,22 @@ def test_equal_scalars_hash_equal():
             assert x != other and not x == other
 
 
-def test_declare_parameter_conflicts():
-    assert "tmp_level" not in parameter_names()
-    ONE / (Scalar.param("c") + 1)
-    memos = (_mono_key, _mono_mul, _reduced)
-    assert all(memo.cache_info().currsize for memo in memos)
-    declare_parameter("tmp_level")
-    # a new parameter empties every memo that the registry feeds
-    assert all(memo.cache_info().currsize == 0 for memo in memos)
-    declare_parameter("tmp_level")  # same declaration is fine
-    with pytest.raises(ValueError):
-        declare_parameter("tmp_level", square=ONE)
-
-
-def test_declare_parameter_refuses_bad_square_rules():
-    with pytest.raises(ValueError, match="^square rule must be polynomial$"):
-        declare_parameter("tmp_root", square=ONE / Scalar.param("c"))
-    # a rule in the parameter being declared, which no parsed text can hold
-    own = ((len(parameter_names()), 1),)
-    rule = Scalar(((own, 1),), _ONE_ITEMS, _canonical=True)
-    with pytest.raises(
-        ValueError, match="^square rule may only use earlier parameters$"
-    ):
-        declare_parameter("tmp_root", square=rule)
-    # a refused declaration registers nothing
-    assert "tmp_root" not in parameter_names()
-
-
-@pytest.mark.parametrize("name", ["lambda", "None", "\ufb01", "2c", "c-1"])
-def test_declare_parameter_refuses_names_text_cannot_hold(name):
-    with pytest.raises(ValueError, match="bad parameter name"):
-        declare_parameter(name)
+def test_parameter_registry_is_the_fixed_tuple():
+    # the order sorts every canonical form's monomials, so it is pinned
+    names = parameter_names()
+    assert names == ("c", "a", "gamma0", "gamma", "k", "s", "I")
+    for name in names:
+        assert parse_scalar(name) == Scalar.param(name)
+    assert {names[v] for v in _SQUARE_RULES} == {"s", "I"}
+    for v, rule in _SQUARE_RULES.items():
+        for mono, coeff in rule.items():
+            # _reduce_mono ends because a rule uses only earlier parameters
+            assert all(w < v for w, _ in mono), (names[v], mono)
+            assert type(coeff) is int or (
+                type(coeff) is Fraction and coeff.denominator > 1
+            ), (names[v], coeff)
+    assert parse_scalar("s^2") == parse_scalar("a/2")
+    assert parse_scalar("I^2") == -1
 
 
 # ---------------------------------------------------------------------------
