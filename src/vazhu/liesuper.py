@@ -18,14 +18,12 @@ superalgebras*, Adv. Math. 1998).  f -> D_f is an injective Lie morphism
 into the contact vector fields, so these are the structure constants of the
 fields D_f, read off without building them.
 
-The zero-mode algebras are derived from the lambda brackets of the
-presentations (De Sole-Kac, the H-twisted Zhu algebra of a Lie conformal
-algebra): [a, b] is the commutator of the zero modes a_(wt a - 1) and
-b_(wt b - 1), the presentation's `mode_commutator` at n = wt a - 1 and
-m = wt b - 1, whose terms are zero modes X_(wt X - 1) and |0>_(-1).  The
-class of |0> is an even central Z.  The conformal vector is shifted to
-L - (c/24) Z, which absorbs the central part of every bracket that has L in
-it.
+The zero-mode algebras are read off the lambda brackets.  In Huang's Zhu
+algebra (Comm. Contemp. Math. 2005), which needs no Hamiltonian and no
+Virasoro element, [u] * [v] - p(u, v) [v] * [u] = [u_(0) v] for any vertex
+algebra and derivatives vanish, so [x, y] is the lambda^0 part of [x_lam y],
+with |0> an even central Z.  The tests check that this agrees with the
+De Sole-Kac H-twisted zero modes (Japan. J. Math. 2006) on every builtin.
 """
 
 from __future__ import annotations
@@ -133,6 +131,9 @@ class LieSuperalgebra:
         return (even, len(self.names) - even)
 
     def parity_of(self, x: dict):
+        outside = x.keys() - self.index.keys()
+        if outside:
+            raise ValueError(f"element uses {sorted(outside)}")
         ps = {self.parity[n] for n in x}
         if not ps:
             return 0
@@ -267,10 +268,12 @@ def _structure_constants(names, flat, bracket, key_order=None, modulo=()):
     flat[n] is the coordinate dict realizing the basis vector n, and
     bracket(x, y) the coordinate dict realizing [x, y].  Every pair is
     reduced against one echelon of the span of flat and modulo, built once;
-    coordinates along modulo are dropped.  JacobiError when a bracket leaves
-    the span.
+    coordinates along modulo are dropped.  ValueError when flat and modulo
+    are linearly dependent, JacobiError when a bracket leaves the span.
     """
     span = span_echelon([flat[n] for n in names] + list(modulo), key_order)
+    if len(span.rows) < len(names) + len(modulo):
+        raise ValueError(f"the elements {names} are linearly dependent")
     table = {}
     for i, x in enumerate(names):
         for y in names[i:]:
@@ -506,30 +509,21 @@ def _contact_r(n: int) -> LieSuperalgebra:
 
 
 def _zero_mode_algebra(pres) -> LieSuperalgebra:
-    """Zero-mode Lie superalgebra of the H-twisted Zhu algebra of pres.
+    """Lie superalgebra of the generators in the Zhu algebra of pres.
 
-    For generators a, b the bracket [a, b] is `pres.mode_commutator(a,
-    wt a - 1, b, wt b - 1)` with each zero mode X_(wt X - 1) read as X and
-    |0>_(-1) as the even central Z.  The rule reads each target's mode off
-    the weights, which is sound as pres is homogeneous from its constructor.
-    After the shift L -> L - (c/24) Z, made only when pres has both a
-    conformal name and a central charge, Z joins the basis right after the
-    last even generator, and only if some bracket still has a term on it.
+    [x, y] is x_(0) y less its derivatives: the terms (0, 0, X) of
+    `pres.pair_bracket(x, y)`, the vacuum read as the even central Z, which
+    joins the basis after the last even generator if some bracket uses it.
     """
-    names, wt = pres.names(), pres.weight
+    names = pres.names()
     table = {}
     for i, x in enumerate(names):
         for y in names[i:]:
-            modes = pres.mode_commutator(x, wt[x] - 1, y, wt[y] - 1)
             table[(x, y)] = {
                 "Z" if target == VACUUM else target: coeff
-                for (target, _), coeff in modes.items()
+                for (lam, der, target), coeff in pres.pair_bracket(x, y).items()
+                if lam == der == 0
             }
-    if pres.conformal_name is not None and pres.central_charge is not None:
-        shift = pres.central_charge / 24
-        for out in table.values():
-            if pres.conformal_name in out:
-                key_acc(out, "Z", out[pres.conformal_name] * shift)
     parities = dict(pres.parity)
     even = [n for n in names if parities[n] == 0]
     if any("Z" in out for out in table.values()):
@@ -568,8 +562,9 @@ def build_algebra(algebra_id: str, /) -> LieSuperalgebra:
     """One of: osp12, sl12, psl22, osp32, d21a, R_N1..R_N4, contact_R1..4.
 
     R_N1, R_N2, R_N3, R_N4small and R_N4 are the zero-mode algebras of the
-    N1, N2, N3, N4 and big4 presentations, derived by the Zhu bracket rule
-    of _zero_mode_algebra from the unvalidated presentations.  The algebra
+    N1, N2, N3, N4 and big4 presentations: Huang's commutator, the lambda^0
+    part of each bracket, read by _zero_mode_algebra from the unvalidated
+    presentations, as the H-twisted zero modes are in the tests.  The algebra
     is built and validated on the first call and held by a
     `functools.cache`, one entry per id (positional only, so one key per
     id); an unknown id raises and caches nothing.  Its tables are

@@ -9,7 +9,7 @@ algebra with values in the generators plus C|0>.  Two rules cover the
 vacuum: d|0> = 0 and [|0>_lam X] = 0.  A presentation is homogeneous and
 skew-complete from its constructor.  validate() checks diagonal skew,
 primary normalization and conformal-level Jacobi, and the module serves
-the one mode commutator rule that the engine and the zero-mode algebras read.
+the one mode commutator rule that the engine reads.
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ class VaPresentation:
         (d^d X)_(q) = (-1)^d falling(q, d) X_(q-d) (Kac, *Vertex Algebras for
         Beginners*), so a term c lam^j d^d X adds c falling(n, j) (-1)^d
         falling(q, d) on (X, q - d), q = n + m - j.  Of the vacuum's modes
-        only |0>_(-1) = 1 survives, as (VACUUM, -1).  n and m are ints, or
-        Fractions for the zero modes of half-integer weights.
+        only |0>_(-1) = 1 survives, as (VACUUM, -1).  The engine, its one
+        caller here, passes ints; Fractions give the H-twisted modes of
+        half-integer weights, for the tests' zero-mode oracle.
         """
         out: dict = {}
         for (j, d, target), coeff in self.pair_bracket(x, y).items():

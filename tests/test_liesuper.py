@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from vazhu import liesuper
-from vazhu.presentation import VaPresentation, builtin_presentation
+from vazhu.presentation import VACUUM, VaPresentation, builtin_presentation
 from vazhu.scalar import Scalar, ZERO, ONE
-from vazhu.linalg import SuperMatrix, kernel, solve_membership
+from vazhu.linalg import SuperMatrix, key_acc, kernel, solve_membership
 from vazhu.liesuper import (
     LieSuperalgebra,
     LieMorphism,
@@ -593,6 +593,27 @@ def test_subalgebra_requires_homogeneous_elements():
         g.subalgebra({"x": {"e": ONE, "q": ONE}})
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [
+        {"a": {"h": ONE}, "b": {"h": sc(2)}},
+        {"a": {"h": ONE}, "z": {}},
+    ],
+)
+def test_subalgebra_rejects_linearly_dependent_elements(elements):
+    g = build_algebra("osp12")
+    with pytest.raises(ValueError, match="linearly dependent"):
+        g.subalgebra(elements)
+
+
+def test_unknown_basis_names_rejected():
+    g = build_algebra("osp12")
+    with pytest.raises(ValueError, match=r"element uses \['nope'\]"):
+        g.subalgebra({"a": {"nope": ONE}})
+    with pytest.raises(ValueError, match=r"element uses \['nope', 'nope2'\]"):
+        g.centralizer({"nope2": ONE, "nope": ONE})
+
+
 # ---------------------------------------------------------------------------
 # zero-mode algebras derived from the presentations
 
@@ -695,14 +716,95 @@ def test_matrix_supercommutators_pinned(aid):
 
 
 def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
-    def refuse(self):
+    # neither validate() nor a lambda-Jacobi scan, which costs several times
+    # the derivation on big4
+    def refuse(self, *args):
         raise AssertionError(f"presentation {self.name} was validated")
 
     monkeypatch.setattr(VaPresentation, "validate", refuse)
+    monkeypatch.setattr(VaPresentation, "jacobi_residual", refuse)
     before = builtin_presentation.cache_info().currsize
     for aid in ZERO_MODE_IDS:
         liesuper._BUILDERS[aid]()
     assert builtin_presentation.cache_info().currsize == before
+
+
+def _h_twisted_zero_modes(pres):
+    """The De Sole-Kac zero-mode algebra of the H-twisted Zhu algebra of pres.
+
+    The oracle for _zero_mode_algebra.  [a, b] is `pres.mode_commutator(a,
+    wt a - 1, b, wt b - 1)` with each zero mode X_(wt X - 1) read as X and
+    |0>_(-1) as the even central Z.  After the shift L -> L - (c/24) Z, made
+    only when pres has both a conformal name and a central charge, the basis
+    rule is that of _zero_mode_algebra.
+    """
+    names, wt = pres.names(), pres.weight
+    table = {}
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            modes = pres.mode_commutator(x, wt[x] - 1, y, wt[y] - 1)
+            table[(x, y)] = {
+                "Z" if target == VACUUM else target: coeff
+                for (target, _), coeff in modes.items()
+            }
+    if pres.conformal_name is not None and pres.central_charge is not None:
+        shift = pres.central_charge / 24
+        for out in table.values():
+            if pres.conformal_name in out:
+                key_acc(out, "Z", out[pres.conformal_name] * shift)
+    parities = dict(pres.parity)
+    even = [n for n in names if parities[n] == 0]
+    if any("Z" in out for out in table.values()):
+        even.append("Z")
+        parities["Z"] = 0
+    basis = even + [n for n in names if parities[n] == 1]
+    ordered = {
+        pair: {n: out[n] for n in basis if n in out} for pair, out in table.items()
+    }
+    return LieSuperalgebra(basis, parities, ordered)
+
+
+CLEAN_PRESENTATIONS = (
+    "N1",
+    "N2",
+    "N3",
+    "N4",
+    "big4",
+    "four_fermions_k",
+    "free_boson_k",
+    "free_fermion",
+    "virasoro",
+)
+
+
+@pytest.mark.parametrize("pres_id", CLEAN_PRESENTATIONS)
+def test_lambda0_zero_modes_match_the_h_twisted_oracle(pres_id):
+    pres = builtin_presentation(pres_id)
+    got = liesuper._zero_mode_algebra(pres)
+    want = _h_twisted_zero_modes(pres)
+    assert (got.names, repr(got.table)) == (want.names, repr(want.table))
+
+
+@pytest.mark.parametrize(
+    "pres_id, aid", [("N2", "R_N2"), ("N3", "R_N3"), ("big4", "R_N4")]
+)
+def test_zero_modes_need_no_conformal_data(pres_id, aid):
+    pres = builtin_presentation(pres_id)
+    names = pres.names()
+    bare = VaPresentation(
+        pres.name,
+        pres.generators,
+        {
+            (x, y): pres.pair_bracket(x, y)
+            for i, x in enumerate(names)
+            for y in names[i:]
+        },
+        central_charge=None,
+        conformal_name=None,
+    )
+    got = liesuper._zero_mode_algebra(bare)
+    want = build_algebra(aid)
+    assert (got.names, repr(got.table)) == (want.names, repr(want.table))
 
 
 @pytest.mark.parametrize(
@@ -710,14 +812,31 @@ def test_zero_mode_derivation_leaves_presentations_unvalidated(monkeypatch):
     [("big4_kwmiss1", "Jp, Kp, Gmm"), ("big4_kwmiss2", "Jp, Gpp, Gmm")],
 )
 def test_zero_modes_of_corrupted_big4_fail_jacobi(which, triple):
+    # under the H-twisted oracle, which reads the lambda^1 and d terms too
     pres = builtin_presentation(which)
     with pytest.raises(JacobiError) as err:
-        liesuper._zero_mode_algebra(pres)
+        _h_twisted_zero_modes(pres)
     assert str(err.value) == f"Jacobi fails at triple ({triple})"
 
 
+def test_lambda0_zero_modes_of_big4_kwmiss1_fail_jacobi():
+    with pytest.raises(JacobiError) as err:
+        liesuper._zero_mode_algebra(builtin_presentation("big4_kwmiss1"))
+    assert str(err.value) == "Jacobi fails at triple (Jp, Kp, Gmm)"
+
+
+def test_lambda0_zero_modes_of_big4_kwmiss2_build():
+    # kwmiss2's defect lies in its lambda^1 and d terms, which the lambda^0
+    # rule drops, so its table is R_N4's; the presentation's lambda-Jacobi
+    # check still catches it
+    g = liesuper._zero_mode_algebra(builtin_presentation("big4_kwmiss2"))
+    assert g.superdim() == (9, 8)
+    assert _table_digest(g) == "8252d0158e426688" == TABLE_DIGESTS["R_N4"]
+
+
 def test_zero_modes_without_a_conformal_vector():
-    # no conformal name and no central charge, so no L -> L - (c/24) Z shift
+    # free fields have no conformal name and no central charge; the lambda^0
+    # rule reads neither, so these builds take the same path as R_N
     clifford = liesuper._zero_mode_algebra(builtin_presentation("free_fermion"))
     assert clifford.names == ("Z", "psi")
     assert clifford.superdim() == (1, 1)
