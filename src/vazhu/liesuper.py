@@ -115,6 +115,9 @@ class LieSuperalgebra:
     # -- core operations ---------------------------------------------------
 
     def bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] of zero-free Scalar vectors.  It cleans nothing, as the
+        morphism checks call it per pair; outside input is cleaned where it
+        enters, in subalgebra, centralizer and LieMorphism."""
         out: dict = {}
         for nx, cx in x.items():
             for ny, cy in y.items():
@@ -131,10 +134,11 @@ class LieSuperalgebra:
         return (even, len(self.names) - even)
 
     def parity_of(self, x: dict):
+        """0 or 1, or None when the nonzero coefficients mix parities."""
         outside = x.keys() - self.index.keys()
         if outside:
             raise ValueError(f"element uses {sorted(outside)}")
-        ps = {self.parity[n] for n in x}
+        ps = {self.parity[n] for n in _clean(x)}
         if not ps:
             return 0
         return ps.pop() if len(ps) == 1 else None
@@ -144,8 +148,11 @@ class LieSuperalgebra:
     def validate(self):
         """Super antisymmetry, parity and Jacobi on all basis triples.
 
-        True, or JacobiError at the first failure.  The data it reads is
-        read-only, so a pass is recorded and a later call returns True
+        Jacobi at (x, y, z) compares [x,[y,z]] with [[x,y],z] +
+        p(x,y) [y,[x,z]], each side summed in place from the table rows of
+        the inner bracket's terms, with no element or bracket built on the
+        way.  True, or JacobiError at the first failure.  The data it reads
+        is read-only, so a pass is recorded and a later call returns True
         without checking again.
         """
         return self._valid
@@ -170,12 +177,18 @@ class LieSuperalgebra:
         return True
 
     def _jacobi_ok(self, x, y, z):
-        # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
-        ex, ey, ez = self.element(x), self.element(y), self.element(z)
-        lhs = self.bracket(ex, self.bracket(ey, ez))
-        sign = Scalar.from_int(-1 if self.parity[x] and self.parity[y] else 1)
-        rhs = self.bracket(self.bracket(ex, ey), ez)
-        vec_acc(rhs, self.bracket(ey, self.bracket(ex, ez)), sign)
+        # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]], each side one
+        # accumulation of table rows scaled by the inner bracket's terms
+        rows = self._rows
+        lhs: dict = {}
+        for n, c in rows[(y, z)].items():
+            vec_acc(lhs, rows[(x, n)], c)
+        rhs: dict = {}
+        for n, c in rows[(x, y)].items():
+            vec_acc(rhs, rows[(n, z)], c)
+        odd = self.parity[x] and self.parity[y]
+        for n, c in rows[(x, z)].items():
+            vec_acc(rhs, rows[(y, n)], -c if odd else c)
         return lhs == rhs
 
     # -- derived algebras ----------------------------------------------------
@@ -187,6 +200,7 @@ class LieSuperalgebra:
         elimination per parity.  Closure under the bracket is verified
         during construction.
         """
+        x = _clean(x)
         if self.parity_of(x) != 0:
             raise ValueError("centralizer implemented for even elements")
         vecs = []
@@ -198,7 +212,11 @@ class LieSuperalgebra:
         return self.subalgebra({f"z{i}": v for i, v in enumerate(vecs)})
 
     def subalgebra(self, elements: dict[str, dict]) -> "LieSuperalgebra":
-        """Span of the given elements with induced brackets; must be closed."""
+        """Span of the given elements with induced brackets; must be closed.
+
+        The embedding holds the elements as _clean gives them.
+        """
+        elements = {n: _clean(v) for n, v in elements.items()}
         names = list(elements)
         parities = {}
         for n, v in elements.items():

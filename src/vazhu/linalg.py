@@ -112,10 +112,18 @@ def vec_scale(u: dict, f) -> dict:
 
 
 class _Echelon:
-    """Incremental echelon basis remembering how each row was built."""
+    """Incremental echelon basis remembering how each row was built.
+
+    Each row is stored with its pivot coefficient ONE, and its combo scaled
+    alike, so reducing a vector subtracts a row times the vector's own
+    coefficient at the pivot and divides nothing.  The rows come from
+    independent vectors, so a certificate or relation is the unique one
+    over them, whatever the scaling of the rows.
+    """
 
     def __init__(self, key_order=None):
-        self.rows: list[tuple] = []  # (pivot, row_dict, combo_dict)
+        # (pivot, row_dict, combo_dict), each row_dict[pivot] ONE
+        self.rows: list[tuple] = []
         self.key_order = key_order or (lambda k: k)
 
     def reduce(self, vec: dict):
@@ -135,16 +143,16 @@ class _Echelon:
             c = vec.get(pivot)
             if c is None:
                 continue
-            factor = c / row[pivot]
-            vec_acc(vec, row, -factor)
-            vec_acc(used, rcombo, factor)
+            vec_acc(vec, row, -c)
+            vec_acc(used, rcombo, c)
         return vec, used
 
     def insert(self, vec: dict, tag):
         """Insert a zero-free vector labelled by tag.
 
         Returns None when it enlarges the span, else the relation
-        {tag: 1, i: -c_i} with vec = sum c_i original[i].
+        {tag: 1, i: -c_i} with vec = sum c_i original[i].  A new row and its
+        combo are divided by the row's pivot coefficient, once.
         """
         residue, used = self.reduce(vec)
         combo = {tag: ONE}
@@ -153,6 +161,12 @@ class _Echelon:
         if not residue:
             return combo
         pivot = min(residue, key=self.key_order)
+        lead = residue[pivot]
+        if lead != ONE:
+            inv = ONE / lead
+            residue = {k: v * inv for k, v in residue.items()}
+            combo = {k: v * inv for k, v in combo.items()}
+        residue[pivot] = ONE
         self.rows.append((pivot, residue, combo))
         self.rows.sort(key=lambda r: self.key_order(r[0]))
         return None

@@ -40,8 +40,6 @@ __all__ = [
 # the vacuum as a bracket target: even, of weight 0
 VACUUM = "|0>"
 
-_MINUS_ONE = Scalar.from_int(-1)
-
 # the bracket of a pair that has none
 _EMPTY = MappingProxyType({})
 
@@ -294,18 +292,21 @@ class VaPresentation:
 
     # -- conformal-level Jacobi ------------------------------------------------
 
-    def _nest_outer(self, outer: str, inner_value, outer_is_lambda: bool):
-        """[outer_nu (inner value in the other variable)] as a bivariate vector.
+    def _nest_outer(
+        self, out: dict, outer: str, inner_value, outer_is_lambda: bool, sign: int
+    ):
+        """Add sign [outer_nu (inner value in the other variable)] into out.
 
         inner_value is keyed (m, k, X): m the power of the variable the inner
         bracket was taken in, k the derivative order.  Sesquilinearity gives
         [a_nu d^k X] = (nu + d)^k [a_nu X]; a vacuum X brackets to zero, and
-        d kills a vacuum term of [a_nu X].  Keys out: (lam_pow, mu_pow, der,
+        d kills a vacuum term of [a_nu X].  sign is 1 or -1, folded into
+        each inner coefficient once.  Keys of out: (lam_pow, mu_pow, der,
         target), central terms on VACUUM.
         """
-        out: dict = {}
         for (m, k, target), coeff in inner_value.items():
-            shifts = [Scalar.from_int(math.comb(k, t)) for t in range(k + 1)]
+            if sign < 0:
+                coeff = -coeff
             for (p, q, y2), c2 in self.pair_bracket(outer, target).items():
                 base = coeff * c2
                 for t in _ders(y2, k):
@@ -315,34 +316,40 @@ class VaPresentation:
                         if outer_is_lambda
                         else (m, nu_pow, q + t, y2)
                     )
-                    key_acc(out, key, base * shifts[t])
-        return out
+                    b = math.comb(k, t)
+                    key_acc(out, key, base if b == 1 else base * Scalar.from_int(b))
 
-    def _nest_middle(self, ab_value, cgen: str):
-        """[[a_lam b]_{lam+mu} c] from the expansion of [a_lam b]."""
-        out: dict = {}
+    def _nest_middle(self, out: dict, ab_value, cgen: str):
+        """Subtract [[a_lam b]_{lam+mu} c] from out, expanding [a_lam b].
+
+        A term lam^n d^k X of [a_lam b] gives (-lam-mu)^k lam^n [X_{lam+mu} c],
+        so its coefficient is negated once when k is even.
+        """
         for (n, k, target), coeff in ab_value.items():
-            sign = Scalar.from_int((-1) ** k)
+            if not k & 1:
+                coeff = -coeff
             for (p, q, y2), c2 in self.pair_bracket(target, cgen).items():
                 tot = k + p
-                base = coeff * c2 * sign
+                base = coeff * c2
                 for i in range(tot + 1):
+                    b = math.comb(tot, i)
                     key_acc(
                         out,
                         (n + i, tot - i, q, y2),
-                        base * Scalar.from_int(math.comb(tot, i)),
+                        base if b == 1 else base * Scalar.from_int(b),
                     )
-        return out
 
     def jacobi_residual(self, x: str, y: str, z: str):
-        """Residual of [x_lam [y_mu z]] - [[x_lam y]_{lam+mu} z] - p [y_mu [x_lam z]]."""
-        res = self._nest_outer(x, self.pair_bracket(y, z), outer_is_lambda=True)
-        vec_acc(res, self._nest_middle(self.pair_bracket(x, y), z), _MINUS_ONE)
-        vec_acc(
-            res,
-            self._nest_outer(y, self.pair_bracket(x, z), outer_is_lambda=False),
-            Scalar.from_int(-self.pair_sign(x, y)),
-        )
+        """Residual of [x_lam [y_mu z]] - [[x_lam y]_{lam+mu} z] - p [y_mu [x_lam z]].
+
+        One vector keyed (lam_pow, mu_pow, der, target): the three nested
+        brackets add straight into it, each with its sign.
+        """
+        res: dict = {}
+        self._nest_outer(res, x, self.pair_bracket(y, z), True, 1)
+        self._nest_middle(res, self.pair_bracket(x, y), z)
+        sign = -self.pair_sign(x, y)
+        self._nest_outer(res, y, self.pair_bracket(x, z), False, sign)
         return res
 
     def jacobi_witness(self):

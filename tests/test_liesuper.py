@@ -9,13 +9,15 @@ the contact algebra.
 
 import hashlib
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 
 from vazhu import liesuper
 from vazhu.presentation import VACUUM, VaPresentation, builtin_presentation
 from vazhu.scalar import Scalar, ZERO, ONE
-from vazhu.linalg import SuperMatrix, key_acc, kernel, solve_membership
+from vazhu.linalg import SuperMatrix, key_acc, kernel, solve_membership, vec_acc
 from vazhu.liesuper import (
     LieSuperalgebra,
     LieMorphism,
@@ -291,6 +293,66 @@ def test_copy_of_a_validated_table_is_checked_again(monkeypatch):
     assert copy.validate() is True
     assert calls == []
     assert copy.table == g.table
+
+
+def _six_bracket_jacobi_ok(self, x, y, z):
+    # the oracle: Jacobi through the public bracket, from three basis
+    # elements, six brackets and a Scalar sign
+    ex, ey, ez = self.element(x), self.element(y), self.element(z)
+    lhs = self.bracket(ex, self.bracket(ey, ez))
+    sign = Scalar.from_int(-1 if self.parity[x] and self.parity[y] else 1)
+    rhs = self.bracket(self.bracket(ex, ey), ez)
+    vec_acc(rhs, self.bracket(ey, self.bracket(ex, ez)), sign)
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("aid", sorted(liesuper._BUILDERS))
+def test_row_jacobi_matches_the_six_bracket_oracle(aid):
+    g = build_algebra(aid)
+    for x, y, z in combinations_with_replacement(g.names, 3):
+        assert g._jacobi_ok(x, y, z) is _six_bracket_jacobi_ok(g, x, y, z) is True
+
+
+def _unvalidated(build, monkeypatch):
+    # the algebra build() gives, with the constructor's validate() skipped
+    with monkeypatch.context() as m:
+        m.setattr(LieSuperalgebra, "validate", lambda self: True)
+        return build()
+
+
+def _d21a_one_constant_doubled():
+    # [f010, e121] = c e111 with c doubled, in the x <= y half of the table
+    g = build_algebra("d21a")
+    table = {p: dict(g.table[p]) for p in combinations_with_replacement(g.names, 2)}
+    table[("f010", "e121")]["e111"] *= 2
+    return lambda: LieSuperalgebra(g.names, g.parity, table)
+
+
+@pytest.mark.parametrize(
+    "case, triple",
+    [
+        ("d21a_doubled", "e100, f110, e121"),
+        ("big4_kwmiss1", "Jp, Kp, Gmm"),
+    ],
+)
+def test_corrupted_tables_fail_both_jacobi_rules_alike(case, triple, monkeypatch):
+    if case == "d21a_doubled":
+        build = _d21a_one_constant_doubled()
+    else:
+        build = partial(liesuper._zero_mode_algebra, builtin_presentation(case))
+    g = _unvalidated(build, monkeypatch)
+    verdicts = {
+        t: g._jacobi_ok(*t) for t in combinations_with_replacement(g.names, 3)
+    }
+    assert verdicts == {t: _six_bracket_jacobi_ok(g, *t) for t in verdicts}
+    assert not all(verdicts.values())
+    texts = []
+    for rule in (LieSuperalgebra._jacobi_ok, _six_bracket_jacobi_ok):
+        monkeypatch.setattr(LieSuperalgebra, "_jacobi_ok", rule)
+        with pytest.raises(JacobiError) as err:
+            build()
+        texts.append(str(err.value))
+    assert texts == [f"Jacobi fails at triple ({triple})"] * 2
 
 
 def test_antisymmetry_completion_and_check():
@@ -591,6 +653,40 @@ def test_subalgebra_requires_homogeneous_elements():
     g = build_algebra("osp12")
     with pytest.raises(ValueError):
         g.subalgebra({"x": {"e": ONE, "q": ONE}})
+
+
+def test_zero_coefficients_do_not_count_for_parity():
+    g = build_algebra("osp12")
+    assert g.parity_of({"e": ZERO, "q": ONE}) == 1
+    assert g.parity_of({"h": 0, "q": Fraction(0), "e": "0"}) == 0
+    # span{q} is homogeneous but not closed: [q, q] is even
+    with pytest.raises(JacobiError, match=r"^\[x, x\] leaves the span$"):
+        g.subalgebra({"x": {"e": ZERO, "q": ONE}})
+    sub = g.subalgebra({"x": {"h": ONE, "q": ZERO}, "y": {"e": ONE, "f": 0}})
+    assert sub.superdim() == (2, 0)
+    assert sub.embedding == {"x": {"h": ONE}, "y": {"e": ONE}}
+
+
+def test_centralizer_cleans_its_element():
+    g = build_algebra("osp12")
+    want = g.centralizer(g.element("h"))
+    got = g.centralizer({"h": ONE, "q": 0})
+    assert (got.names, repr(got.table)) == (want.names, repr(want.table))
+    assert got.embedding == want.embedding
+
+
+def test_subalgebra_cleans_int_coefficients_into_its_embedding():
+    # the bracket takes zero-free Scalar vectors; subalgebra cleans the
+    # elements once, and its embedding holds them cleaned
+    g = build_algebra("osp12")
+    sub = g.subalgebra({"a": {"h": 1}, "b": {"e": 2, "f": 0}})
+    assert sub.table[("a", "b")] == {"b": sc(2)}
+    two = sc(2)
+    assert sub.embedding == {"a": {"h": ONE}, "b": {"e": two}}
+    for vec in sub.embedding.values():
+        assert all(type(c) is Scalar and c for c in vec.values())
+    a, b = sub.embedding["a"], sub.embedding["b"]
+    assert g.bracket(a, b) == {"e": sc(4)}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from vazhu.linalg import (
     GrassmannElement,
     ContactDerivation,
     solve_membership,
+    span_echelon,
     verify_membership,
     kernel,
     contact_derivation,
@@ -564,3 +565,99 @@ def test_jacobi_supercommutator():
         mid = (x.supercommutator(y)).supercommutator(z)
         rhs = y.supercommutator(x.supercommutator(z))
         assert lhs == mid + s12 * rhs
+
+
+# ---------------------------------------------------------------------------
+# the echelon against the division-per-step elimination
+
+
+class _DividingEchelon:
+    """The oracle echelon: each row is kept as reduced, and every
+    elimination step divides by the row's pivot coefficient."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, vec):
+        used = {}
+        vec = dict(vec)
+        for pivot, row, rcombo in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            factor = c / row[pivot]
+            vec_acc(vec, row, -factor)
+            vec_acc(used, rcombo, factor)
+        return vec, used
+
+    def insert(self, vec, tag):
+        residue, used = self.reduce(vec)
+        combo = {tag: ONE}
+        for idx, f in used.items():
+            combo[idx] = -f
+        if not residue:
+            return combo
+        self.rows.append((min(residue), residue, combo))
+        self.rows.sort(key=lambda r: r[0])
+        return None
+
+    def solve(self, target):
+        residue, used = self.reduce(_clean(target))
+        return None if residue else used
+
+
+_ECHELON_FIELDS = {
+    "Q": lambda rng: Scalar.from_fraction(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    ),
+    "Q(a)": lambda rng: (
+        (Scalar.param("a") * rng.randint(-2, 2) + rng.randint(-3, 3))
+        / (Scalar.param("a") + rng.randint(1, 3))
+    ),
+    "I": lambda rng: Scalar.param("I") * rng.randint(-2, 2) + rng.randint(-3, 3),
+    "s": lambda rng: Scalar.param("s") * rng.randint(-2, 2) + rng.randint(-3, 3),
+}
+
+
+def _echelon_family(field, seed, dim=5, free=4, dependent=3):
+    # free random vectors, then combinations of them placed among them
+    rng = random.Random(seed)
+    draw = _ECHELON_FIELDS[field]
+    cols = [
+        _clean({k: draw(rng) for k in range(dim) if rng.random() < 0.6})
+        for _ in range(free)
+    ]
+    for _ in range(dependent):
+        combo = {}
+        for vec in rng.sample(cols, 2):
+            vec_acc(combo, vec, draw(rng) or ONE)
+        cols.insert(rng.randint(0, len(cols)), combo)
+    return cols, rng, draw
+
+
+@pytest.mark.parametrize("field", sorted(_ECHELON_FIELDS))
+@pytest.mark.parametrize("seed", range(3))
+def test_pivot_one_echelon_matches_the_dividing_one(field, seed):
+    cols, rng, draw = _echelon_family(field, seed)
+    ech, ref, reference_kernel = span_echelon(cols), _DividingEchelon(), []
+    for j, col in enumerate(cols):
+        relation = ref.insert(_clean(col), j)
+        if relation is not None:
+            reference_kernel.append(relation)
+    assert len(ech.rows) == len(ref.rows)
+    for pivot, row, combo in ech.rows:
+        assert row[pivot] is ONE
+    targets = [{}, {7: ONE}, dict(cols[0])]
+    for _ in range(3):
+        target = {}
+        for vec in cols:
+            vec_acc(target, vec, draw(rng) or ONE)
+        targets.append(target)
+    targets.append({**targets[-1], 9: ONE})
+    for target in targets:
+        cert = ech.solve(target)
+        assert cert == ref.solve(target)
+        if cert is not None:
+            assert verify_membership(target, cols, cert)
+    assert kernel(cols) == reference_kernel
+    assert len(reference_kernel) == len(cols) - len(ech.rows) >= 3

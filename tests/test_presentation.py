@@ -20,7 +20,7 @@ from vazhu.presentation import (
     check_embedding,
     _big4_brackets,
 )
-from vazhu.linalg import key_acc
+from vazhu.linalg import key_acc, vec_acc
 from vazhu.scalar import Scalar, ONE
 
 C = Scalar.param("c")
@@ -537,6 +537,71 @@ def test_jacobi_residual_is_skew_in_the_last_pair(pres_id):
         for x, y, z in itertools.product(pres.names(), repeat=3):
             want = _swap_mu_nu(pres.jacobi_residual(x, y, z), pres.pair_sign(y, z))
             assert pres.jacobi_residual(x, z, y) == want, (x, y, z)
+
+
+def _three_vector_residual(pres, x, y, z):
+    # the oracle residual: each nested bracket is built as its own vector,
+    # and two scaled sums merge them
+
+    def nest_outer(outer, inner_value, outer_is_lambda):
+        out: dict = {}
+        for (m, k, target), coeff in inner_value.items():
+            shifts = [Scalar.from_int(math.comb(k, t)) for t in range(k + 1)]
+            for (p, q, y2), c2 in pres.pair_bracket(outer, target).items():
+                base = coeff * c2
+                for t in range(1 if y2 == VACUUM else k + 1):
+                    nu_pow = p + k - t
+                    key = (
+                        (nu_pow, m, q + t, y2)
+                        if outer_is_lambda
+                        else (m, nu_pow, q + t, y2)
+                    )
+                    key_acc(out, key, base * shifts[t])
+        return out
+
+    def nest_middle(ab_value, cgen):
+        out: dict = {}
+        for (n, k, target), coeff in ab_value.items():
+            sign = Scalar.from_int((-1) ** k)
+            for (p, q, y2), c2 in pres.pair_bracket(target, cgen).items():
+                tot = k + p
+                base = coeff * c2 * sign
+                for i in range(tot + 1):
+                    key_acc(
+                        out,
+                        (n + i, tot - i, q, y2),
+                        base * Scalar.from_int(math.comb(tot, i)),
+                    )
+        return out
+
+    res = nest_outer(x, pres.pair_bracket(y, z), True)
+    vec_acc(res, nest_middle(pres.pair_bracket(x, y), z), Scalar.from_int(-1))
+    vec_acc(
+        res,
+        nest_outer(y, pres.pair_bracket(x, z), False),
+        Scalar.from_int(-pres.pair_sign(x, y)),
+    )
+    return res
+
+
+@pytest.mark.parametrize(
+    "pres_id", ["N2", "N3", "N4", "big4_kwmiss1", "big4_kwmiss2", "big4"]
+)
+def test_one_residual_matches_the_three_vector_oracle(pres_id):
+    pres = builtin_presentation(pres_id)
+    triples = list(itertools.combinations_with_replacement(pres.names(), 3))
+    if pres_id == "big4":
+        triples = random.Random(0).sample(triples, 120)
+    failing = 0
+    for t in triples:
+        residual = pres.jacobi_residual(*t)
+        # in the same key order too, so the residual a PresentationError
+        # prints reads the same
+        assert list(residual.items()) == list(
+            _three_vector_residual(pres, *t).items()
+        ), t
+        failing += bool(residual)
+    assert failing if pres_id in JACOBI_WITNESSES else not failing
 
 
 def _reference_jacobi_witness(pres):
